@@ -11,6 +11,8 @@ bundled check.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .collapse import (CollapseCertificate, CollapseVerdict, ReplayResult,
                        SearchBudget, elementary_collapse, free_faces,
                        greedy_collapse, is_collapsible, load_cert, replay)
@@ -26,31 +28,10 @@ from .hyperbolic import (Isometry, build_triangle, certify_nontrivial,
                          reflection, rotation, same_isometry, triangle_defect)
 from .report import VerificationReport, verify_all
 from .splitting import (OMEGA, FactorMultiset, SplitCertificate, SplitError,
-                        SumDescription, distinguishable, family_demo,
-                        multiset_of, verify_spine_split)
+                        SplitUnknown, SumDescription, distinguishable,
+                        family_demo, multiset_of, verify_spine_split)
 
-__all__ = [
-    "__version__",
-    # complexes
-    "SimplicialComplex", "build", "cone", "euler_characteristic",
-    "intersection", "is_subcomplex", "load_scx", "union",
-    # collapse
-    "CollapseCertificate", "CollapseVerdict", "ReplayResult", "SearchBudget",
-    "elementary_collapse", "free_faces", "greedy_collapse", "is_collapsible",
-    "load_cert", "replay",
-    # groups
-    "AbelianInvariants", "LinkDiagram", "Presentation", "TietzeError",
-    "TietzeMove", "abelianization", "apply_tietze", "free_reduce",
-    "impose_relator", "linking_number", "load_fp", "load_lnk", "parse_word",
-    "smith_invariants", "substitute", "wirtinger", "word_str",
-    # hyperbolic
-    "Isometry", "build_triangle", "certify_nontrivial", "certify_relators",
-    "evaluate", "hyp_distance", "is_identity", "reflection", "rotation",
-    "same_isometry", "triangle_defect",
-    # splitting
-    "OMEGA", "FactorMultiset", "SplitCertificate", "SplitError",
-    "SumDescription", "distinguishable", "family_demo", "multiset_of",
-    "verify_spine_split",
-    # report
-    "VerificationReport", "verify_all",
-]
+# the public names are exactly the ones imported above
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -9,20 +9,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, assets, mazur
+from . import __version__
 from .collapse import (SearchBudget, free_faces, greedy_collapse,
                        is_collapsible, load_cert, replay)
 from .complexes import euler_characteristic, load_scx
 from .groups import (TietzeError, TietzeMove, abelianization, apply_tietze,
                      dumps_fp, free_reduce, load_fp, load_lnk, parse_word,
                      substitute, wirtinger, word_str)
-from .report import verify_all
-from .splitting import (OMEGA, FactorMultiset, SplitError, distinguishable,
-                        verify_spine_split)
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.12f}{z.imag:+.12f}j"
+from .report import RunContext, run_group, verify_all
+from .splitting import OMEGA, FactorMultiset, distinguishable
 
 
 def _budget(args) -> SearchBudget:
@@ -78,28 +73,27 @@ def cmd_cert_replay(args) -> int:
     K = load_scx(args.complex)
     cert = load_cert(args.cert)
     result = replay(K, cert)
-    if not result.ok:
-        step = result.trace[-1]
-        print(f"replay failed at step {step.index} "
-              f"({' '.join(step.face)}): {step.reason}")
+    if result.failure:
+        print(f"replay failed at {result.failure}")
         return 1
     print(f"replayed {len(result.trace)}/{len(cert.steps)} steps")
-    if result.collapsed_to_point:
-        print(f"collapsed to point: yes (vertex {result.final.vertices()[0]})")
+    if result.point:
+        print(f"collapsed to point: yes (vertex {result.point})")
         return 0
     print(f"collapsed to point: no ({len(result.final)} simplices left)")
     return 1
 
 
+# jester, dunce and mazur are views over one group of report.CHECKS: they
+# run that group and print from the context its checks read
+
 def cmd_jester(args) -> int:
-    J = assets.load_complex("jester_hat", args.assets)
-    A = assets.load_complex("jester_A", args.assets)
-    B = assets.load_complex("jester_B", args.assets)
-    try:
-        cert = verify_spine_split(J, A, B, _budget(args))
-    except SplitError as exc:
-        print(f"jester split: FAIL ({exc})")
+    ctx = RunContext(args.assets, budget=_budget(args))
+    ok, results = run_group("jester", ctx)
+    if not ok:
+        print(f"jester split: FAIL ({results['JESTER_SPLIT_CERT'].detail})")
         return 1
+    cert = ctx.split
     a, b, c = cert.evidence
     print(f"{cert.parts[0]} u {cert.parts[1]} = {cert.spine}")
     print(f"collapse certificates: {cert.parts[0]} {len(a.steps)} steps, "
@@ -111,40 +105,37 @@ def cmd_jester(args) -> int:
 
 
 def cmd_dunce(args) -> int:
-    K = assets.load_complex("dunce_hat", args.assets)
-    ff = free_faces(K)
-    verdict = is_collapsible(K, _budget(args))
-    chi = euler_characteristic(K)
-    print(f"free faces: {len(ff)}")
-    print(f"collapsibility verdict: {verdict.kind}")
-    print(f"chi: {chi}")
-    ok = not ff and verdict.kind == "no" and chi == 1
+    ctx = RunContext(args.assets, budget=_budget(args))
+    ok, _ = run_group("dunce", ctx)
+    print(f"free faces: {len(ctx.free_faces('dunce_hat'))}")
+    print(f"collapsibility verdict: {ctx.search('dunce_hat').kind}")
+    print(f"chi: {ctx.chi('dunce_hat')}")
     print(f"dunce hat: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def cmd_wirtinger(args) -> int:
-    d = load_lnk(args.file)
-    sys.stdout.write(dumps_fp(wirtinger(d)))
+    sys.stdout.write(dumps_fp(wirtinger(load_lnk(args.file))))
     return 0
 
 
 def cmd_group(args) -> int:
+    # the positional is a word for reduce/subst and a file otherwise
     if args.action == "reduce":
-        print(word_str(free_reduce(parse_word(args.word))))
+        print(word_str(free_reduce(parse_word(args.word_or_file))))
         return 0
     if args.action == "subst":
         mapping = {}
         for item in args.map:
             gen, _, image = item.partition("=")
             mapping[gen] = parse_word(image)
-        print(word_str(substitute(parse_word(args.word), mapping)))
+        print(word_str(substitute(parse_word(args.word_or_file), mapping)))
         return 0
     if args.action == "abelianize":
-        print(str(abelianization(load_fp(args.file))))
+        print(str(abelianization(load_fp(args.word_or_file))))
         return 0
     # tietze
-    p = load_fp(args.file)
+    p = load_fp(args.word_or_file)
     move = _parse_tietze_move(args)
     try:
         q = apply_tietze(p, move)
@@ -166,11 +157,8 @@ def _parse_certificate(text: str):
             raise ValueError(
                 f"certificate term {chunk!r} is not INDEX:SIGN:CONJUGATOR")
         index = int(parts[0])
-        if parts[1] in ("+", "+1", "1"):
-            sign = 1
-        elif parts[1] in ("-", "-1"):
-            sign = -1
-        else:
+        sign = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}.get(parts[1])
+        if sign is None:
             raise ValueError(f"bad certificate sign {parts[1]!r}")
         terms.append((index, sign, parse_word(parts[2])))
     return tuple(terms)
@@ -200,13 +188,12 @@ def _parse_tietze_move(args) -> TietzeMove:
 
 
 def cmd_mazur(args) -> int:
-    chain = mazur.derivation_chain(args.assets)
-    cert = mazur.triangle_certificate(args.tol)
-    a, b, c = cert.vertices
+    ctx = RunContext(args.assets, tol=args.tol)
+    ok, results = run_group("mazur", ctx)
+    chain, cert = ctx.chain, ctx.triangle
     print("triangle angles: pi/7 (A), pi/2 (B), pi/5 (C)")
-    print(f"vertex A: {_fmt_complex(a)}")
-    print(f"vertex B: {_fmt_complex(b)}")
-    print(f"vertex C: {_fmt_complex(c)}")
+    for label, z in zip("ABC", cert.vertices):
+        print(f"vertex {label}: {z.real:.12f}{z.imag:+.12f}j")
     print(f"relator residual max: {cert.relator_report.max_residual:.3e}")
     print(f"elliptic proper powers: min displacement "
           f"{min(cert.order_displacements):.3e}")
@@ -215,11 +202,9 @@ def cmd_mazur(args) -> int:
     for line in chain.lines():
         print(f"derivation: {line}")
     print(f"meridian displacement: {cert.meridian.word_displacement:.9f}")
-    ok_rep = cert.representation_ok and chain.ok
-    ok_mer = cert.meridian_ok
-    print(f"PI1_BOUNDARY_NONTRIVIAL: {'PASS' if ok_rep and ok_mer else 'FAIL'}")
-    print(f"MERIDIAN_NONTRIVIAL: {'PASS' if ok_mer else 'FAIL'}")
-    return 0 if ok_rep and ok_mer else 1
+    print(f"PI1_BOUNDARY_NONTRIVIAL: {'PASS' if ok else 'FAIL'}")
+    print(f"MERIDIAN_NONTRIVIAL: {results['MERIDIAN_DISPLACEMENT'].status}")
+    return 0 if ok else 1
 
 
 def _parse_multiset(text: str) -> FactorMultiset:
@@ -340,18 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.fn is cmd_group:
-        # the positional doubles as word or file depending on the action
-        if args.action in ("reduce", "subst"):
-            args.word = args.word_or_file
-        else:
-            args.file = args.word_or_file
     try:
         return args.fn(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,13 +19,10 @@ DEFAULT_BUDGET = 10 ** 6
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int = DEFAULT_BUDGET
-    tie_break: str = "lex"
 
     def __post_init__(self):
         if self.max_nodes < 1:
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if self.tie_break != "lex":
-            raise ValueError(f"unknown tie-break policy {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,19 @@ class ReplayResult:
     @property
     def ok(self) -> bool:
         return self.final is not None
+
+    @property
+    def failure(self) -> Optional[str]:
+        """'step I (FACE): REASON' for the step a failed replay stopped at."""
+        if self.ok:
+            return None
+        step = self.trace[-1]
+        return f"step {step.index} ({' '.join(step.face)}): {step.reason}"
+
+    @property
+    def point(self) -> Optional[str]:
+        """The vertex a replay that collapsed to a point ended at."""
+        return self.final.vertices()[0] if self.collapsed_to_point else None
 
 
 @dataclass(frozen=True)
@@ -125,8 +135,8 @@ def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
     return ReplayResult(cur, tuple(trace), _is_point(cur))
 
 
-def greedy_collapse(K: SimplicialComplex,
-                    budget: SearchBudget | None = None) -> tuple[CollapseCertificate, SimplicialComplex]:
+def greedy_collapse(
+        K: SimplicialComplex) -> tuple[CollapseCertificate, SimplicialComplex]:
     """Repeatedly collapse the tie-break-minimal free face until stuck.
 
     Deterministic; the residual may be anything from a point to K itself.
@@ -148,7 +158,8 @@ def is_collapsible(K: SimplicialComplex,
     """Backtracking search over free-face choices.
 
     "yes" carries a replayable certificate ending at one vertex; "no" means
-    the search tree was exhausted; "unknown" means the node budget ran out.
+    the search tree was exhausted; "unknown" means the node budget ran out,
+    which stops the search at once: nodes is then max_nodes + 1.
     Deterministic: children are explored in tie-break order, and visited
     complexes are memoized.
     """
@@ -172,6 +183,8 @@ def is_collapsible(K: SimplicialComplex,
             rest = dfs(elementary_collapse(cur, face))
             if rest is not None:
                 return [face] + rest
+            if out_of_budget:
+                return None
         return None
 
     path = dfs(K)

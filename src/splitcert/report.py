@@ -1,15 +1,19 @@
-"""The one-shot verification report.
+"""The check registry and the one-shot verification report.
 
-verify_all runs every check the test suite certifies, against the bundled
-assets (or an override directory), and renders a byte-stable report: one
-line per check id, then an overall verdict. Randomized checks use fixed
-seeds so two consecutive runs emit identical bytes.
+CHECKS lists every check the test suite certifies, once. verify_all runs
+them all against the bundled assets (or an override directory) and renders
+a byte-stable report: one line per check id, then an overall verdict. The
+named commands (`dunce check`, `jester verify-split`, `mazur certify`) run
+only the checks of their group and print from the same RunContext.
+Randomized checks use fixed seeds so two consecutive runs emit identical
+bytes.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from . import assets, mazur
 from .collapse import (SearchBudget, elementary_collapse, free_faces,
@@ -19,8 +23,9 @@ from .complexes import (SimplicialComplex, build, cone, euler_characteristic,
 from .groups import (Presentation, TietzeMove, _certificate_product,
                      abelianization, apply_tietze, linking_number, parse_word,
                      wirtinger)
-from .splitting import (OMEGA, FactorMultiset, SplitError, distinguishable,
-                        family_demo, verify_spine_split)
+from .hyperbolic import build_triangle, triangle_defect
+from .splitting import (OMEGA, FactorMultiset, SplitError, SplitUnknown,
+                        distinguishable, family_demo, verify_spine_split)
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
@@ -64,17 +69,14 @@ def random_cone_complex(rng: random.Random) -> SimplicialComplex:
 
 def random_multiset(rng: random.Random) -> FactorMultiset:
     labels = rng.sample([f"J{i}" for i in range(1, 9)], rng.randint(0, 5))
-    counts = {}
-    for lab in labels:
-        counts[lab] = OMEGA if rng.random() < 0.4 else rng.randint(1, 6)
-    return FactorMultiset.from_map(counts)
+    return FactorMultiset.from_map(
+        {lab: OMEGA if rng.random() < 0.4 else rng.randint(1, 6)
+         for lab in labels})
 
 
 def _random_word(rng: random.Random, gens, max_len=4):
-    letters = []
-    for _ in range(rng.randint(0, max_len)):
-        letters.append((rng.choice(gens), rng.choice((1, -1))))
-    return tuple(letters)
+    return tuple((rng.choice(gens), rng.choice((1, -1)))
+                 for _ in range(rng.randint(0, max_len)))
 
 
 def random_tietze_walk(rng: random.Random, steps: int) -> int:
@@ -98,12 +100,10 @@ def random_tietze_walk(rng: random.Random, steps: int) -> int:
                 move = TietzeMove("remove-generator", gen=payload,
                                   index=len(p.relators) - 1)
         elif rng.random() < 0.5:
-            cert = []
-            for _ in range(rng.randint(1, 3)):
-                cert.append((rng.randrange(len(p.relators)),
-                             rng.choice((1, -1)),
-                             _random_word(rng, p.generators, 3)))
-            cert = tuple(cert)
+            cert = tuple((rng.randrange(len(p.relators)),
+                          rng.choice((1, -1)),
+                          _random_word(rng, p.generators, 3))
+                         for _ in range(rng.randint(1, 3)))
             word = _certificate_product(p.relators, cert)
             move = TietzeMove("add-relator", word=word, certificate=cert)
             stack.append(("rel", cert))
@@ -118,305 +118,327 @@ def random_tietze_walk(rng: random.Random, steps: int) -> int:
     return applied
 
 
-# ------------------------------------------------------------- the checks
-
-class _Assets:
-    """Load-once cache; loading failures are remembered per asset."""
-
-    def __init__(self, assets_dir):
-        self.assets_dir = assets_dir
-        self._cache: dict = {}
-
-    def _get(self, key, loader):
-        if key not in self._cache:
-            try:
-                self._cache[key] = ("ok", loader())
-            except Exception as exc:
-                self._cache[key] = ("err", f"asset unavailable: {exc}")
-        kind, value = self._cache[key]
-        if kind == "err":
-            raise AssetError(value)
-        return value
-
-    def complex(self, name):
-        return self._get(("scx", name),
-                         lambda: assets.load_complex(name, self.assets_dir))
-
-    def certificate(self, name):
-        return self._get(("cert", name),
-                         lambda: assets.load_certificate(name, self.assets_dir))
-
-    def diagram(self, name):
-        return self._get(("lnk", name),
-                         lambda: assets.load_diagram(name, self.assets_dir))
-
+# ------------------------------------------------------------- the context
 
 class AssetError(Exception):
-    pass
+    """An asset failed to load; the message is the check's detail."""
 
 
-def _replay_check(K, cert, want_vertex=None):
-    result = replay(K, cert)
-    if not result.ok:
-        step = result.trace[-1]
-        return FAIL, (f"step {step.index} ({' '.join(step.face)}): "
-                      f"{step.reason}")
-    if not result.collapsed_to_point:
-        return FAIL, f"replay left {len(result.final)} simplices"
-    final = result.final.vertices()[0]
-    if want_vertex and final != want_vertex:
-        return FAIL, f"collapsed to {final}, expected {want_vertex}"
-    return PASS, f"{len(cert.steps)} steps, collapsed to vertex {final}"
+class RunContext:
+    """One run's inputs, and every object that more than one check (or a
+    check and a CLI view) reads. Each object is computed at most once; an
+    exception is remembered and raised again to every later reader."""
+
+    def __init__(self, assets_dir=None, tol: float = 1e-9,
+                 budget: SearchBudget | None = None):
+        self.assets_dir = assets_dir
+        self.tol = tol
+        self.budget = budget or SearchBudget()
+        self._memo: dict = {}
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            try:
+                self._memo[key] = (True, compute())
+            except Exception as exc:
+                self._memo[key] = (False, exc)
+        ok, value = self._memo[key]
+        if not ok:
+            raise value
+        return value
+
+    def _asset(self, loader, name):
+        try:
+            return self._once((loader.__name__, name),
+                              lambda: loader(name, self.assets_dir))
+        except Exception as exc:
+            raise AssetError(f"asset unavailable: {exc}") from exc
+
+    def complex(self, name) -> SimplicialComplex:
+        return self._asset(assets.load_complex, name)
+
+    def certificate(self, name):
+        return self._asset(assets.load_certificate, name)
+
+    def diagram(self, name):
+        return self._asset(assets.load_diagram, name)
+
+    def free_faces(self, name):
+        return self._once(("ff", name), lambda: free_faces(self.complex(name)))
+
+    def chi(self, name) -> int:
+        return self._once(
+            ("chi", name), lambda: euler_characteristic(self.complex(name)))
+
+    def search(self, name):
+        return self._once(("search", name), lambda: is_collapsible(
+            self.complex(name), self.budget))
+
+    @property
+    def split(self):
+        """The jester hat's splitting certificate (raises SplitError)."""
+        return self._once("split", lambda: verify_spine_split(
+            self.complex("jester_hat"), self.complex("jester_A"),
+            self.complex("jester_B"), self.budget))
+
+    @property
+    def link(self) -> Presentation:
+        return self._once("link",
+                          lambda: wirtinger(self.diagram("mazur_link")))
+
+    @property
+    def chain(self):
+        return self._once("chain",
+                          lambda: mazur.derivation_chain(self.assets_dir))
+
+    @property
+    def triangle(self):
+        return self._once("triangle",
+                          lambda: mazur.triangle_certificate(self.tol))
 
 
-def _search_check(K, budget):
-    verdict = is_collapsible(K, budget)
-    if verdict.kind == "unknown":
-        return SKIP, f"budget exhausted after {verdict.nodes} nodes"
-    if verdict.kind != "yes":
-        return FAIL, f"verdict {verdict.kind}"
-    rr = replay(K, verdict.certificate)
-    if not (rr.ok and rr.collapsed_to_point):
-        return FAIL, "search certificate does not replay"
-    return PASS, (f"certified in {verdict.nodes} nodes, "
-                  f"{len(verdict.certificate.steps)} steps")
+# ----------------------------------------------------------- the registry
+
+class Check(NamedTuple):
+    id: str
+    group: Optional[str]   # the named command whose verdict this decides
+    fn: Callable[[RunContext], tuple[str, str]]
+
+
+def run_checks(checks, ctx: RunContext,
+               strict: bool = False) -> list[CheckResult]:
+    """Run checks in order against one context. A split the budget left
+    unknown is SKIP; every other error is FAIL, unless strict, which lets
+    asset and program errors escape so a named command can exit 2."""
+    results = []
+    for check in checks:
+        try:
+            status, detail = check.fn(ctx)
+        except SplitUnknown as exc:
+            status, detail = SKIP, str(exc)
+        except SplitError as exc:
+            status, detail = FAIL, str(exc)
+        except AssetError as exc:
+            if strict:
+                raise exc.__cause__
+            status, detail = FAIL, str(exc)
+        except Exception as exc:  # a check must never crash the report
+            if strict:
+                raise
+            status, detail = FAIL, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(check.id, status, detail))
+    return results
+
+
+def run_group(group: str,
+              ctx: RunContext) -> tuple[bool, dict[str, CheckResult]]:
+    """Strictly run the checks a named command's verdict rests on. The
+    verdict passes only when every one of them is PASS."""
+    results = run_checks([c for c in CHECKS if c.group == group], ctx,
+                         strict=True)
+    return (all(r.status == PASS for r in results),
+            {r.check_id: r for r in results})
 
 
 def verify_all(assets_dir=None, tol: float = 1e-9,
                budget: SearchBudget | None = None) -> VerificationReport:
-    budget = budget or SearchBudget()
-    store = _Assets(assets_dir)
-    results: list[CheckResult] = []
+    ctx = RunContext(assets_dir, tol, budget)
+    return VerificationReport(tuple(run_checks(CHECKS, ctx)))
 
-    def check(check_id):
-        def wrap(fn):
-            try:
-                status, detail = fn()
-            except AssetError as exc:
-                status, detail = FAIL, str(exc)
-            except SplitError as exc:
-                status, detail = ((SKIP, str(exc)) if "unknown" in str(exc)
-                                  else (FAIL, str(exc)))
-            except Exception as exc:  # a check must never crash the report
-                status, detail = FAIL, f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(check_id, status, detail))
-        return wrap
 
-    # --- dunce hat
+# ------------------------------------------------------------- the checks
 
-    @check("DUNCE_FREE_FACES")
-    def _():
-        ff = free_faces(store.complex("dunce_hat"))
+def _verdict(ok: bool, detail: str) -> tuple[str, str]:
+    return (PASS if ok else FAIL), detail
+
+
+def _no_free_faces(name, detail):
+    def fn(ctx):
+        ff = ctx.free_faces(name)
         if ff:
             return FAIL, f"{len(ff)} free faces, first {' '.join(ff[0])}"
-        return PASS, "no free faces"
+        return PASS, detail
+    return fn
 
-    @check("DUNCE_SEARCH_VERDICT")
-    def _():
-        verdict = is_collapsible(store.complex("dunce_hat"), budget)
+
+def _chi_one(name):
+    def fn(ctx):
+        chi = ctx.chi(name)
+        return _verdict(chi == 1, f"chi = {chi}")
+    return fn
+
+
+def _dunce_search(ctx):
+    verdict = ctx.search("dunce_hat")
+    if verdict.kind == "unknown":
+        return SKIP, "budget exhausted"
+    return _verdict(verdict.kind == "no", f"verdict {verdict.kind}")
+
+
+def _decomposition(ctx):
+    J, A, B, C = (ctx.complex(name) for name in
+                  ("jester_hat", "jester_A", "jester_B", "jester_C"))
+    if union(A, B).simplices != J.simplices:
+        return FAIL, "A union B differs from J"
+    if intersection(A, B).simplices != C.simplices:
+        return FAIL, "A intersect B differs from C"
+    return PASS, "A u B = J and A n B = C"
+
+
+def _cert_replays(name, want_vertex=None):
+    def fn(ctx):
+        K = ctx.complex(name)
+        cert = ctx.certificate(name)
+        result = replay(K, cert)
+        if result.failure:
+            return FAIL, result.failure
+        final = result.point
+        if not final:
+            return FAIL, f"replay left {len(result.final)} simplices"
+        if want_vertex and final != want_vertex:
+            return FAIL, f"collapsed to {final}, expected {want_vertex}"
+        return PASS, f"{len(cert.steps)} steps, collapsed to vertex {final}"
+    return fn
+
+
+def _search_certifies(name):
+    def fn(ctx):
+        K = ctx.complex(name)
+        verdict = ctx.search(name)
         if verdict.kind == "unknown":
-            return SKIP, "budget exhausted"
-        ok = verdict.kind == "no"
-        return (PASS if ok else FAIL), f"verdict {verdict.kind}"
+            return SKIP, f"budget exhausted after {verdict.nodes} nodes"
+        if verdict.kind != "yes":
+            return FAIL, f"verdict {verdict.kind}"
+        if not replay(K, verdict.certificate).collapsed_to_point:
+            return FAIL, "search certificate does not replay"
+        return PASS, (f"certified in {verdict.nodes} nodes, "
+                      f"{len(verdict.certificate.steps)} steps")
+    return fn
 
-    @check("DUNCE_EULER")
-    def _():
-        chi = euler_characteristic(store.complex("dunce_hat"))
-        return (PASS if chi == 1 else FAIL), f"chi = {chi}"
 
-    # --- jester hat decomposition and certificates
+def _cone_sweep(ctx):
+    rng = random.Random(91)
+    small = SearchBudget(max_nodes=100_000)
+    for i in range(1000):
+        K = random_cone_complex(rng)
+        chi0 = euler_characteristic(K)
+        cert, _ = greedy_collapse(K)
+        cur = K
+        for step in cert.steps:
+            cur = elementary_collapse(cur, step)
+            if euler_characteristic(cur) != chi0:
+                return FAIL, f"cone {i}: chi drifted during greedy"
+        verdict = is_collapsible(K, small)
+        if verdict.kind != "yes":
+            return FAIL, f"cone {i}: verdict {verdict.kind}"
+        if not replay(K, verdict.certificate).collapsed_to_point:
+            return FAIL, f"cone {i}: certificate does not replay"
+    return PASS, "1000 cones: chi conserved, all certificates replay"
 
-    @check("JESTER_FREE_FACES")
-    def _():
-        ff = free_faces(store.complex("jester_hat"))
-        if ff:
-            return FAIL, f"{len(ff)} free faces, first {' '.join(ff[0])}"
-        return PASS, "no free faces (no free edge and no free vertex)"
 
-    @check("JESTER_EULER")
-    def _():
-        chi = euler_characteristic(store.complex("jester_hat"))
-        return (PASS if chi == 1 else FAIL), f"chi = {chi}"
+def _wirtinger_shape(ctx):
+    gens, rels = len(ctx.link.generators), len(ctx.link.relators)
+    return _verdict(gens == 9 and rels == 9,
+                    f"{gens} generators, {rels} relators")
 
-    @check("JESTER_DECOMPOSITION")
-    def _():
-        J = store.complex("jester_hat")
-        A = store.complex("jester_A")
-        B = store.complex("jester_B")
-        C = store.complex("jester_C")
-        if union(A, B).simplices != J.simplices:
-            return FAIL, "A union B differs from J"
-        if intersection(A, B).simplices != C.simplices:
-            return FAIL, "A intersect B differs from C"
-        return PASS, "A u B = J and A n B = C"
 
-    @check("JESTER_C_CERT_REPLAY")
-    def _():
-        return _replay_check(store.complex("jester_C"),
-                             store.certificate("jester_C"), want_vertex="v")
+def _link_h1(ctx):
+    inv = abelianization(ctx.link)
+    return _verdict(inv.free_rank == 2 and not inv.factors, f"H1 = {inv}")
 
-    @check("JESTER_A_CERT_REPLAY")
-    def _():
-        return _replay_check(store.complex("jester_A"),
-                             store.certificate("jester_A"))
 
-    @check("JESTER_B_CERT_REPLAY")
-    def _():
-        return _replay_check(store.complex("jester_B"),
-                             store.certificate("jester_B"))
+def _linking(ctx):
+    lk = linking_number(ctx.diagram("mazur_link"), 0, 1)
+    return _verdict(abs(lk) == 1, f"lk = {lk}")
 
-    @check("JESTER_SPLIT_CERT")
-    def _():
-        cert = verify_spine_split(store.complex("jester_hat"),
-                                  store.complex("jester_A"),
-                                  store.complex("jester_B"), budget)
-        return PASS, f"conclusion {cert.conclusion}"
 
-    # --- search autonomy
+def _boundary_h1(ctx):
+    inv = abelianization(mazur.boundary_presentation(ctx.assets_dir))
+    return _verdict(inv.free_rank == 0 and not inv.factors,
+                    f"H1 of surgered group = {inv}")
 
-    @check("SEARCH_JESTER_C")
-    def _():
-        return _search_check(store.complex("jester_C"), budget)
 
-    @check("SEARCH_JESTER_A")
-    def _():
-        return _search_check(store.complex("jester_A"), budget)
+def _elliptic_orders(ctx):
+    low = min(ctx.triangle.order_displacements)
+    return _verdict(low > 10 * ctx.tol,
+                    f"proper powers displace probes by >= {low:.3e}")
 
-    @check("SEARCH_JESTER_B")
-    def _():
-        return _search_check(store.complex("jester_B"), budget)
 
-    @check("CONE_SWEEP")
-    def _():
-        rng = random.Random(91)
-        small = SearchBudget(max_nodes=100_000)
-        for i in range(1000):
-            K = random_cone_complex(rng)
-            chi0 = euler_characteristic(K)
-            cert, residual = greedy_collapse(K)
-            cur = K
-            for step in cert.steps:
-                cur = elementary_collapse(cur, step)
-                if euler_characteristic(cur) != chi0:
-                    return FAIL, f"cone {i}: chi drifted during greedy"
-            verdict = is_collapsible(K, small)
-            if verdict.kind != "yes":
-                return FAIL, f"cone {i}: verdict {verdict.kind}"
-            rr = replay(K, verdict.certificate)
-            if not (rr.ok and rr.collapsed_to_point):
-                return FAIL, f"cone {i}: certificate does not replay"
-        return PASS, "1000 cones: chi conserved, all certificates replay"
+def _gauss_bonnet(ctx):
+    a, b, c = build_triangle(mazur.TRIANGLE_ANGLES)
+    defect = triangle_defect(a, b, c)
+    err = abs(defect - 11 * math.pi / 70)
+    return _verdict(err < ctx.tol,
+                    f"defect {defect:.12f}, |err| = {err:.3e}")
 
-    # --- link group
 
-    @check("MAZUR_WIRTINGER_SHAPE")
-    def _():
-        p = wirtinger(store.diagram("mazur_link"))
-        ok = len(p.generators) == 9 and len(p.relators) == 9
-        return (PASS if ok else FAIL), (f"{len(p.generators)} generators, "
-                                        f"{len(p.relators)} relators")
+def _meridian(ctx):
+    d = ctx.triangle.meridian.word_displacement
+    return _verdict(ctx.triangle.meridian_ok,
+                    f"origin moves {d:.9f} (> 1e-3)")
 
-    @check("MAZUR_ABELIANIZATION")
-    def _():
-        inv = abelianization(wirtinger(store.diagram("mazur_link")))
-        ok = inv.free_rank == 2 and not inv.factors
-        return (PASS if ok else FAIL), f"H1 = {inv}"
 
-    @check("MAZUR_R9")
-    def _():
-        p = wirtinger(store.diagram("mazur_link"))
-        ok = p.relators[8] == mazur.R9
-        return (PASS if ok else FAIL), "relator 9 is x1 X7 X2 x7"
+def _abelian_oracles(ctx):
+    free2 = abelianization(Presentation(("a", "b"), (parse_word("a b A B"),)))
+    triv = abelianization(mazur.target_presentation())
+    ok = (free2.free_rank == 2 and not free2.factors
+          and triv.free_rank == 0 and not triv.factors)
+    return _verdict(ok, f"commutator -> {free2}; "
+                        f"(7,5,2) triangle quotient -> {triv}")
 
-    @check("MAZUR_LINKING")
-    def _():
-        lk = linking_number(store.diagram("mazur_link"), 0, 1)
-        return (PASS if abs(lk) == 1 else FAIL), f"lk = {lk}"
 
-    @check("MAZUR_DERIVATION_CHAIN")
-    def _():
-        chain = mazur.derivation_chain(store.assets_dir)
-        return (PASS if chain.ok else FAIL), "; ".join(chain.lines())
+def _family(ctx):
+    n = family_demo(10)
+    return _verdict(n == 1024, f"{n} pairwise-distinguishable")
 
-    @check("MAZUR_BOUNDARY_H1")
-    def _():
-        inv = abelianization(mazur.boundary_presentation(store.assets_dir))
-        ok = inv.free_rank == 0 and not inv.factors
-        return (PASS if ok else FAIL), f"H1 of surgered group = {inv}"
 
-    # --- triangle-group representation
+def _irreflexive(ctx):
+    rng = random.Random(23)
+    for _ in range(1000):
+        m = random_multiset(rng)
+        if distinguishable(m, m):
+            return FAIL, f"multiset {m} separated from itself"
+    return PASS, "1000 random multisets: never self-separated"
 
-    @check("TRIANGLE_RELATORS")
-    def _():
-        cert = mazur.triangle_certificate(tol)
-        r = cert.relator_report
-        status = PASS if r.ok else FAIL
-        return status, f"max residual {r.max_residual:.3e}"
 
-    @check("TRIANGLE_ELLIPTIC_ORDERS")
-    def _():
-        cert = mazur.triangle_certificate(tol)
-        low = min(cert.order_displacements)
-        ok = low > 10 * tol
-        return (PASS if ok else FAIL), (
-            f"proper powers displace probes by >= {low:.3e}")
-
-    @check("TRIANGLE_BG_HALF_TURN")
-    def _():
-        cert = mazur.triangle_certificate(tol)
-        ok = cert.rotation_b_matches
-        return (PASS if ok else FAIL), "beta gamma = half turn at B"
-
-    @check("GAUSS_BONNET_DEFECT")
-    def _():
-        from .hyperbolic import build_triangle, triangle_defect
-        a, b, c = build_triangle(mazur.TRIANGLE_ANGLES)
-        defect = triangle_defect(a, b, c)
-        want = 11 * math.pi / 70
-        err = abs(defect - want)
-        return (PASS if err < tol else FAIL), (
-            f"defect {defect:.12f}, |err| = {err:.3e}")
-
-    @check("MERIDIAN_DISPLACEMENT")
-    def _():
-        cert = mazur.triangle_certificate(tol)
-        d = cert.meridian.word_displacement
-        ok = cert.meridian_ok
-        return (PASS if ok else FAIL), f"origin moves {d:.9f} (> 1e-3)"
-
-    # --- abelianization oracles and Tietze stability
-
-    @check("ABELIAN_ORACLES")
-    def _():
-        free2 = abelianization(Presentation(("a", "b"),
-                                            (parse_word("a b A B"),)))
-        triv = abelianization(mazur.target_presentation())
-        ok = (free2.free_rank == 2 and not free2.factors
-              and triv.free_rank == 0 and not triv.factors)
-        return (PASS if ok else FAIL), (
-            f"commutator -> {free2}; (7,5,2) triangle quotient -> {triv}")
-
-    @check("TIETZE_INVARIANCE")
-    def _():
-        rng = random.Random(4711)
-        n = random_tietze_walk(rng, 500)
-        return PASS, f"{n} certified moves, invariants stable"
-
-    # --- sum invariant
-
-    @check("FAMILY_DEMO")
-    def _():
-        n = family_demo(10)
-        ok = n == 1024
-        return (PASS if ok else FAIL), f"{n} pairwise-distinguishable"
-
-    @check("DISTINGUISH_IRREFLEXIVE")
-    def _():
-        rng = random.Random(23)
-        for _ in range(1000):
-            m = random_multiset(rng)
-            if distinguishable(m, m):
-                return FAIL, f"multiset {m} separated from itself"
-        return PASS, "1000 random multisets: never self-separated"
-
-    return VerificationReport(tuple(results))
+CHECKS = (
+    Check("DUNCE_FREE_FACES", "dunce",
+          _no_free_faces("dunce_hat", "no free faces")),
+    Check("DUNCE_SEARCH_VERDICT", "dunce", _dunce_search),
+    Check("DUNCE_EULER", "dunce", _chi_one("dunce_hat")),
+    Check("JESTER_FREE_FACES", None, _no_free_faces(
+        "jester_hat", "no free faces (no free edge and no free vertex)")),
+    Check("JESTER_EULER", None, _chi_one("jester_hat")),
+    Check("JESTER_DECOMPOSITION", None, _decomposition),
+    Check("JESTER_C_CERT_REPLAY", None, _cert_replays("jester_C", "v")),
+    Check("JESTER_A_CERT_REPLAY", None, _cert_replays("jester_A")),
+    Check("JESTER_B_CERT_REPLAY", None, _cert_replays("jester_B")),
+    Check("JESTER_SPLIT_CERT", "jester",
+          lambda ctx: (PASS, f"conclusion {ctx.split.conclusion}")),
+    Check("SEARCH_JESTER_C", None, _search_certifies("jester_C")),
+    Check("SEARCH_JESTER_A", None, _search_certifies("jester_A")),
+    Check("SEARCH_JESTER_B", None, _search_certifies("jester_B")),
+    Check("CONE_SWEEP", None, _cone_sweep),
+    Check("MAZUR_WIRTINGER_SHAPE", None, _wirtinger_shape),
+    Check("MAZUR_ABELIANIZATION", None, _link_h1),
+    Check("MAZUR_R9", None, lambda ctx: _verdict(
+        ctx.link.relators[8] == mazur.R9, "relator 9 is x1 X7 X2 x7")),
+    Check("MAZUR_LINKING", None, _linking),
+    Check("MAZUR_DERIVATION_CHAIN", "mazur", lambda ctx: _verdict(
+        ctx.chain.ok, "; ".join(ctx.chain.lines()))),
+    Check("MAZUR_BOUNDARY_H1", None, _boundary_h1),
+    Check("TRIANGLE_RELATORS", "mazur", lambda ctx: _verdict(
+        ctx.triangle.relator_report.ok,
+        f"max residual {ctx.triangle.relator_report.max_residual:.3e}")),
+    Check("TRIANGLE_ELLIPTIC_ORDERS", "mazur", _elliptic_orders),
+    Check("TRIANGLE_BG_HALF_TURN", "mazur", lambda ctx: _verdict(
+        ctx.triangle.rotation_b_matches, "beta gamma = half turn at B")),
+    Check("GAUSS_BONNET_DEFECT", None, _gauss_bonnet),
+    Check("MERIDIAN_DISPLACEMENT", "mazur", _meridian),
+    Check("ABELIAN_ORACLES", None, _abelian_oracles),
+    Check("TIETZE_INVARIANCE", None, lambda ctx: (PASS, (
+        f"{random_tietze_walk(random.Random(4711), 500)} certified moves, "
+        "invariants stable"))),
+    Check("FAMILY_DEMO", None, _family),
+    Check("DISTINGUISH_IRREFLEXIVE", None, _irreflexive),
+)

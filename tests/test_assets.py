@@ -8,7 +8,8 @@ certificate replays.
 import pytest
 
 from splitcert import assets
-from splitcert.collapse import free_faces, is_collapsible, replay
+from splitcert.collapse import (SearchBudget, free_faces, is_collapsible,
+                                replay)
 from splitcert.complexes import euler_characteristic, intersection, union
 from splitcert.groups import linking_number, smith_invariants, wirtinger
 from splitcert.mazur import R9
@@ -119,6 +120,14 @@ def test_no_free_faces(name):
 def test_dunce_hat_not_collapsible():
     verdict = is_collapsible(assets.load_complex("dunce_hat"))
     assert verdict.kind == "no"
+
+
+@pytest.mark.parametrize("name", ["jester_C", "jester_A", "jester_B"])
+def test_budget_is_a_hard_stop(name):
+    # the root, plus the one node that tripped the budget
+    verdict = is_collapsible(assets.load_complex(name), SearchBudget(1))
+    assert verdict.kind == "unknown"
+    assert verdict.nodes == 2
 
 
 def test_certificates_replay_to_points():

@@ -119,8 +119,6 @@ def test_budget_exhaustion_reports_unknown():
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)
-    with pytest.raises(ValueError):
-        SearchBudget(tie_break="random")
 
 
 @given(base_complexes)

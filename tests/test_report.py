@@ -1,0 +1,120 @@
+"""The check registry and the named commands that are views over it.
+
+The golden files hold the default stdout of each command as it was before
+the registry existed; the views must reproduce it byte for byte.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from splitcert import assets, mazur
+from splitcert.cli import main
+from splitcert.collapse import SearchBudget
+from splitcert.complexes import SimplicialComplex, union
+from splitcert.report import (CHECKS, FAIL, PASS, SKIP, Check, RunContext,
+                              run_checks, verify_all)
+from splitcert.splitting import verify_spine_split
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["verify-all"], "verify-all.txt"),
+    (["dunce", "check"], "dunce_check.txt"),
+    (["jester", "verify-split"], "jester_verify-split.txt"),
+    (["mazur", "certify"], "mazur_certify.txt"),
+])
+def test_default_output_matches_golden(argv, golden):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p)
+    proc = subprocess.run([sys.executable, "-m", "splitcert.cli", *argv],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["dunce", "check"], "dunce_hat.scx"),
+    (["jester", "verify-split"], "jester_A.scx"),
+    (["mazur", "certify"], "mazur_link.lnk"),
+])
+def test_named_command_without_its_asset_exits_2(argv, missing, asset_copy,
+                                                 capsys):
+    (asset_copy / missing).unlink()
+    code = main([*argv, "--assets", str(asset_copy)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and missing in captured.err
+
+
+def test_groups_cover_what_each_named_command_decides():
+    groups = {}
+    for check in CHECKS:
+        groups.setdefault(check.group, []).append(check.id)
+    assert groups["dunce"] == ["DUNCE_FREE_FACES", "DUNCE_SEARCH_VERDICT",
+                               "DUNCE_EULER"]
+    assert groups["jester"] == ["JESTER_SPLIT_CERT"]
+    assert groups["mazur"] == [
+        "MAZUR_DERIVATION_CHAIN", "TRIANGLE_RELATORS",
+        "TRIANGLE_ELLIPTIC_ORDERS", "TRIANGLE_BG_HALF_TURN",
+        "MERIDIAN_DISPLACEMENT"]
+    ids = [c.id for c in CHECKS]
+    assert len(ids) == len(set(ids)) == 29
+
+
+def test_budget_exhaustion_in_the_split_is_skip():
+    split = [c for c in CHECKS if c.id == "JESTER_SPLIT_CERT"]
+    (result,) = run_checks(split, RunContext(budget=SearchBudget(1)))
+    assert result.status == SKIP
+    assert result.detail == "jester_A is not collapsible (verdict: unknown)"
+
+
+def test_refuted_part_named_unknown_is_fail():
+    ctx = RunContext()
+    part = SimplicialComplex(ctx.complex("dunce_hat").simplices,
+                             name="unknown_part")
+
+    def split(ctx):
+        cert = verify_spine_split(union(part, part), part, part, ctx.budget)
+        return PASS, cert.conclusion
+
+    (result,) = run_checks([Check("SPLIT", None, split)], ctx)
+    assert result.status == FAIL
+    assert result.detail == "unknown_part is not collapsible (verdict: no)"
+
+
+def test_triangle_certificate_built_once_per_run(monkeypatch):
+    calls = []
+    original = mazur.triangle_certificate
+
+    def counted(tol):
+        calls.append(tol)
+        return original(tol)
+
+    monkeypatch.setattr(mazur, "triangle_certificate", counted)
+    assert verify_all().overall == PASS
+    assert calls == [1e-9]
+
+
+def test_each_complex_loads_once_and_a_failed_load_is_remembered(
+        asset_copy, monkeypatch):
+    (asset_copy / "dunce_hat.scx").unlink()
+    loads = []
+    original = assets.load_complex
+
+    def counted(name, assets_dir=None):
+        loads.append(name)
+        return original(name, assets_dir)
+
+    monkeypatch.setattr(assets, "load_complex", counted)
+    report = verify_all(assets_dir=asset_copy)
+    assert sorted(loads) == sorted(assets.COMPLEXES)
+    dunce = [c for c in report.checks if c.check_id.startswith("DUNCE_")]
+    assert [c.status for c in dunce] == [FAIL] * 3
+    assert all(c.detail.startswith("asset unavailable: ") for c in dunce)

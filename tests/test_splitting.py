@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitcert.collapse import SearchBudget
 from splitcert.complexes import build, union
 from splitcert.splitting import (CONCLUSION, OMEGA, FactorMultiset, SplitError,
-                                 SumDescription, distinguishable, family_demo,
-                                 multiset_of, verify_spine_split)
+                                 SplitUnknown, SumDescription, distinguishable,
+                                 family_demo, multiset_of, verify_spine_split)
 
 labels = st.sampled_from([f"J{i}" for i in range(1, 7)])
 counts = st.one_of(st.integers(1, 9), st.just(OMEGA))
@@ -73,11 +74,19 @@ def test_distinguishable_symmetric(m1, m2):
     assert distinguishable(m1, m2) == distinguishable(m2, m1)
 
 
+@given(st.lists(multisets, max_size=8))
+def test_distinct_counts_iff_pairwise_distinguishable(family):
+    # the statement family_demo checks through canonical keys
+    pairwise = all(distinguishable(m1, m2)
+                   for i, m1 in enumerate(family) for m2 in family[i + 1:])
+    assert pairwise == (len({m.counts for m in family}) == len(family))
+
+
 def test_family_demo_counts():
     assert family_demo(0) == 1
     assert family_demo(3) == 8
     assert family_demo(10) == 1024
-    assert family_demo(11) == 2048  # distinctness branch
+    assert family_demo(11) == 2048  # beyond the k = 10 that verify-all runs
 
 
 def test_family_demo_bounds():
@@ -127,3 +136,14 @@ def test_verify_spine_split_checks_intersection():
     spine = union(A, B, name="S")
     with pytest.raises(SplitError, match="A&B is not collapsible"):
         verify_spine_split(spine, A, B)
+
+
+def test_verify_spine_split_types_unknown_apart_from_no():
+    A = build([("a", "b", "c")], name="A")
+    B = build([("b", "c", "d")], name="B")
+    with pytest.raises(SplitUnknown, match=r"A .*\(verdict: unknown\)"):
+        verify_spine_split(union(A, B, name="S"), A, B, SearchBudget(1))
+    B = build([("d",), ("e",)], name="B")
+    with pytest.raises(SplitError) as refuted:
+        verify_spine_split(union(A, B, name="S"), A, B)
+    assert not isinstance(refuted.value, SplitUnknown)
