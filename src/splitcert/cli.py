@@ -20,10 +20,6 @@ from .report import RunContext, run_group, verify_all
 from .splitting import OMEGA, FactorMultiset, distinguishable
 
 
-def _budget(args) -> SearchBudget:
-    return SearchBudget(max_nodes=args.budget)
-
-
 # ------------------------------------------------------------- subcommands
 
 def cmd_complex(args) -> int:
@@ -55,7 +51,7 @@ def cmd_complex(args) -> int:
         print(f"collapsed to point: {'yes' if point else 'no'}")
         return 0 if point else 1
     # search
-    verdict = is_collapsible(K, _budget(args))
+    verdict = is_collapsible(K, SearchBudget(max_nodes=args.budget))
     if verdict.kind == "yes":
         print(f"verdict: yes ({verdict.nodes} nodes, "
               f"{len(verdict.certificate.steps)} steps)")
@@ -88,7 +84,7 @@ def cmd_cert_replay(args) -> int:
 # run that group and print from the context its checks read
 
 def cmd_jester(args) -> int:
-    ctx = RunContext(args.assets, budget=_budget(args))
+    ctx = RunContext(args.assets)
     ok, results = run_group("jester", ctx)
     if not ok:
         print(f"jester split: FAIL ({results['JESTER_SPLIT_CERT'].detail})")
@@ -105,7 +101,7 @@ def cmd_jester(args) -> int:
 
 
 def cmd_dunce(args) -> int:
-    ctx = RunContext(args.assets, budget=_budget(args))
+    ctx = RunContext(args.assets)
     ok, _ = run_group("dunce", ctx)
     print(f"free faces: {len(ctx.free_faces('dunce_hat'))}")
     print(f"collapsibility verdict: {ctx.search('dunce_hat').kind}")
@@ -229,18 +225,12 @@ def cmd_csi(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = verify_all(assets_dir=args.assets, tol=args.tol,
-                        budget=_budget(args))
+    report = verify_all(assets_dir=args.assets, tol=args.tol)
     sys.stdout.write(report.render())
     return 0 if report.overall == "PASS" else 1
 
 
 # ------------------------------------------------------------------ parser
-
-def _add_budget(p):
-    p.add_argument("--budget", type=int, default=10 ** 6,
-                   help="search node budget (default 10^6)")
-
 
 def _add_assets(p):
     p.add_argument("--assets", default=None, metavar="DIR",
@@ -259,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("validate", "chi", "free-faces",
                                       "collapse", "search"))
     p.add_argument("file")
-    _add_budget(p)
+    p.add_argument("--budget", type=int, default=10 ** 6,
+                   help="node budget of the dim >= 3 search (default 10^6)")
     p.set_defaults(fn=cmd_complex)
 
     p = sub.add_parser("cert", help="collapse certificate replay")
@@ -271,13 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jester", help="verify the bundled spine splitting")
     p.add_argument("action", choices=("verify-split",))
     _add_assets(p)
-    _add_budget(p)
     p.set_defaults(fn=cmd_jester)
 
     p = sub.add_parser("dunce", help="check the bundled dunce hat")
     p.add_argument("action", choices=("check",))
     _add_assets(p)
-    _add_budget(p)
     p.set_defaults(fn=cmd_dunce)
 
     p = sub.add_parser("wirtinger",
@@ -317,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run every bundled check")
     _add_assets(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_budget(p)
     p.set_defaults(fn=cmd_verify_all)
 
     return top

@@ -9,9 +9,10 @@ when some sequence of collapses ends at a single vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .complexes import Simplex, SimplicialComplex, make_simplex
+from .complexes import (Simplex, SimplicialComplex, content_lines,
+                        euler_characteristic, make_simplex)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -155,62 +156,77 @@ def greedy_collapse(
 
 def is_collapsible(K: SimplicialComplex,
                    budget: SearchBudget | None = None) -> CollapseVerdict:
-    """Backtracking search over free-face choices.
+    """Decide whether K collapses to a point.
 
-    "yes" carries a replayable certificate ending at one vertex; "no" means
-    the search tree was exhausted; "unknown" means the node budget ran out,
-    which stops the search at once: nodes is then max_nodes + 1.
-    Deterministic: children are explored in tie-break order, and visited
-    complexes are memoized.
+    "yes" carries a replayable certificate ending at one vertex, "no" is a
+    proof that none exists, and "unknown" means the node budget ran out.
+    nodes counts the distinct non-point complexes visited.
+
+    Dimension <= 2 is decided by greedy_collapse, without the budget. A
+    triangle with a free edge keeps it free until the triangle is removed,
+    so every maximal collapse sequence removes the same triangles. If one
+    is left, no sequence reaches a point; otherwise what is left is a graph
+    without leaves, homotopy equivalent to K, which is a point exactly when
+    K is contractible. So the greedy residual is a point iff K collapses
+    (Tancer, arXiv:1211.6254: the problem is NP-complete from dimension 3).
+
+    Dimension >= 3 runs a memoized backtracking search over free faces in
+    tie-break order, so its first descent is the greedy path. An exhausted
+    budget stops it at once, with nodes = max_nodes + 1.
     """
-    budget = budget or SearchBudget()
+    if K.dim() <= 2:
+        cert, residual = greedy_collapse(K)
+        if not _is_point(residual):
+            return CollapseVerdict("no", None, len(cert.steps) + 1)
+        path, nodes = cert.steps, len(cert.steps)
+    else:
+        max_nodes = (budget or SearchBudget()).max_nodes
+        path, nodes = _search(K, max_nodes)
+        if path is None:
+            return CollapseVerdict("unknown" if nodes > max_nodes else "no",
+                                   None, nodes)
+    # collapsibility implies chi = 1; cheap sanity on every yes
+    chi = euler_characteristic(K)
+    if chi != 1:
+        raise AssertionError(
+            f"collapse certificate found for {K.name} but chi = {chi}")
+    return CollapseVerdict("yes", CollapseCertificate(tuple(path), K.name),
+                           nodes)
+
+
+def _search(K: SimplicialComplex, max_nodes: int):
+    """Depth-first search on an explicit stack. Returns the faces leading
+    from K to a point (None if there is none or the budget ran out) and the
+    number of nodes visited."""
     seen: set[frozenset] = set()
     nodes = 0
-    out_of_budget = False
-
-    def dfs(cur: SimplicialComplex) -> Optional[list[Simplex]]:
-        nonlocal nodes, out_of_budget
-        if _is_point(cur):
-            return []
-        if cur.simplices in seen:
-            return None
-        seen.add(cur.simplices)
-        nodes += 1
-        if nodes > budget.max_nodes:
-            out_of_budget = True
-            return None
-        for face in free_faces(cur):
-            rest = dfs(elementary_collapse(cur, face))
-            if rest is not None:
-                return [face] + rest
-            if out_of_budget:
-                return None
-        return None
-
-    path = dfs(K)
-    if path is not None:
-        # collapsibility implies chi = 1; cheap sanity on every yes
-        from .complexes import euler_characteristic
-        chi = euler_characteristic(K)
-        if chi != 1:
-            raise AssertionError(
-                f"collapse certificate found for {K.name} but chi = {chi}")
-        return CollapseVerdict("yes",
-                               CollapseCertificate(tuple(path), K.name),
-                               nodes)
-    if out_of_budget:
-        return CollapseVerdict("unknown", None, nodes)
-    return CollapseVerdict("no", None, nodes)
+    stack: list[tuple[SimplicialComplex, Iterator[Simplex]]] = []
+    path: list[Optional[Simplex]] = []   # the face explored out of each frame
+    cur = K
+    while not _is_point(cur):
+        if cur.simplices not in seen:
+            seen.add(cur.simplices)
+            nodes += 1
+            if nodes > max_nodes:
+                return None, nodes
+            stack.append((cur, iter(free_faces(cur))))
+            path.append(None)
+        # the next unexplored child, backing up past exhausted complexes
+        while stack and (face := next(stack[-1][1], None)) is None:
+            stack.pop()
+            path.pop()
+        if not stack:
+            return None, nodes
+        path[-1] = face
+        cur = elementary_collapse(stack[-1][0], face)
+    return path, nodes
 
 
 # --- .cert file format: one free face per line, '#' comments --------------
 
 def loads_cert(text: str, source_name: str = "K") -> CollapseCertificate:
     steps = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         try:
             steps.append(make_simplex(line.split()))
         except ValueError as exc:

@@ -131,14 +131,20 @@ def cone(K: SimplicialComplex, apex: str, name: str | None = None) -> Simplicial
     return SimplicialComplex(frozenset(out), name=name or f"cone_{K.name}")
 
 
-# --- .scx file format: one maximal simplex per line, '#' comments ---------
+# --- line-based file formats, '#' comments; .scx: one maximal simplex a line
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, content) of every line of an asset file that is not
+    blank once its '#' comment is stripped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
 
 def loads_scx(text: str, name: str = "K") -> SimplicialComplex:
     maximal = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         try:
             maximal.append(make_simplex(line.split()))
         except ValueError as exc:

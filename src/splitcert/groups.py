@@ -14,6 +14,8 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .complexes import content_lines
+
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 
@@ -419,10 +421,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 def loads_fp(text: str) -> Presentation:
     gens: tuple[str, ...] | None = None
     rels: list[Word] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("gens:"):
             if gens is not None:
                 raise ValueError(f"line {lineno}: second gens: line")
@@ -456,10 +455,7 @@ def loads_lnk(text: str) -> LinkDiagram:
     arcs: list[str] = []
     crossings: list[Crossing] = []
     comps: list[tuple[str, ...]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("arc:"):
             arcs.extend(line[4:].split())
         elif line.startswith("x:"):

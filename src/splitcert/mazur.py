@@ -54,20 +54,16 @@ def link_presentation(assets_dir=None) -> Presentation:
     return wirtinger(assets.load_diagram("mazur_link", assets_dir))
 
 
-def boundary_presentation(assets_dir=None) -> Presentation:
-    """The surgered (boundary) group: link group modulo the two filling
+def boundary_presentation(link: Presentation) -> Presentation:
+    """The surgered (boundary) group: the link group modulo the two filling
     relators, with beta/lambda/alpha/gamma adjoined by Tietze moves."""
-    p = link_presentation(assets_dir)
+    p = link
     for r in FILLING_RELATORS:
         p = impose_relator(p, r)
-    p = apply_tietze(p, TietzeMove("add-generator", gen="beta",
-                                   word=parse_word("x7")))
-    p = apply_tietze(p, TietzeMove("add-generator", gen="lambda",
-                                   word=parse_word("x2")))
-    p = apply_tietze(p, TietzeMove("add-generator", gen="alpha",
-                                   word=parse_word("beta lambda")))
-    p = apply_tietze(p, TietzeMove("add-generator", gen="gamma",
-                                   word=parse_word("alpha alpha")))
+    for gen, word in (("beta", "x7"), ("lambda", "x2"),
+                      ("alpha", "beta lambda"), ("gamma", "alpha alpha")):
+        p = apply_tietze(p, TietzeMove("add-generator", gen=gen,
+                                       word=parse_word(word)))
     return p
 
 
@@ -98,17 +94,16 @@ class DerivationChain:
         ]
 
 
-def derivation_chain(assets_dir=None) -> DerivationChain:
-    """Reproduce the word-level derivation from the diagram's relators.
+def derivation_chain(link: Presentation) -> DerivationChain:
+    """Reproduce the word-level derivation from the link group's relators.
 
     Checks first that the ninth relator is literally x1 (x7^-1 x2 x7)^-1,
     then rewrites through beta = x7, lambda = x2, alpha = beta lambda,
     gamma = alpha^2.
     """
-    p = link_presentation(assets_dir)
-    if p.relators[8] != R9:
+    if link.relators[8] != R9:
         raise ValueError(
-            f"ninth relator is {word_str(p.relators[8])}, expected "
+            f"ninth relator is {word_str(link.relators[8])}, expected "
             f"{word_str(R9)}")
     # r9 solves to x1 = x7^-1 x2 x7; rename x7 -> beta, x2 -> lambda
     x1 = substitute(parse_word("X7 x2 x7"),

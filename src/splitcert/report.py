@@ -129,11 +129,9 @@ class RunContext:
     check and a CLI view) reads. Each object is computed at most once; an
     exception is remembered and raised again to every later reader."""
 
-    def __init__(self, assets_dir=None, tol: float = 1e-9,
-                 budget: SearchBudget | None = None):
+    def __init__(self, assets_dir=None, tol: float = 1e-9):
         self.assets_dir = assets_dir
         self.tol = tol
-        self.budget = budget or SearchBudget()
         self._memo: dict = {}
 
     def _once(self, key, compute):
@@ -171,15 +169,15 @@ class RunContext:
             ("chi", name), lambda: euler_characteristic(self.complex(name)))
 
     def search(self, name):
-        return self._once(("search", name), lambda: is_collapsible(
-            self.complex(name), self.budget))
+        return self._once(("search", name),
+                          lambda: is_collapsible(self.complex(name)))
 
     @property
     def split(self):
         """The jester hat's splitting certificate (raises SplitError)."""
         return self._once("split", lambda: verify_spine_split(
             self.complex("jester_hat"), self.complex("jester_A"),
-            self.complex("jester_B"), self.budget))
+            self.complex("jester_B")))
 
     @property
     def link(self) -> Presentation:
@@ -188,8 +186,7 @@ class RunContext:
 
     @property
     def chain(self):
-        return self._once("chain",
-                          lambda: mazur.derivation_chain(self.assets_dir))
+        return self._once("chain", lambda: mazur.derivation_chain(self.link))
 
     @property
     def triangle(self):
@@ -240,9 +237,8 @@ def run_group(group: str,
             {r.check_id: r for r in results})
 
 
-def verify_all(assets_dir=None, tol: float = 1e-9,
-               budget: SearchBudget | None = None) -> VerificationReport:
-    ctx = RunContext(assets_dir, tol, budget)
+def verify_all(assets_dir=None, tol: float = 1e-9) -> VerificationReport:
+    ctx = RunContext(assets_dir, tol)
     return VerificationReport(tuple(run_checks(CHECKS, ctx)))
 
 
@@ -353,7 +349,7 @@ def _linking(ctx):
 
 
 def _boundary_h1(ctx):
-    inv = abelianization(mazur.boundary_presentation(ctx.assets_dir))
+    inv = abelianization(mazur.boundary_presentation(ctx.link))
     return _verdict(inv.free_rank == 0 and not inv.factors,
                     f"H1 of surgered group = {inv}")
 

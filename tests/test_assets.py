@@ -10,7 +10,7 @@ import pytest
 from splitcert import assets
 from splitcert.collapse import (SearchBudget, free_faces, is_collapsible,
                                 replay)
-from splitcert.complexes import euler_characteristic, intersection, union
+from splitcert.complexes import cone, euler_characteristic, intersection, union
 from splitcert.groups import linking_number, smith_invariants, wirtinger
 from splitcert.mazur import R9
 
@@ -124,8 +124,10 @@ def test_dunce_hat_not_collapsible():
 
 @pytest.mark.parametrize("name", ["jester_C", "jester_A", "jester_B"])
 def test_budget_is_a_hard_stop(name):
-    # the root, plus the one node that tripped the budget
-    verdict = is_collapsible(assets.load_complex(name), SearchBudget(1))
+    # the budget only limits the dim >= 3 search: the root, plus the one
+    # node that tripped the budget
+    K = cone(assets.load_complex(name), "apex")
+    verdict = is_collapsible(K, SearchBudget(1))
     assert verdict.kind == "unknown"
     assert verdict.nodes == 2
 

@@ -1,11 +1,13 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from splitcert.cli import main
 
 ASSET_SRC = "src/splitcert/assets"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -68,11 +70,35 @@ def test_complex_search_dunce_says_no(capsys):
     assert out.startswith("verdict: no")
 
 
-def test_complex_search_budget_unknown(triangle_file, capsys):
-    code, out, _ = run(capsys, "complex", "search", triangle_file,
+def test_complex_search_budget_unknown(tmp_path, capsys):
+    tetrahedron = tmp_path / "tet.scx"
+    tetrahedron.write_text("a b c d\n")
+    code, out, _ = run(capsys, "complex", "search", str(tetrahedron),
                        "--budget", "1")
     assert code == 1
     assert "unknown" in out
+
+
+@pytest.mark.parametrize("name,want", [
+    ("dunce_hat", 1), ("jester_hat", 1),
+    ("jester_A", 0), ("jester_B", 0), ("jester_C", 0),
+])
+def test_complex_search_on_bundled_complexes_matches_golden(name, want,
+                                                            capsys):
+    code, out, _ = run(capsys, "complex", "search", f"{ASSET_SRC}/{name}.scx")
+    assert code == want
+    assert out == (GOLDEN / f"complex_search_{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all"], ["dunce", "check"], ["jester", "verify-split"],
+])
+def test_budget_is_not_an_option_of_the_bundled_commands(argv, capsys):
+    # every complex these commands read has dim <= 2, which greedy decides
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", "5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -276,8 +302,12 @@ def test_verify_all_missing_diagram_fails_only_its_checks(capsys, asset_copy):
     assert code == 1
     report = {line.split()[0]: line.split()[1]
               for line in out.splitlines() if line and " " in line}
-    assert report["MAZUR_WIRTINGER_SHAPE"] == "FAIL"
-    assert report["MAZUR_DERIVATION_CHAIN"] == "FAIL"
+    mazur = [line.split(None, 2) for line in out.splitlines()
+             if line.startswith("MAZUR_")]
+    assert len(mazur) == 6
+    for check_id, status, detail in mazur:
+        assert status == "FAIL"
+        assert detail.startswith("asset unavailable: "), check_id
     assert report["DUNCE_FREE_FACES"] == "PASS"
     assert report["JESTER_SPLIT_CERT"] == "PASS"
     # the pure-geometry checks do not touch assets at all

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,23 @@ from splitcert.complexes import build, cone, euler_characteristic
 _vertex = st.sampled_from(["a", "b", "c", "d", "e"])
 _simplex = st.sets(_vertex, min_size=1, max_size=3).map(tuple)
 base_complexes = st.lists(_simplex, min_size=1, max_size=6).map(build)
+
+
+def _simplices(n_vertices, min_size, max_size):
+    vertex = st.sampled_from([f"v{i}" for i in range(n_vertices)])
+    return st.sets(vertex, min_size=min_size, max_size=max_size).map(tuple)
+
+
+# 2-complexes on at most 8 vertices; cones over graphs make half of them
+# collapsible
+two_complexes = st.one_of(
+    st.lists(_simplices(8, 1, 3), min_size=1, max_size=8).map(build),
+    st.lists(_simplices(7, 1, 2), min_size=1, max_size=8).map(
+        lambda simplices: cone(build(simplices), "apex")))
+# 3-complexes on at most 6 vertices: a tetrahedron and up to 4 more simplices
+three_complexes = st.builds(lambda t, rest: build([t, *rest]),
+                            _simplices(6, 4, 4),
+                            st.lists(_simplices(6, 1, 4), max_size=4))
 
 
 def triangle():
@@ -111,9 +131,96 @@ def test_is_collapsible_two_points_is_no():
 
 
 def test_budget_exhaustion_reports_unknown():
-    verdict = is_collapsible(triangle(), SearchBudget(max_nodes=1))
+    tetrahedron = build([("a", "b", "c", "d")])
+    verdict = is_collapsible(tetrahedron, SearchBudget(max_nodes=1))
     assert verdict.kind == "unknown"
     assert verdict.nodes >= 1
+
+
+def _reference_search(K):
+    """Exhaustive recursive backtracking search over free faces, memoized,
+    children in tie-break order, no budget: the reference for the greedy
+    decision in dimension <= 2 and the stack-based search from dimension 3.
+    Returns (certificate steps or None, nodes)."""
+    seen = set()
+    nodes = 0
+
+    def dfs(cur):
+        nonlocal nodes
+        if len(cur) == 1:
+            return []
+        if cur.simplices in seen:
+            return None
+        seen.add(cur.simplices)
+        nodes += 1
+        for face in free_faces(cur):
+            rest = dfs(elementary_collapse(cur, face))
+            if rest is not None:
+                return [face] + rest
+        return None
+
+    path = dfs(K)
+    return (None if path is None else tuple(path)), nodes
+
+
+@given(two_complexes)
+@settings(max_examples=200, deadline=None)
+def test_greedy_decides_dimension_two(K):
+    # a budget of one node would stop any search: dim <= 2 never reads it
+    verdict = is_collapsible(K, SearchBudget(max_nodes=1))
+    path, nodes = _reference_search(K)
+    cert, _ = greedy_collapse(K)
+    if path is None:
+        assert verdict.kind == "no"
+        assert verdict.nodes == len(cert.steps) + 1
+    else:
+        assert verdict.kind == "yes"
+        assert verdict.certificate.steps == cert.steps == path
+        assert verdict.nodes == nodes == len(cert.steps)
+
+
+@given(three_complexes)
+@settings(max_examples=60, deadline=None)
+def test_search_matches_reference_from_dimension_three(K):
+    verdict = is_collapsible(K)
+    path, nodes = _reference_search(K)
+    assert verdict.kind == ("no" if path is None else "yes")
+    assert verdict.nodes == nodes
+    if path is not None:
+        assert verdict.certificate.steps == path
+
+
+def annulus(segments):
+    """Triangulated annulus between the cycles a0..a(n-1) and b0..b(n-1)."""
+    tris = []
+    for i in range(segments):
+        j = (i + 1) % segments
+        tris += [(f"a{i}", f"a{j}", f"b{i}"), (f"a{j}", f"b{i}", f"b{j}")]
+    return build(tris, name=f"annulus{segments}")
+
+
+def test_annulus_is_no_whatever_the_budget():
+    K = annulus(4)
+    assert len(K) == 32
+    verdict = is_collapsible(K, SearchBudget(max_nodes=1))
+    assert verdict.kind == "no"
+    assert verdict.certificate is None
+
+
+def test_search_depth_does_not_use_the_call_stack():
+    # 51 collapse steps, deeper than the frames left under the lowered limit
+    path = build([(f"p{i}", f"p{i + 1}") for i in range(12)])
+    K = cone(cone(path, "x"), "y")
+    assert K.dim() == 3
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        verdict = is_collapsible(K)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict.kind == "yes"
+    assert len(verdict.certificate) == 51
+    assert replay(K, verdict.certificate).collapsed_to_point
 
 
 def test_budget_validation():

@@ -15,7 +15,7 @@ def test_link_presentation_abelianization():
 
 
 def test_boundary_presentation_is_homology_sphere_group():
-    p = mazur.boundary_presentation()
+    p = mazur.boundary_presentation(mazur.link_presentation())
     # 9 arcs + beta, lambda, alpha, gamma
     assert len(p.generators) == 13
     inv = abelianization(p)
@@ -34,7 +34,7 @@ def test_filling_relators_really_are_quotients():
 
 
 def test_derivation_chain_words():
-    chain = mazur.derivation_chain()
+    chain = mazur.derivation_chain(mazur.link_presentation())
     assert chain.ok
     assert word_str(chain.x1_word) == "Beta Beta alpha beta"
     assert word_str(chain.x5_word) == "Beta Beta alpha alpha"
@@ -50,7 +50,7 @@ def test_derivation_chain_rejects_tampered_diagram(asset_copy):
     lines[xs[-1]], lines[xs[-2]] = lines[xs[-2]], lines[xs[-1]]
     lnk.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="ninth relator"):
-        mazur.derivation_chain(assets_dir=asset_copy)
+        mazur.derivation_chain(mazur.link_presentation(asset_copy))
 
 
 def test_target_presentation():

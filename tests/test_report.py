@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from splitcert import assets, mazur
+from splitcert import assets, groups, mazur
 from splitcert.cli import main
 from splitcert.collapse import SearchBudget
-from splitcert.complexes import SimplicialComplex, union
+from splitcert.complexes import SimplicialComplex, build, union
 from splitcert.report import (CHECKS, FAIL, PASS, SKIP, Check, RunContext,
                               run_checks, verify_all)
 from splitcert.splitting import verify_spine_split
@@ -69,10 +69,17 @@ def test_groups_cover_what_each_named_command_decides():
 
 
 def test_budget_exhaustion_in_the_split_is_skip():
-    split = [c for c in CHECKS if c.id == "JESTER_SPLIT_CERT"]
-    (result,) = run_checks(split, RunContext(budget=SearchBudget(1)))
+    # the budget only limits the dim >= 3 search, so split two tetrahedra
+    A = build([("a", "b", "c", "d")], name="A")
+    B = build([("b", "c", "d", "e")], name="B")
+
+    def split(ctx):
+        cert = verify_spine_split(union(A, B), A, B, SearchBudget(1))
+        return PASS, cert.conclusion
+
+    (result,) = run_checks([Check("SPLIT", None, split)], RunContext())
     assert result.status == SKIP
-    assert result.detail == "jester_A is not collapsible (verdict: unknown)"
+    assert result.detail == "A is not collapsible (verdict: unknown)"
 
 
 def test_refuted_part_named_unknown_is_fail():
@@ -81,7 +88,7 @@ def test_refuted_part_named_unknown_is_fail():
                              name="unknown_part")
 
     def split(ctx):
-        cert = verify_spine_split(union(part, part), part, part, ctx.budget)
+        cert = verify_spine_split(union(part, part), part, part)
         return PASS, cert.conclusion
 
     (result,) = run_checks([Check("SPLIT", None, split)], ctx)
@@ -100,6 +107,23 @@ def test_triangle_certificate_built_once_per_run(monkeypatch):
     monkeypatch.setattr(mazur, "triangle_certificate", counted)
     assert verify_all().overall == PASS
     assert calls == [1e-9]
+
+
+def test_wirtinger_runs_once_per_run(monkeypatch):
+    calls = []
+    original = groups.wirtinger
+
+    def counted(diagram):
+        calls.append(diagram)
+        return original(diagram)
+
+    # modules import it by name, so replace every reference to it
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("splitcert")
+                and getattr(module, "wirtinger", None) is original):
+            monkeypatch.setattr(module, "wirtinger", counted)
+    assert verify_all().overall == PASS
+    assert len(calls) == 1
 
 
 def test_each_complex_loads_once_and_a_failed_load_is_remembered(
