@@ -246,12 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("complex", help="simplicial complex utilities")
-    p.add_argument("action", choices=("validate", "chi", "free-faces",
-                                      "collapse", "search"))
-    p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10 ** 6,
-                   help="node budget of the dim >= 3 search (default 10^6)")
-    p.set_defaults(fn=cmd_complex)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("validate", "chi", "free-faces", "collapse", "search"):
+        a = actions.add_parser(action)
+        a.add_argument("file")
+        if action == "search":   # the other actions reject --budget
+            a.add_argument("--budget", type=int, default=10 ** 6,
+                           help="node budget of the dim >= 3 search "
+                                "(default 10^6)")
+        a.set_defaults(fn=cmd_complex)
 
     p = sub.add_parser("cert", help="collapse certificate replay")
     p.add_argument("action", choices=("replay",))

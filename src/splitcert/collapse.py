@@ -5,14 +5,20 @@ of the complex (its unique coface, necessarily of one dimension higher --
 any higher coface would contribute several codimension-1 cofaces). Removing
 the pair (face, coface) is an elementary collapse; a complex is collapsible
 when some sequence of collapses ends at a single vertex.
+
+greedy_collapse, replay and the search read the complex's coface index
+(built once per complex) instead of rescanning the complex at every step.
+A collapse of (A, C) changes the coface count of the facets of A and C
+only, so a run of collapses costs O(|K|·d) plus heap operations.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .complexes import (Simplex, SimplicialComplex, content_lines,
-                        euler_characteristic, make_simplex)
+                        euler_characteristic, facets, make_simplex)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -80,17 +86,10 @@ class CollapseVerdict:
         return self.kind == "yes"
 
 
-def _sort_key(s: Simplex):
-    # lexicographic on sorted vertex names, then dimension; tuple comparison
-    # already puts a prefix before its extensions, the length is belt and
-    # braces
-    return (s, len(s))
-
-
 def free_faces(K: SimplicialComplex) -> list[Simplex]:
     """All simplices with exactly one proper coface, sorted lexicographically."""
-    out = [s for s in K.simplices if len(K.cofaces(s)) == 1]
-    return sorted(out, key=_sort_key)
+    index = K.coface_index()
+    return sorted(s for s in K.simplices if len(index[s]) == 1)
 
 
 def is_free_face(K: SimplicialComplex, A: Simplex) -> bool:
@@ -110,8 +109,45 @@ def elementary_collapse(K: SimplicialComplex, A) -> SimplicialComplex:
     return SimplicialComplex(K.simplices - {A, cf[0]}, name=K.name)
 
 
-def _is_point(K: SimplicialComplex) -> bool:
-    return len(K.simplices) == 1 and len(next(iter(K.simplices))) == 1
+def _is_point(simplices: frozenset[Simplex]) -> bool:
+    return len(simplices) == 1 and len(next(iter(simplices))) == 1
+
+
+class _CollapseState:
+    """A complex under a run of elementary collapses: the live simplices,
+    the number of live codimension-1 cofaces of each, and a heap of
+    candidate free faces. Heap entries are checked when popped: a simplex
+    that is gone or no longer has exactly one coface is dropped (counts
+    only fall, so it never becomes free again)."""
+
+    def __init__(self, K: SimplicialComplex):
+        self.index = K.coface_index()
+        self.live = set(K.simplices)
+        self.count = dict(zip(self.index, map(len, self.index.values())))
+        self.heap = [s for s in K.simplices if self.count[s] == 1]
+        heapq.heapify(self.heap)
+
+    def collapse(self, face: Simplex) -> Simplex:
+        """Remove a free face and its live coface; returns the coface."""
+        live, count = self.live, self.count
+        coface = next(t for t in self.index[face] if t in live)
+        live.discard(face)
+        live.discard(coface)
+        for s in (face, coface):
+            for i in range(len(s)):
+                f = s[:i] + s[i + 1:]   # a facet of s
+                count[f] -= 1
+                if count[f] == 1:
+                    heapq.heappush(self.heap, f)
+        return coface
+
+    def pop_free(self) -> Optional[Simplex]:
+        """The least free face (plain tuple order), or None if none is."""
+        while self.heap:
+            face = heapq.heappop(self.heap)
+            if face in self.live and self.count[face] == 1:
+                return face
+        return None
 
 
 def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
@@ -120,38 +156,36 @@ def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
     On the first failing step the trace stops and final is None. An empty
     certificate replays to K unchanged.
     """
-    cur = K
+    state = _CollapseState(K)
     trace: list[ReplayStep] = []
     for i, face in enumerate(cert.steps):
-        if face not in cur.simplices:
+        if face not in state.live:
             trace.append(ReplayStep(i, face, False, "absent simplex"))
             return ReplayResult(None, tuple(trace), False)
-        cf = cur.cofaces(face)
-        if len(cf) != 1:
+        if state.count[face] != 1:
             trace.append(ReplayStep(i, face, False,
-                                    f"not free ({len(cf)} cofaces)"))
+                                    f"not free ({state.count[face]} cofaces)"))
             return ReplayResult(None, tuple(trace), False)
-        trace.append(ReplayStep(i, face, True, "collapsed", coface=cf[0]))
-        cur = SimplicialComplex(cur.simplices - {face, cf[0]}, name=cur.name)
-    return ReplayResult(cur, tuple(trace), _is_point(cur))
+        trace.append(ReplayStep(i, face, True, "collapsed",
+                                coface=state.collapse(face)))
+    final = SimplicialComplex(frozenset(state.live), name=K.name)
+    return ReplayResult(final, tuple(trace), _is_point(final.simplices))
 
 
 def greedy_collapse(
         K: SimplicialComplex) -> tuple[CollapseCertificate, SimplicialComplex]:
-    """Repeatedly collapse the tie-break-minimal free face until stuck.
+    """Repeatedly collapse the least free face (plain tuple order on the
+    sorted vertex names) until stuck.
 
     Deterministic; the residual may be anything from a point to K itself.
     """
-    cur = K
+    state = _CollapseState(K)
     steps: list[Simplex] = []
-    while True:
-        ff = free_faces(cur)
-        if not ff:
-            break
-        face = ff[0]
-        cur = elementary_collapse(cur, face)
+    while (face := state.pop_free()) is not None:
+        state.collapse(face)
         steps.append(face)
-    return CollapseCertificate(tuple(steps), source_name=K.name), cur
+    return (CollapseCertificate(tuple(steps), source_name=K.name),
+            SimplicialComplex(frozenset(state.live), name=K.name))
 
 
 def is_collapsible(K: SimplicialComplex,
@@ -176,7 +210,7 @@ def is_collapsible(K: SimplicialComplex,
     """
     if K.dim() <= 2:
         cert, residual = greedy_collapse(K)
-        if not _is_point(residual):
+        if not _is_point(residual.simplices):
             return CollapseVerdict("no", None, len(cert.steps) + 1)
         path, nodes = cert.steps, len(cert.steps)
     else:
@@ -197,28 +231,42 @@ def is_collapsible(K: SimplicialComplex,
 def _search(K: SimplicialComplex, max_nodes: int):
     """Depth-first search on an explicit stack. Returns the faces leading
     from K to a point (None if there is none or the budget ran out) and the
-    number of nodes visited."""
+    number of nodes visited.
+
+    A node is a frozenset of simplices of K. Its free faces are its
+    parent's, with only the facets of the collapsed pair rechecked against
+    K's coface index."""
+    index = K.coface_index()
     seen: set[frozenset] = set()
     nodes = 0
-    stack: list[tuple[SimplicialComplex, Iterator[Simplex]]] = []
+    # (simplices, their free faces, iterator over those in tie-break order)
+    stack: list[tuple[frozenset, set[Simplex], Iterator[Simplex]]] = []
     path: list[Optional[Simplex]] = []   # the face explored out of each frame
-    cur = K
+    cur, free = K.simplices, set(free_faces(K))
     while not _is_point(cur):
-        if cur.simplices not in seen:
-            seen.add(cur.simplices)
+        if cur not in seen:
+            seen.add(cur)
             nodes += 1
             if nodes > max_nodes:
                 return None, nodes
-            stack.append((cur, iter(free_faces(cur))))
+            stack.append((cur, free, iter(sorted(free))))
             path.append(None)
         # the next unexplored child, backing up past exhausted complexes
-        while stack and (face := next(stack[-1][1], None)) is None:
+        while stack and (face := next(stack[-1][2], None)) is None:
             stack.pop()
             path.pop()
         if not stack:
             return None, nodes
         path[-1] = face
-        cur = elementary_collapse(stack[-1][0], face)
+        parent, parent_free, _ = stack[-1]
+        coface = next(t for t in index[face] if t in parent)
+        cur = parent - {face, coface}
+        free = parent_free - {face, coface}
+        for f in facets(face) + facets(coface):
+            if f in cur and sum(t in cur for t in index[f]) == 1:
+                free.add(f)
+            else:
+                free.discard(f)
     return path, nodes
 
 

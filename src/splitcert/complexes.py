@@ -1,7 +1,10 @@
 """Finite abstract simplicial complexes over named vertices.
 
 A simplex is a sorted tuple of vertex names; a complex stores its full
-face-closed simplex set, so face/coface queries are plain set lookups.
+face-closed simplex set. Coface queries walk a coface index, the Hasse
+diagram mapping each simplex to its codimension-1 cofaces. The index is
+built once per complex, on the first query, in O(|K|·d) by listing the
+facets of every simplex (d is the largest simplex size).
 """
 from __future__ import annotations
 
@@ -33,14 +36,20 @@ def faces(simplex: Simplex) -> Iterator[Simplex]:
         yield from itertools.combinations(simplex, r)
 
 
+def facets(simplex: Simplex) -> list[Simplex]:
+    """The codimension-1 faces of a simplex; () for a vertex."""
+    return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
+
+
 class SimplicialComplex:
     """Face-closed set of simplices. Immutable once constructed."""
 
-    __slots__ = ("simplices", "name")
+    __slots__ = ("simplices", "name", "_index")
 
     def __init__(self, simplices: frozenset[Simplex], name: str = "K"):
         self.simplices = simplices
         self.name = name
+        self._index: dict[Simplex, list[Simplex]] | None = None
 
     def __contains__(self, simplex) -> bool:
         return tuple(sorted(simplex)) in self.simplices
@@ -67,28 +76,33 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((len(s) for s in self.simplices), default=0) - 1
 
+    def coface_index(self) -> dict[Simplex, list[Simplex]]:
+        """Each simplex, and the empty face (), mapped to its
+        codimension-1 cofaces, in no particular order. Built on the first
+        call and kept; callers must not mutate it."""
+        if self._index is None:
+            index = {s: [] for s in self.simplices}
+            index[()] = []
+            for s in self.simplices:
+                for f in facets(s):
+                    index[f].append(s)
+            self._index = index
+        return self._index
+
     def maximal_simplices(self) -> list[Simplex]:
         """Simplices that are not a proper face of any other simplex."""
-        vs = self.vertices()
-        out = []
-        for s in self.simplices:
-            sset = set(s)
-            if any(v not in sset and tuple(sorted(sset | {v})) in self.simplices
-                   for v in vs):
-                continue
-            out.append(s)
-        return sorted(out)
+        index = self.coface_index()
+        return sorted(s for s in self.simplices if not index[s])
 
     def cofaces(self, simplex: Simplex, codim: int = 1) -> list[Simplex]:
         """Cofaces of the given simplex with dimension dim(s) + codim."""
-        s = set(simplex)
-        others = [v for v in self.vertices() if v not in s]
-        out = []
-        for extra in itertools.combinations(others, codim):
-            t = tuple(sorted(s | set(extra)))
-            if t in self.simplices:
-                out.append(t)
-        return sorted(out)
+        if codim < 0:
+            raise ValueError(f"codim must be >= 0, got {codim}")
+        index = self.coface_index()
+        level = {tuple(sorted(set(simplex)))}
+        for _ in range(codim):
+            level = {t for u in level for t in index.get(u, ())}
+        return sorted(level & self.simplices)
 
 
 def build(maximal_simplices: Iterable[Iterable[str]], name: str = "K") -> SimplicialComplex:

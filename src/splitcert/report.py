@@ -27,7 +27,7 @@ from .hyperbolic import build_triangle, triangle_defect
 from .splitting import (OMEGA, FactorMultiset, SplitError, SplitUnknown,
                         distinguishable, family_demo, verify_spine_split)
 
-PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
+PASS, FAIL, SKIP, INCOMPLETE = "PASS", "FAIL", "SKIP", "INCOMPLETE"
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,11 @@ class VerificationReport:
 
     @property
     def overall(self) -> str:
-        return FAIL if any(c.status == FAIL for c in self.checks) else PASS
+        """FAIL if any check failed, else INCOMPLETE if any was skipped (a
+        skipped claim was not verified), else PASS."""
+        statuses = {c.status for c in self.checks}
+        return (FAIL if FAIL in statuses
+                else INCOMPLETE if SKIP in statuses else PASS)
 
     def render(self) -> str:
         width = max(len(c.check_id) for c in self.checks)

@@ -14,7 +14,8 @@ from itertools import combinations
 from splitcert.assets import load_certificate, load_complex, load_diagram
 from splitcert.collapse import (SearchBudget, elementary_collapse, free_faces,
                                 greedy_collapse, is_collapsible, replay)
-from splitcert.complexes import euler_characteristic, intersection, union
+from splitcert.complexes import (build, cone, euler_characteristic,
+                                  intersection, union)
 from splitcert.groups import (Presentation, abelianization, parse_word,
                               smith_invariants, wirtinger)
 from splitcert.hyperbolic import (rotation, same_isometry, triangle_defect)
@@ -191,3 +192,55 @@ def test_criterion_8_verify_all_is_green_and_byte_stable():
     assert first.overall == PASS
     assert first.render() == second.render()
     _stamp("8 verify-all", t0, 30.0)
+
+
+# --- scale: the collapse core is O(|K|·d), so these sizes take well under
+# a second; the budgets only catch a return to rescanning the complex
+
+def _grid(n):
+    """The n x n grid disk, each square cut along the same diagonal."""
+    def v(i, j):
+        return f"g{i}_{j}"
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)
+            tris += [(a, b, c), (a, c, d)]
+    return build(tris, name=f"grid{n}")
+
+
+def test_scale_grid_16_greedy_reaches_a_point():
+    K = _grid(16)
+    t0 = time.perf_counter()
+    _, residual = greedy_collapse(K)
+    assert len(K) == 1601 and len(residual) == 1
+    _stamp("scale grid 16 greedy", t0, 2.0)
+
+
+def test_scale_grid_64_greedy_and_replay_reach_a_point():
+    K = _grid(64)
+    t0 = time.perf_counter()
+    cert, residual = greedy_collapse(K)
+    result = replay(K, cert)
+    assert len(K) == 24833 and len(residual) == 1
+    assert result.ok and result.collapsed_to_point
+    _stamp("scale grid 64 greedy + replay", t0, 10.0)
+
+
+def test_scale_path_5000_is_collapsible_and_replays():
+    K = build([(f"p{i}", f"p{i + 1}") for i in range(5000)])
+    t0 = time.perf_counter()
+    verdict = is_collapsible(K)
+    assert verdict.kind == "yes" and len(verdict.certificate) == 5000
+    assert replay(K, verdict.certificate).collapsed_to_point
+    _stamp("scale path 5000", t0, 5.0)
+
+
+def test_scale_cone_over_grid_8_search_says_yes_and_replays():
+    K = cone(_grid(8), "apex")
+    assert K.dim() == 3   # decided by the search, not by greedy
+    t0 = time.perf_counter()
+    verdict = is_collapsible(K)
+    assert verdict.kind == "yes"
+    assert replay(K, verdict.certificate).collapsed_to_point
+    _stamp("scale cone over grid 8 search", t0, 5.0)

@@ -101,6 +101,16 @@ def test_budget_is_not_an_option_of_the_bundled_commands(argv, capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action", ["validate", "chi", "free-faces",
+                                    "collapse"])
+def test_budget_is_an_option_of_complex_search_only(action, triangle_file,
+                                                     capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["complex", action, triangle_file, "--budget", "5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "complex", "chi", "/no/such/file.scx")
     assert code == 2

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -137,11 +138,66 @@ def test_budget_exhaustion_reports_unknown():
     assert verdict.nodes >= 1
 
 
-def _reference_search(K):
+# --- the collapse core as it was before the coface index: every query
+# scans the complex, and every step builds a new simplex set. These are the
+# references the indexed versions must equal.
+
+def _reference_cofaces(simplices, simplex, codim=1):
+    s = set(simplex)
+    vertices = sorted(t[0] for t in simplices if len(t) == 1)
+    out = []
+    for extra in combinations([v for v in vertices if v not in s], codim):
+        t = tuple(sorted(s | set(extra)))
+        if t in simplices:
+            out.append(t)
+    return sorted(out)
+
+
+def _reference_free_faces(simplices):
+    return sorted(s for s in simplices
+                  if len(_reference_cofaces(simplices, s)) == 1)
+
+
+def _reference_collapse(simplices, face):
+    return simplices - {face, _reference_cofaces(simplices, face)[0]}
+
+
+def _reference_greedy(K):
+    """(steps, residual simplices) of the old greedy_collapse."""
+    cur, steps = K.simplices, []
+    while ff := _reference_free_faces(cur):
+        cur = _reference_collapse(cur, ff[0])
+        steps.append(ff[0])
+    return tuple(steps), cur
+
+
+def _reference_replay(K, steps):
+    """(final simplices or None, trace as (index, face, ok, reason, coface))
+    of the old replay."""
+    cur, trace = K.simplices, []
+    for i, face in enumerate(steps):
+        if face not in cur:
+            trace.append((i, face, False, "absent simplex", None))
+            return None, trace
+        cf = _reference_cofaces(cur, face)
+        if len(cf) != 1:
+            trace.append((i, face, False, f"not free ({len(cf)} cofaces)",
+                          None))
+            return None, trace
+        trace.append((i, face, True, "collapsed", cf[0]))
+        cur = cur - {face, cf[0]}
+    return cur, trace
+
+
+class _Exhausted(Exception):
+    pass
+
+
+def _reference_search(K, max_nodes=None):
     """Exhaustive recursive backtracking search over free faces, memoized,
-    children in tie-break order, no budget: the reference for the greedy
-    decision in dimension <= 2 and the stack-based search from dimension 3.
-    Returns (certificate steps or None, nodes)."""
+    children in tie-break order, stopped at once past max_nodes: the
+    reference for the greedy decision in dimension <= 2 and the stack-based
+    search from dimension 3. Returns (certificate steps or None, nodes)."""
     seen = set()
     nodes = 0
 
@@ -149,18 +205,101 @@ def _reference_search(K):
         nonlocal nodes
         if len(cur) == 1:
             return []
-        if cur.simplices in seen:
+        if cur in seen:
             return None
-        seen.add(cur.simplices)
+        seen.add(cur)
         nodes += 1
-        for face in free_faces(cur):
-            rest = dfs(elementary_collapse(cur, face))
+        if max_nodes is not None and nodes > max_nodes:
+            raise _Exhausted
+        for face in _reference_free_faces(cur):
+            rest = dfs(_reference_collapse(cur, face))
             if rest is not None:
                 return [face] + rest
         return None
 
-    path = dfs(K)
+    try:
+        path = dfs(K.simplices)
+    except _Exhausted:
+        path = None
     return (None if path is None else tuple(path)), nodes
+
+
+def _reference_is_collapsible(K, max_nodes):
+    """(kind, certificate steps or None, nodes) of the old is_collapsible."""
+    if K.dim() <= 2:
+        steps, residual = _reference_greedy(K)
+        if len(residual) == 1 and len(next(iter(residual))) == 1:
+            return "yes", steps, len(steps)
+        return "no", None, len(steps) + 1
+    path, nodes = _reference_search(K, max_nodes)
+    if path is not None:
+        return "yes", path, nodes
+    return ("unknown" if nodes > max_nodes else "no"), None, nodes
+
+
+def _trace(result):
+    return [(t.index, t.face, t.ok, t.reason, t.coface)
+            for t in result.trace]
+
+
+def _final(result):
+    return None if result.final is None else result.final.simplices
+
+
+two_or_three_complexes = st.one_of(two_complexes, three_complexes)
+
+
+@given(two_or_three_complexes)
+@settings(max_examples=150, deadline=None)
+def test_coface_index_matches_reference(K):
+    assert free_faces(K) == _reference_free_faces(K.simplices)
+    assert K.maximal_simplices() == sorted(
+        s for s in K.simplices if not _reference_cofaces(K.simplices, s))
+    # absent simplices, an unsorted one and the empty face as well
+    probes = [*K.simplices, ("zz",), ("v0", "zz"), (), ("v1", "v0")]
+    for s in probes:
+        for codim in range(4):
+            assert K.cofaces(s, codim) == _reference_cofaces(K.simplices, s,
+                                                             codim)
+
+
+@given(two_or_three_complexes)
+@settings(max_examples=150, deadline=None)
+def test_greedy_matches_reference(K):
+    cert, residual = greedy_collapse(K)
+    assert (cert.steps, residual.simplices) == _reference_greedy(K)
+    assert residual.name == cert.source_name == K.name
+
+
+@given(two_or_three_complexes, st.sampled_from([1, 3, 30, 10 ** 6]))
+@settings(max_examples=150, deadline=None)
+def test_is_collapsible_matches_reference(K, max_nodes):
+    verdict = is_collapsible(K, SearchBudget(max_nodes))
+    steps = None if verdict.certificate is None else verdict.certificate.steps
+    assert (verdict.kind, steps, verdict.nodes) == _reference_is_collapsible(
+        K, max_nodes)
+
+
+@given(two_or_three_complexes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_replay_matches_reference_on_valid_and_corrupted_certificates(K,
+                                                                      data):
+    steps, _ = _reference_greedy(K)
+    candidates = [steps, steps + (("zz",),)]
+    if steps:
+        i = data.draw(st.integers(0, len(steps) - 1))
+        candidates.append(steps[:i] + steps[i + 1:])               # dropped
+        candidates.append(steps[:i] + (("v0", "zz"),) + steps[i:])  # absent
+    if len(steps) > 1:
+        i = data.draw(st.integers(0, len(steps) - 2))
+        candidates.append(steps[:i] + (steps[i + 1], steps[i])
+                          + steps[i + 2:])                         # swapped
+    for candidate in candidates:
+        result = replay(K, CollapseCertificate(candidate, K.name))
+        final, trace = _reference_replay(K, candidate)
+        assert (_final(result), _trace(result)) == (final, trace)
+        assert result.collapsed_to_point == (
+            final is not None and len(final) == 1)
 
 
 @given(two_complexes)

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from splitcert import assets, groups, mazur
+from splitcert import assets, groups, mazur, report
 from splitcert.cli import main
 from splitcert.collapse import SearchBudget
 from splitcert.complexes import SimplicialComplex, build, union
-from splitcert.report import (CHECKS, FAIL, PASS, SKIP, Check, RunContext,
+from splitcert.report import (CHECKS, FAIL, INCOMPLETE, PASS, SKIP, Check,
+                              CheckResult, RunContext, VerificationReport,
                               run_checks, verify_all)
 from splitcert.splitting import verify_spine_split
 
@@ -68,7 +69,7 @@ def test_groups_cover_what_each_named_command_decides():
     assert len(ids) == len(set(ids)) == 29
 
 
-def test_budget_exhaustion_in_the_split_is_skip():
+def test_budget_exhaustion_in_the_split_is_skip(monkeypatch, capsys):
     # the budget only limits the dim >= 3 search, so split two tetrahedra
     A = build([("a", "b", "c", "d")], name="A")
     B = build([("b", "c", "d", "e")], name="B")
@@ -77,9 +78,20 @@ def test_budget_exhaustion_in_the_split_is_skip():
         cert = verify_spine_split(union(A, B), A, B, SearchBudget(1))
         return PASS, cert.conclusion
 
-    (result,) = run_checks([Check("SPLIT", None, split)], RunContext())
+    check = Check("JESTER_SPLIT_CERT", "jester", split)
+    (result,) = run_checks([check], RunContext())
     assert result.status == SKIP
     assert result.detail == "A is not collapsible (verdict: unknown)"
+
+    # an unverified claim never reads as PASS, and no command exits 0 on it
+    passed = CheckResult("OTHER", PASS, "")
+    assert VerificationReport((passed, result)).overall == INCOMPLETE
+    assert VerificationReport(
+        (result, CheckResult("BAD", FAIL, ""))).overall == FAIL
+    monkeypatch.setattr(report, "CHECKS", (check,))
+    assert main(["verify-all"]) == 1
+    assert capsys.readouterr().out.endswith("\noverall INCOMPLETE\n")
+    assert main(["jester", "verify-split"]) == 1
 
 
 def test_refuted_part_named_unknown_is_fail():
