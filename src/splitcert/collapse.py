@@ -14,8 +14,7 @@ only, so a run of collapses costs O(|K|·d) plus heap operations.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .complexes import (Simplex, SimplicialComplex, content_lines,
                         euler_characteristic, facets, make_simplex)
@@ -23,17 +22,20 @@ from .complexes import (Simplex, SimplicialComplex, content_lines,
 DEFAULT_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class _SearchBudget(NamedTuple):
     max_nodes: int = DEFAULT_BUDGET
 
-    def __post_init__(self):
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
+
+class SearchBudget(_SearchBudget):
+    __slots__ = ()
+
+    def __new__(cls, max_nodes: int = DEFAULT_BUDGET):
+        if max_nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+        return super().__new__(cls, max_nodes)
 
 
-@dataclass(frozen=True)
-class CollapseCertificate:
+class CollapseCertificate(NamedTuple):
     """Ordered free faces witnessing a collapse; the coface of each step is
     recomputed at replay time (a free face determines its collapse)."""
     steps: tuple[Simplex, ...]
@@ -43,8 +45,7 @@ class CollapseCertificate:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class ReplayStep:
+class ReplayStep(NamedTuple):
     index: int
     face: Simplex
     ok: bool
@@ -52,8 +53,7 @@ class ReplayStep:
     coface: Optional[Simplex] = None
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     final: Optional[SimplicialComplex]
     trace: tuple[ReplayStep, ...]
     collapsed_to_point: bool
@@ -76,8 +76,7 @@ class ReplayResult:
         return self.final.vertices()[0] if self.collapsed_to_point else None
 
 
-@dataclass(frozen=True)
-class CollapseVerdict:
+class CollapseVerdict(NamedTuple):
     kind: str  # "yes" | "no" | "unknown"
     certificate: Optional[CollapseCertificate] = None
     nodes: int = 0
@@ -206,19 +205,22 @@ def is_collapsible(K: SimplicialComplex,
 
     Dimension >= 3 runs a memoized backtracking search over free faces in
     tie-break order, so its first descent is the greedy path. An exhausted
-    budget stops it at once, with nodes = max_nodes + 1.
+    budget stops it at once, with nodes = max_nodes + 1. Greedy runs first
+    (Benedetti-Lutz, arXiv:1303.6422): a point it reaches within the budget
+    is the search's answer and node count; otherwise the search runs.
     """
+    cert, residual = greedy_collapse(K)
+    path, nodes = cert.steps, len(cert.steps)
     if K.dim() <= 2:
-        cert, residual = greedy_collapse(K)
         if not _is_point(residual.simplices):
-            return CollapseVerdict("no", None, len(cert.steps) + 1)
-        path, nodes = cert.steps, len(cert.steps)
+            return CollapseVerdict("no", None, nodes + 1)
     else:
         max_nodes = (budget or SearchBudget()).max_nodes
-        path, nodes = _search(K, max_nodes)
-        if path is None:
-            return CollapseVerdict("unknown" if nodes > max_nodes else "no",
-                                   None, nodes)
+        if not (_is_point(residual.simplices) and nodes <= max_nodes):
+            path, nodes = _search(K, max_nodes)
+            if path is None:
+                return CollapseVerdict(
+                    "unknown" if nodes > max_nodes else "no", None, nodes)
     # collapsibility implies chi = 1; cheap sanity on every yes
     chi = euler_characteristic(K)
     if chi != 1:

@@ -9,10 +9,9 @@ inverse is written by uppercasing the first letter: "a B c" is a.b^-1.c,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import content_lines
 
@@ -99,22 +98,26 @@ def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
 
 # ------------------------------------------------------------ presentations
 
-@dataclass(frozen=True)
-class Presentation:
+class _Presentation(NamedTuple):
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
-    def __post_init__(self):
+
+class Presentation(_Presentation):
+    __slots__ = ()
+
+    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
         seen = set()
-        for g in self.generators:
+        for g in generators:
             _check_gen(g)
             if g in seen:
                 raise ValueError(f"duplicate generator {g!r}")
             seen.add(g)
-        for r in self.relators:
+        for r in relators:
             for g, _ in r:
                 if g not in seen:
                     raise ValueError(f"relator uses undeclared generator {g!r}")
+        return super().__new__(cls, generators, relators)
 
     def __str__(self) -> str:
         gens = " ".join(self.generators)
@@ -133,8 +136,15 @@ def impose_relator(p: Presentation, w: Word) -> Presentation:
     return Presentation(p.generators, p.relators + (free_reduce(w),))
 
 
-@dataclass(frozen=True)
-class TietzeMove:
+class _TietzeMove(NamedTuple):
+    kind: str
+    word: Word = EPSILON
+    certificate: tuple[tuple[int, int, Word], ...] = ()
+    gen: str = ""
+    index: int = -1
+
+
+class TietzeMove(_TietzeMove):
     """One of the four isomorphism-preserving presentation moves.
 
     kind "add-relator": word + certificate, a tuple of (index, sign,
@@ -147,18 +157,15 @@ class TietzeMove:
     kind "remove-generator": gen + index of its defining relator, which must
       contain exactly one letter of gen.
     """
-    kind: str
-    word: Word = EPSILON
-    certificate: tuple[tuple[int, int, Word], ...] = ()
-    gen: str = ""
-    index: int = -1
-
+    __slots__ = ()
     KINDS = ("add-relator", "remove-relator", "add-generator",
              "remove-generator")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.kind not in cls.KINDS:
             raise ValueError(f"unknown Tietze move kind {self.kind!r}")
+        return self
 
 
 def _certificate_product(relators: tuple[Word, ...],
@@ -181,57 +188,59 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
     Raises TietzeError (and leaves p alone) when the certificate fails.
     Abelianization invariants are recomputed and compared as a safety net.
     """
-    if move.kind == "add-relator":
-        target = free_reduce(move.word)
-        got = _certificate_product(p.relators, move.certificate)
+    kind, word, certificate, gen, index = move
+    generators, relators = p
+    if kind == "add-relator":
+        target = free_reduce(word)
+        got = _certificate_product(relators, certificate)
         if got != target:
             raise TietzeError(
                 f"certificate product {word_str(got)} != relator "
                 f"{word_str(target)}")
-        result = Presentation(p.generators, p.relators + (target,))
-    elif move.kind == "remove-relator":
-        if not 0 <= move.index < len(p.relators):
-            raise TietzeError(f"no relator {move.index} to remove")
-        rest = tuple(r for i, r in enumerate(p.relators) if i != move.index)
-        got = _certificate_product(rest, move.certificate)
-        if got != free_reduce(p.relators[move.index]):
+        result = Presentation(generators, relators + (target,))
+    elif kind == "remove-relator":
+        if not 0 <= index < len(relators):
+            raise TietzeError(f"no relator {index} to remove")
+        rest = tuple(r for i, r in enumerate(relators) if i != index)
+        got = _certificate_product(rest, certificate)
+        if got != free_reduce(relators[index]):
             raise TietzeError(
                 f"removed relator is not certified by the others: "
                 f"{word_str(got)}")
-        result = Presentation(p.generators, rest)
-    elif move.kind == "add-generator":
-        if move.gen in p.generators:
-            raise TietzeError(f"generator {move.gen!r} already present")
-        for g, _ in move.word:
-            if g not in p.generators:
+        result = Presentation(generators, rest)
+    elif kind == "add-generator":
+        if gen in generators:
+            raise TietzeError(f"generator {gen!r} already present")
+        for g, _ in word:
+            if g not in generators:
                 raise TietzeError(f"defining word uses unknown {g!r}")
-        rel = free_reduce(concat(((move.gen, 1),), inverse(move.word)))
-        result = Presentation(p.generators + (move.gen,), p.relators + (rel,))
+        rel = free_reduce(concat(((gen, 1),), inverse(word)))
+        result = Presentation(generators + (gen,), relators + (rel,))
     else:  # remove-generator
-        if move.gen not in p.generators:
-            raise TietzeError(f"no generator {move.gen!r}")
-        if not 0 <= move.index < len(p.relators):
-            raise TietzeError(f"no relator {move.index}")
-        rel = free_reduce(p.relators[move.index])
-        hits = [i for i, (g, _) in enumerate(rel) if g == move.gen]
+        if gen not in generators:
+            raise TietzeError(f"no generator {gen!r}")
+        if not 0 <= index < len(relators):
+            raise TietzeError(f"no relator {index}")
+        rel = free_reduce(relators[index])
+        hits = [i for i, (g, _) in enumerate(rel) if g == gen]
         if len(hits) != 1:
             raise TietzeError(
-                f"relator {move.index} has {len(hits)} letters of "
-                f"{move.gen!r}, need exactly 1")
+                f"relator {index} has {len(hits)} letters of "
+                f"{gen!r}, need exactly 1")
         i = hits[0]
         _, e = rel[i]
         # rel = u g^e v = 1  =>  g^e = u^-1 v^-1  =>  g = (v u)^-e
         definition = power(concat(rel[i + 1:], rel[:i]), -e)
-        if any(g == move.gen for g, _ in definition):
+        if any(g == gen for g, _ in definition):
             raise TietzeError("defining word still mentions the generator")
-        mapping = {g: ((g, 1),) for g in p.generators}
-        mapping[move.gen] = definition
+        mapping = {g: ((g, 1),) for g in generators}
+        mapping[gen] = definition
         # Keep relators that reduce to epsilon: silently dropping them
         # would shift the indices that later certificates refer to.  An
         # empty certificate removes a trivial relator explicitly.
         new_rels = tuple(substitute(r, mapping)
-                         for i2, r in enumerate(p.relators) if i2 != move.index)
-        gens = tuple(g for g in p.generators if g != move.gen)
+                         for i2, r in enumerate(relators) if i2 != index)
+        gens = tuple(g for g in generators if g != gen)
         result = Presentation(gens, new_rels)
 
     before = abelianization(p)
@@ -245,20 +254,23 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
 
 # ----------------------------------------------------------- link diagrams
 
-@dataclass(frozen=True)
-class Crossing:
+class _Crossing(NamedTuple):
     over: str
     under_in: str
     under_out: str
     sign: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"crossing sign must be +-1, got {self.sign}")
+
+class Crossing(_Crossing):
+    __slots__ = ()
+
+    def __new__(cls, over: str, under_in: str, under_out: str, sign: int):
+        if sign not in (1, -1):
+            raise ValueError(f"crossing sign must be +-1, got {sign}")
+        return super().__new__(cls, over, under_in, under_out, sign)
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(NamedTuple):
     arcs: tuple[str, ...]
     crossings: tuple[Crossing, ...]
     components: tuple[tuple[str, ...], ...]
@@ -276,12 +288,12 @@ def validate_diagram(d: LinkDiagram) -> None:
         raise ValueError("components do not partition the arcs")
     outs: dict[str, int] = {a: 0 for a in d.arcs}
     ins: dict[str, int] = {a: 0 for a in d.arcs}
-    for c in d.crossings:
-        for a in (c.over, c.under_in, c.under_out):
+    for over, under_in, under_out, _ in d.crossings:
+        for a in (over, under_in, under_out):
             if a not in arcset:
                 raise ValueError(f"crossing references unknown arc {a!r}")
-        outs[c.under_out] += 1
-        ins[c.under_in] += 1
+        outs[under_out] += 1
+        ins[under_in] += 1
     for comp in d.components:
         touched = any(outs[a] or ins[a] for a in comp)
         if not touched:
@@ -301,9 +313,8 @@ def wirtinger(d: LinkDiagram) -> Presentation:
     under_out . over^sign . under_in^-1 . over^-sign."""
     validate_diagram(d)
     relators = []
-    for c in d.crossings:
-        w = ((c.under_out, 1), (c.over, c.sign),
-             (c.under_in, -1), (c.over, -c.sign))
+    for over, under_in, under_out, sign in d.crossings:
+        w = ((under_out, 1), (over, sign), (under_in, -1), (over, -sign))
         relators.append(free_reduce(w))
     return Presentation(tuple(d.arcs), tuple(relators))
 
@@ -317,10 +328,10 @@ def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
     ca = set(d.components[comp_a])
     cb = set(d.components[comp_b])
     total = 0
-    for c in d.crossings:
-        under = c.under_in  # same component as under_out
-        if (c.over in ca and under in cb) or (c.over in cb and under in ca):
-            total += c.sign
+    # the under arcs (in and out) lie on one component; read under_in
+    for over, under, _, sign in d.crossings:
+        if (over in ca and under in cb) or (over in cb and under in ca):
+            total += sign
     if total % 2:
         raise ValueError("odd inter-component crossing sum; diagram broken")
     return total // 2
@@ -390,8 +401,7 @@ def smith_invariants(rows: list[list[int]]) -> list[int]:
     return diag
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """Invariant factors (the entries > 1) plus the free rank."""
     factors: tuple[int, ...]
     free_rank: int

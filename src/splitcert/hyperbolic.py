@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .groups import Word
 
@@ -190,8 +189,7 @@ def evaluate(assignment: Mapping[str, Isometry], w: Word) -> Isometry:
     return acc
 
 
-@dataclass(frozen=True)
-class RelatorReport:
+class RelatorReport(NamedTuple):
     residuals: tuple[float, ...]
     max_residual: float
     tol: float
@@ -209,8 +207,7 @@ def certify_relators(assignment: Mapping[str, Isometry], relators,
     return RelatorReport(residuals, max(residuals, default=0.0), tol)
 
 
-@dataclass(frozen=True)
-class NontrivialityReport:
+class NontrivialityReport(NamedTuple):
     word_displacement: float
     floor: float
 

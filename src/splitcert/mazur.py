@@ -23,7 +23,7 @@ step, the boundary group data that the hyperbolic certificate consumes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import assets
 from .groups import (Presentation, TietzeMove, apply_tietze, concat,
@@ -72,8 +72,7 @@ def target_presentation() -> Presentation:
     return Presentation(("beta", "gamma"), TARGET_RELATORS)
 
 
-@dataclass(frozen=True)
-class DerivationChain:
+class DerivationChain(NamedTuple):
     """The three verbatim reduced-word identities."""
     x1_word: tuple
     x5_word: tuple
@@ -119,8 +118,7 @@ def derivation_chain(link: Presentation) -> DerivationChain:
     return DerivationChain(x1, x5, x5_gamma)
 
 
-@dataclass(frozen=True)
-class TriangleCertificate:
+class TriangleCertificate(NamedTuple):
     vertices: tuple[complex, complex, complex]
     assignment: dict
     relator_report: RelatorReport

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .collapse import CollapseCertificate, SearchBudget, is_collapsible
 from .complexes import SimplicialComplex, intersection, union
@@ -34,8 +33,7 @@ class SplitUnknown(SplitError):
     unverified, not refuted."""
 
 
-@dataclass(frozen=True)
-class SplitCertificate:
+class SplitCertificate(NamedTuple):
     spine: str
     parts: tuple[str, str]
     evidence: tuple[CollapseCertificate, CollapseCertificate, CollapseCertificate]
@@ -64,24 +62,29 @@ def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
 
 # ------------------------------------------------------- factor multisets
 
-def _check_count(label: str, n) -> None:
-    if n == OMEGA:
-        return
-    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
-        raise ValueError(f"count for {label!r} must be a positive integer "
-                         f"or OMEGA, got {n!r}")
-
-
-@dataclass(frozen=True)
-class FactorMultiset:
-    """Map label -> count in N u {omega}; missing labels count 0."""
+class _FactorMultiset(NamedTuple):
     counts: tuple[tuple[str, float], ...]
+
+
+class FactorMultiset(_FactorMultiset):
+    """Map label -> count in N u {omega}; missing labels count 0. Canonical:
+    each label once, sorted, so equal multisets have equal counts tuples."""
+    __slots__ = ()
+
+    def __new__(cls, counts):
+        counts = tuple(counts)
+        for label, n in counts:
+            if n != OMEGA and (isinstance(n, bool) or not isinstance(n, int)
+                               or n <= 0):
+                raise ValueError(f"count for {label!r} must be a positive "
+                                 f"integer or OMEGA, got {n!r}")
+        if len(dict(counts)) != len(counts):
+            raise ValueError(f"a label occurs twice in {counts!r}")
+        return super().__new__(cls, tuple(sorted(counts)))
 
     @classmethod
     def from_map(cls, counts: Mapping[str, float]) -> "FactorMultiset":
-        for label, n in counts.items():
-            _check_count(label, n)
-        return cls(tuple(sorted(counts.items())))
+        return cls(counts.items())
 
     def count(self, label: str) -> float:
         return dict(self.counts).get(label, 0)
@@ -97,8 +100,7 @@ class FactorMultiset:
             for label, n in self.counts)
 
 
-@dataclass(frozen=True)
-class SumDescription:
+class SumDescription(NamedTuple):
     """Finite description of an infinite (or finite) summand sequence.
 
     Either an eventually periodic sequence -- a finite prefix plus a
@@ -115,9 +117,7 @@ class SumDescription:
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, float]) -> "SumDescription":
-        for label, n in counts.items():
-            _check_count(label, n)
-        return cls(mapped=tuple(sorted(counts.items())))
+        return cls(mapped=FactorMultiset.from_map(counts).counts)
 
     @property
     def is_finite(self) -> bool:
@@ -143,8 +143,9 @@ def distinguishable(m1: FactorMultiset, m2: FactorMultiset) -> bool:
 
     A True verdict certifies the corresponding sums are genuinely
     different; False only means this invariant does not separate them.
+    Multisets are canonical, so their counts tuples compare directly.
     """
-    return dict(m1.counts) != dict(m2.counts)
+    return m1.counts != m2.counts
 
 
 def family_demo(k: int) -> int:
@@ -158,8 +159,8 @@ def family_demo(k: int) -> int:
         chosen = [lab for lab, keep in zip(labels, bits) if keep]
         family.append(multiset_of(
             SumDescription.from_sequence((), tuple(chosen))))
-    # from_map stores each count map sorted, so equal maps have equal
-    # tuples: distinct tuples is exactly "pairwise distinguishable"
+    # multisets are canonical, so equal maps have equal counts tuples:
+    # distinct tuples is exactly "pairwise distinguishable"
     if len({m.counts for m in family}) != len(family):
         raise AssertionError("subset descriptions collided")
     return len(family)

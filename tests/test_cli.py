@@ -338,3 +338,15 @@ def test_console_script_version():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"
+
+
+def test_import_does_not_load_dataclasses():
+    # the records are NamedTuples, so start-up never imports dataclasses
+    # (and its inspect, ast and dis); -S keeps site hooks out of the count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import splitcert.cli; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

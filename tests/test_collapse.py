@@ -274,10 +274,18 @@ def test_greedy_matches_reference(K):
 @given(two_or_three_complexes, st.sampled_from([1, 3, 30, 10 ** 6]))
 @settings(max_examples=150, deadline=None)
 def test_is_collapsible_matches_reference(K, max_nodes):
-    verdict = is_collapsible(K, SearchBudget(max_nodes))
-    steps = None if verdict.certificate is None else verdict.certificate.steps
-    assert (verdict.kind, steps, verdict.nodes) == _reference_is_collapsible(
-        K, max_nodes)
+    budgets = {max_nodes}
+    if K.dim() >= 3:
+        # greedy runs first from dimension 3: pin "yes" against "unknown"
+        # and the node count where its length meets the budget
+        n = len(greedy_collapse(K)[0].steps)
+        budgets |= {max(n, 1), max(n - 1, 1)}
+    for budget in budgets:
+        verdict = is_collapsible(K, SearchBudget(budget))
+        steps = (None if verdict.certificate is None
+                 else verdict.certificate.steps)
+        assert (verdict.kind, steps, verdict.nodes) == (
+            _reference_is_collapsible(K, budget))
 
 
 @given(two_or_three_complexes, st.data())

@@ -84,6 +84,8 @@ def test_presentation_validation():
         Presentation(("a",), (parse_word("b"),))
     p = Presentation(("a", "b"), (parse_word("a b A B"),))
     assert str(p) == "< a b | a b A B >"
+    assert repr(p) == ("Presentation(generators=('a', 'b'), relators=((('a', "
+                       "1), ('b', 1), ('a', -1), ('b', -1)),))")
 
 
 def test_impose_relator_changes_the_group():
@@ -194,6 +196,13 @@ def test_validate_diagram_rejects_unbalanced_arcs():
         components=(("a",), ("b",)))
     with pytest.raises(ValueError, match="exactly one"):
         validate_diagram(d)
+
+
+def test_crossing_sign_must_be_plus_or_minus_one():
+    with pytest.raises(ValueError, match="crossing sign must be"):
+        Crossing(over="a", under_in="b", under_out="b", sign=2)
+    with pytest.raises(ValueError, match="crossing sign must be"):
+        Crossing("a", "b", "b", 0)
 
 
 def test_wirtinger_hopf():

@@ -12,7 +12,7 @@ import pytest
 
 from splitcert import assets, groups, mazur, report
 from splitcert.cli import main
-from splitcert.collapse import SearchBudget
+from splitcert.collapse import CollapseVerdict, SearchBudget, greedy_collapse
 from splitcert.complexes import SimplicialComplex, build, union
 from splitcert.report import (CHECKS, FAIL, INCOMPLETE, PASS, SKIP, Check,
                               CheckResult, RunContext, VerificationReport,
@@ -92,6 +92,8 @@ def test_budget_exhaustion_in_the_split_is_skip(monkeypatch, capsys):
     assert main(["verify-all"]) == 1
     assert capsys.readouterr().out.endswith("\noverall INCOMPLETE\n")
     assert main(["jester", "verify-split"]) == 1
+    assert capsys.readouterr().out == (
+        "jester split: INCOMPLETE (A is not collapsible (verdict: unknown))\n")
 
 
 def test_refuted_part_named_unknown_is_fail():
@@ -154,3 +156,56 @@ def test_each_complex_loads_once_and_a_failed_load_is_remembered(
     dunce = [c for c in report.checks if c.check_id.startswith("DUNCE_")]
     assert [c.status for c in dunce] == [FAIL] * 3
     assert all(c.detail.startswith("asset unavailable: ") for c in dunce)
+
+
+# ------------------------------------------------------------- CONE_SWEEP
+
+def test_cone_sweep_checks_chi_on_the_replay_trace(monkeypatch):
+    original = report.replay
+
+    def coface_of_wrong_dimension(K, cert):
+        result = original(K, cert)
+        first = result.trace[0]
+        trace = (first._replace(coface=first.face),) + result.trace[1:]
+        return result._replace(trace=trace)
+
+    monkeypatch.setattr(report, "replay", coface_of_wrong_dimension)
+    assert report._cone_sweep(RunContext()) == (
+        FAIL, "cone 0: chi drifted during greedy")
+
+
+def test_verify_all_never_copies_a_complex_per_collapse_step(monkeypatch):
+    # elementary_collapse builds a new complex (and coface index) per call;
+    # the cone sweep reads chi off the replay trace instead
+    def refuse(K, A):
+        raise AssertionError("elementary_collapse called")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("splitcert") and hasattr(
+                module, "elementary_collapse"):
+            monkeypatch.setattr(module, "elementary_collapse", refuse)
+    assert verify_all().overall == PASS
+
+
+def test_cone_sweep_fails_on_a_verdict_other_than_yes(monkeypatch):
+    monkeypatch.setattr(report, "is_collapsible",
+                        lambda K, budget: CollapseVerdict("no", None, 1))
+    assert report._cone_sweep(RunContext()) == (FAIL, "cone 0: verdict no")
+
+
+def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
+    # the sweep replays is_collapsible's certificate; on seed 91 it is the
+    # greedy one on every cone, so chi is checked along greedy's sequences
+    replayed = []
+    original = report.replay
+
+    def spy(K, cert):
+        replayed.append((K, cert))
+        return original(K, cert)
+
+    monkeypatch.setattr(report, "replay", spy)
+    assert report._cone_sweep(RunContext())[0] == PASS
+    assert len(replayed) == 1000
+    assert sum(K.dim() == 3 for K, _ in replayed) > 100
+    for K, cert in replayed:
+        assert cert.steps == greedy_collapse(K)[0].steps

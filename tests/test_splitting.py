@@ -82,6 +82,27 @@ def test_distinct_counts_iff_pairwise_distinguishable(family):
     assert pairwise == (len({m.counts for m in family}) == len(family))
 
 
+pairs = st.dictionaries(labels, counts, max_size=5).flatmap(
+    lambda m: st.permutations(list(m.items())))
+
+
+@given(pairs, pairs)
+def test_canonical_counts_compare_like_the_count_maps(items1, items2):
+    # built from pairs in any order, two multisets compare by their counts
+    # tuples exactly as their label -> count maps compare
+    m1, m2 = FactorMultiset(items1), FactorMultiset(items2)
+    assert m1.counts == tuple(sorted(items1))
+    assert distinguishable(m1, m2) == (dict(items1) != dict(items2))
+    assert not distinguishable(m1, FactorMultiset(reversed(items1)))
+
+
+def test_factor_multiset_rejects_a_repeated_label():
+    with pytest.raises(ValueError, match="occurs twice"):
+        FactorMultiset((("J1", 1), ("J1", 2)))
+    with pytest.raises(ValueError, match="positive integer"):
+        FactorMultiset((("J1", 0),))
+
+
 def test_family_demo_counts():
     assert family_demo(0) == 1
     assert family_demo(3) == 8
