@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import content_lines
 
@@ -339,56 +339,59 @@ def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
 
 # ---------------------------------------------------------- abelianization
 
-def smith_invariants(rows: list[list[int]]) -> list[int]:
+def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, with d1 | d2 | ... .
 
-    Exact integer elimination; fine for the small matrices seen here.
+    Rows are lists or sparse {column: entry} dicts.  The pivot is a +-1
+    entry whenever there is one, else a least |entry|; Euclidean row and
+    column operations clear its column and row, and then both are dropped.
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return []
-    nr, nc = len(m), len(m[0])
-    diag: list[int] = []
-    r = c = 0
-    while r < nr and c < nc:
-        piv = None
-        best = 0
-        for i in range(r, nr):
-            for j in range(c, nc):
-                v = abs(m[i][j])
-                if v and (piv is None or v < best):
-                    piv, best = (i, j), v
-        if piv is None:
-            break
-        pi, pj = piv
-        m[r], m[pi] = m[pi], m[r]
-        for row in m:
-            row[c], row[pj] = row[pj], row[c]
-        while True:
-            clean = True
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    if m[i][c]:
-                        m[r], m[i] = m[i], m[r]
-                        clean = False
-            for j in range(nc):
-                if j != c and m[r][j]:
-                    q = m[r][j] // m[r][c]
-                    for row in m:
-                        row[j] -= q * row[c]
-                    if m[r][j]:
-                        for row in m:
-                            row[c], row[j] = row[j], row[c]
-                        clean = False
-            if clean:
-                break
-        diag.append(abs(m[r][c]))
-        r += 1
-        c += 1
+    live: dict[int, dict] = {}
+    cols: dict[Hashable, set[int]] = {}
+    for i, r in enumerate(rows):
+        if row := {j: v for j, v in (r.items() if isinstance(r, dict)
+                                     else enumerate(r)) if v}:
+            live[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    diag = []
+    todo = list(live)   # rows not searched for a unit since they changed
+    while live:
+        c = None
+        while todo and c is None:
+            r = todo.pop()
+            for j, v in live.get(r, {}).items():
+                if v == 1 or v == -1:
+                    c = j
+                    break
+        if c is None:
+            _, r, c = min((abs(v), i, j) for i, row in live.items()
+                          for j, v in row.items())
+        pivot, p = live[r], live[r][c]
+        for i in cols[c] - {r}:
+            row = live[i]
+            q = row[c] // p
+            for j, v in pivot.items():
+                w = row.get(j, 0) - q * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del live[i]
+            todo.append(i)
+        if len(cols[c]) == 1:   # column ops then touch row r alone
+            for j in [j for j in pivot if j != c]:
+                pivot[j] %= p
+                if not pivot[j]:
+                    del pivot[j]
+                    cols[j].discard(r)
+            if len(pivot) == 1:
+                del live[r], cols[c]
+                diag.append(abs(p))
     # enforce the divisibility chain
-    diag = [d for d in diag if d]
     changed = True
     while changed:
         changed = False
@@ -412,15 +415,10 @@ class AbelianInvariants(NamedTuple):
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    idx = {g: j for j, g in enumerate(p.generators)}
-    rows = []
-    for r in p.relators:
-        row = [0] * len(p.generators)
+    rows: list[dict[str, int]] = [{} for _ in p.relators]
+    for row, r in zip(rows, p.relators):
         for g, e in r:
-            row[idx[g]] += e
-        rows.append(row)
-    if not rows:
-        return AbelianInvariants((), len(p.generators))
+            row[g] = row.get(g, 0) + e
     diag = smith_invariants(rows)
     return AbelianInvariants(tuple(d for d in diag if d != 1),
                              len(p.generators) - len(diag))

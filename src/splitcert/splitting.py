@@ -51,10 +51,11 @@ def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
     certs = []
     for part in (A, B, C):
         verdict = is_collapsible(part, budget)
-        if verdict.kind != "yes":
-            error = SplitUnknown if verdict.kind == "unknown" else SplitError
-            raise error(
-                f"{part.name} is not collapsible (verdict: {verdict.kind})")
+        if verdict.kind == "unknown":
+            raise SplitUnknown(f"{part.name}: collapsibility unknown (budget "
+                               f"exhausted after {verdict.nodes} nodes)")
+        if verdict.kind == "no":
+            raise SplitError(f"{part.name} is not collapsible (verdict: no)")
         certs.append(verdict.certificate)
     return SplitCertificate(spine.name, (A.name, B.name),
                             (certs[0], certs[1], certs[2]))

@@ -16,8 +16,9 @@ from splitcert.collapse import (SearchBudget, elementary_collapse, free_faces,
                                 greedy_collapse, is_collapsible, replay)
 from splitcert.complexes import (build, cone, euler_characteristic,
                                   intersection, union)
-from splitcert.groups import (Presentation, abelianization, parse_word,
-                              smith_invariants, wirtinger)
+from splitcert.groups import (Crossing, LinkDiagram, Presentation,
+                              abelianization, parse_word, smith_invariants,
+                              wirtinger)
 from splitcert.hyperbolic import (rotation, same_isometry, triangle_defect)
 from splitcert.mazur import (derivation_chain, target_presentation,
                              triangle_certificate)
@@ -244,3 +245,20 @@ def test_scale_cone_over_grid_8_search_says_yes_and_replays():
     assert verdict.kind == "yes"
     assert replay(K, verdict.certificate).collapsed_to_point
     _stamp("scale cone over grid 8 search", t0, 5.0)
+
+
+def test_scale_torus_link_2_1000_abelianizes_to_z2():
+    # T(2,1000): 1,000 arcs, two components; each Wirtinger row is
+    # e_out - e_in, so every pivot is a unit and the sparse elimination
+    # is near-linear (a few ms); the budget catches a return to dense or
+    # rescanning elimination, which takes seconds to minutes here.
+    n = 1000
+    arcs = tuple(f"x{i}" for i in range(n))
+    crossings = [Crossing(arcs[(i + 1) % n], arcs[i], arcs[(i + 2) % n], 1)
+                 for i in range(n)]
+    random.Random(0).shuffle(crossings)
+    d = LinkDiagram(arcs, tuple(crossings), (arcs[0::2], arcs[1::2]))
+    p = wirtinger(d)
+    t0 = time.perf_counter()
+    assert str(abelianization(p)) == "Z + Z"
+    _stamp("scale T(2,1000) abelianization", t0, 1.0)

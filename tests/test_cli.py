@@ -210,6 +210,24 @@ def test_group_abelianize(capsys, tmp_path):
     assert out == "Z + Z\n"
 
 
+def test_group_abelianize_needs_no_coefficient_blow_up(capsys, tmp_path):
+    # one relator per row of a 7x7 relation matrix with entries up to 12
+    matrix = [[2, -1, -5, -2, 2, 1, 0], [0, 0, -1, 0, 6, -1, 12],
+              [12, 12, -5, 1, -1, -2, 0], [-1, 4, 12, 12, -5, 2, -1],
+              [4, -5, -5, 0, 12, 0, 0], [4, 12, -1, 0, -2, 1, -2],
+              [12, -2, 0, 2, 0, 4, 0]]
+    gens = [f"x{j}" for j in range(7)]
+    rels = [" ".join(g if v > 0 else g.upper()
+                     for g, v in zip(gens, row) for _ in range(abs(v)))
+            for row in matrix]
+    f = tmp_path / "p.fp"
+    f.write_text("gens: " + " ".join(gens) + "\n"
+                 + "".join(f"rel: {r}\n" for r in rels))
+    code, out, _ = run(capsys, "group", "abelianize", str(f))
+    assert code == 0
+    assert out == "Z/2 + Z/1956942\n"
+
+
 def test_group_tietze_add_gen(capsys, tmp_path):
     f = tmp_path / "p.fp"
     f.write_text("gens: a\nrel: a a a\n")

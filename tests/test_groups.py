@@ -1,16 +1,19 @@
 import itertools
+import random
+import time
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitcert.groups import (Crossing, LinkDiagram, Presentation, TietzeError,
-                              TietzeMove, abelianization, apply_tietze, concat,
-                              conjugate, dumps_fp, dumps_lnk, free_reduce,
-                              impose_relator, inverse, linking_number, loads_fp,
-                              loads_lnk, parse_word, power, smith_invariants,
-                              substitute, validate_diagram, wirtinger, word_str)
+from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
+                              Presentation, TietzeError, TietzeMove,
+                              abelianization, apply_tietze, concat, conjugate,
+                              dumps_fp, dumps_lnk, free_reduce, impose_relator,
+                              inverse, linking_number, loads_fp, loads_lnk,
+                              parse_word, power, smith_invariants, substitute,
+                              validate_diagram, wirtinger, word_str)
 
 words = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([1, -1])),
@@ -240,17 +243,99 @@ def test_smith_invariants_known_matrices():
     assert smith_invariants([[0, 0], [0, 0]]) == []
     assert smith_invariants([[0, 0], [0, 5]]) == [5]
     assert smith_invariants([]) == []
+    assert smith_invariants([{"a": 2, "b": 4}, {"a": 6, "b": 8}]) == [2, 4]
+    assert smith_invariants([{}, {7: 0}]) == []
+
+
+def _reference_smith_invariants(rows):
+    """The dense least-entry elimination that the sparse one replaced."""
+    m = [list(r) for r in rows]
+    if not m or not m[0]:
+        return []
+    nr, nc = len(m), len(m[0])
+    diag = []
+    r = c = 0
+    while r < nr and c < nc:
+        piv = None
+        best = 0
+        for i in range(r, nr):
+            for j in range(c, nc):
+                v = abs(m[i][j])
+                if v and (piv is None or v < best):
+                    piv, best = (i, j), v
+        if piv is None:
+            break
+        pi, pj = piv
+        m[r], m[pi] = m[pi], m[r]
+        for row in m:
+            row[c], row[pj] = row[pj], row[c]
+        while True:
+            clean = True
+            for i in range(nr):
+                if i != r and m[i][c]:
+                    q = m[i][c] // m[r][c]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                    if m[i][c]:
+                        m[r], m[i] = m[i], m[r]
+                        clean = False
+            for j in range(nc):
+                if j != c and m[r][j]:
+                    q = m[r][j] // m[r][c]
+                    for row in m:
+                        row[j] -= q * row[c]
+                    if m[r][j]:
+                        for row in m:
+                            row[c], row[j] = row[j], row[c]
+                        clean = False
+            if clean:
+                break
+        diag.append(abs(m[r][c]))
+        r += 1
+        c += 1
+    diag = [d for d in diag if d]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag) - 1):
+            a, b = diag[i], diag[i + 1]
+            if b % a:
+                g = gcd(a, b)
+                diag[i], diag[i + 1] = g, a * b // g
+                changed = True
+    return diag
+
+
+def _reference_abelianization(p):
+    """Dense relation rows through the reference elimination."""
+    idx = {g: j for j, g in enumerate(p.generators)}
+    rows = []
+    for r in p.relators:
+        row = [0] * len(p.generators)
+        for g, e in r:
+            row[idx[g]] += e
+        rows.append(row)
+    diag = _reference_smith_invariants(rows)
+    return AbelianInvariants(tuple(d for d in diag if d != 1),
+                             len(p.generators) - len(diag))
 
 
 def _det(m):
+    """Fraction-free (Bareiss) determinant of a square matrix."""
+    m = [list(r) for r in m]
     n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def _minor_gcd(m, k):
@@ -265,9 +350,31 @@ def _minor_gcd(m, k):
     return g
 
 
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-                min_size=2, max_size=4))
-@settings(max_examples=60)
+@st.composite
+def matrices(draw, max_side):
+    nr = draw(st.integers(1, max_side))
+    nc = draw(st.integers(1, max_side))
+    row = st.lists(st.integers(-12, 12), min_size=nc, max_size=nc)
+    return draw(st.lists(row, min_size=nr, max_size=nr))
+
+
+def test_bareiss_det_matches_cofactor_expansion():
+    def cofactor_det(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum((-1) ** j * m[0][j] *
+                   cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
+                   for j in range(len(m)))
+    rng = random.Random(0)
+    for n in range(1, 6):
+        for _ in range(40):
+            m = [[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(n)]
+                 for _ in range(n)]
+            assert _det(m) == cofactor_det(m)
+
+
+@given(matrices(7))
+@settings(max_examples=200, deadline=None)
 def test_smith_matches_determinantal_divisors(m):
     diag = smith_invariants(m)
     # divisibility chain
@@ -280,6 +387,49 @@ def test_smith_matches_determinantal_divisors(m):
         assert prod == _minor_gcd(m, k)
     if len(diag) < min(len(m), len(m[0])):
         assert _minor_gcd(m, len(diag) + 1) == 0
+
+
+@given(matrices(5))
+@settings(max_examples=300, deadline=None)
+def test_smith_matches_the_dense_reference(m):
+    want = _reference_smith_invariants(m)
+    assert smith_invariants(m) == want
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in m]
+    assert smith_invariants(sparse) == want
+
+
+@st.composite
+def presentations(draw):
+    gens = tuple(f"x{i}" for i in range(draw(st.integers(0, 5))))
+    if not gens:
+        return Presentation((), ())
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from([1, -1]))
+    relator = st.lists(letter, max_size=12).map(tuple)
+    return Presentation(gens, tuple(draw(st.lists(relator, max_size=5))))
+
+
+@given(presentations())
+@settings(max_examples=300, deadline=None)
+def test_abelianization_matches_the_dense_reference(p):
+    assert abelianization(p) == _reference_abelianization(p)
+
+
+# Entries of at most 12, yet the dense elimination above grows its
+# coefficients without bound on this matrix (a 65-bit pivot by the tenth
+# pass of its inner loop, still running after a minute).
+BLOWUP = [[2, -1, -5, -2, 2, 1, 0], [0, 0, -1, 0, 6, -1, 12],
+          [12, 12, -5, 1, -1, -2, 0], [-1, 4, 12, 12, -5, 2, -1],
+          [4, -5, -5, 0, 12, 0, 0], [4, 12, -1, 0, -2, 1, -2],
+          [12, -2, 0, 2, 0, 4, 0]]
+
+
+def test_smith_invariants_without_coefficient_blow_up():
+    start = time.perf_counter()
+    assert smith_invariants(BLOWUP) == [1, 1, 1, 1, 1, 2, 1956942]
+    assert time.perf_counter() - start < 1.0
+    # independent checks: |det| is the product, and d_6 = gcd of 6x6 minors
+    assert abs(_det(BLOWUP)) == 3_913_884
+    assert _minor_gcd(BLOWUP, 6) == 2
 
 
 def test_abelianization_examples():

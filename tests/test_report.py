@@ -81,7 +81,8 @@ def test_budget_exhaustion_in_the_split_is_skip(monkeypatch, capsys):
     check = Check("JESTER_SPLIT_CERT", "jester", split)
     (result,) = run_checks([check], RunContext())
     assert result.status == SKIP
-    assert result.detail == "A is not collapsible (verdict: unknown)"
+    assert result.detail == (
+        "A: collapsibility unknown (budget exhausted after 2 nodes)")
 
     # an unverified claim never reads as PASS, and no command exits 0 on it
     passed = CheckResult("OTHER", PASS, "")
@@ -93,7 +94,8 @@ def test_budget_exhaustion_in_the_split_is_skip(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("\noverall INCOMPLETE\n")
     assert main(["jester", "verify-split"]) == 1
     assert capsys.readouterr().out == (
-        "jester split: INCOMPLETE (A is not collapsible (verdict: unknown))\n")
+        "jester split: INCOMPLETE (A: collapsibility unknown "
+        "(budget exhausted after 2 nodes))\n")
 
 
 def test_refuted_part_named_unknown_is_fail():
