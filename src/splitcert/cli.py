@@ -123,10 +123,7 @@ def cmd_group(args) -> int:
         print(word_str(free_reduce(parse_word(args.word_or_file))))
         return 0
     if args.action == "subst":
-        mapping = {}
-        for item in args.map:
-            gen, _, image = item.partition("=")
-            mapping[gen] = parse_word(image)
+        mapping = dict(_parse_gen_word(item) for item in args.map)
         print(word_str(substitute(parse_word(args.word_or_file), mapping)))
         return 0
     if args.action == "abelianize":
@@ -142,6 +139,13 @@ def cmd_group(args) -> int:
         return 1
     sys.stdout.write(dumps_fp(q))
     return 0
+
+
+def _parse_gen_word(text: str):
+    gen, sep, word = text.partition("=")
+    if not sep:
+        raise ValueError(f"{text!r} is not GEN=WORD")
+    return gen, parse_word(word)
 
 
 def _parse_certificate(text: str):
@@ -164,8 +168,8 @@ def _parse_certificate(text: str):
 
 def _parse_tietze_move(args) -> TietzeMove:
     if args.add_gen is not None:
-        name, _, word = args.add_gen.partition("=")
-        return TietzeMove("add-generator", gen=name, word=parse_word(word))
+        name, word = _parse_gen_word(args.add_gen)
+        return TietzeMove("add-generator", gen=name, word=word)
     if args.add_rel is not None:
         if args.by is None:
             raise ValueError("--add-rel needs --by INDEX:SIGN:CONJ,...")
@@ -285,10 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word_or_file", metavar="WORD|FILE")
     p.add_argument("-m", "--map", action="append", default=[],
                    metavar="GEN=WORD", help="substitution image (repeatable)")
-    p.add_argument("--add-gen", metavar="NAME=WORD")
-    p.add_argument("--add-rel", metavar="WORD")
-    p.add_argument("--remove-rel", type=int, metavar="INDEX")
-    p.add_argument("--remove-gen", metavar="NAME")
+    move = p.add_mutually_exclusive_group()
+    move.add_argument("--add-gen", metavar="NAME=WORD")
+    move.add_argument("--add-rel", metavar="WORD")
+    move.add_argument("--remove-rel", type=int, metavar="INDEX")
+    move.add_argument("--remove-gen", metavar="NAME")
     p.add_argument("--by", metavar="INDEX:SIGN:CONJ,...",
                    help="consequence certificate for add-rel/remove-rel")
     p.add_argument("--using", type=int, metavar="INDEX",

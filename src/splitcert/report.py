@@ -81,7 +81,8 @@ def _random_word(rng: random.Random, gens, max_len=4):
 
 def random_tietze_walk(rng: random.Random, steps: int) -> int:
     """Run a LIFO walk of certified Tietze moves from a seed presentation;
-    apply_tietze itself asserts the abelianization is stable at each move.
+    apply_tietze itself checks at each move that the relation matrix
+    changed in a way that keeps the abelian invariants.
     Returns the number of moves applied."""
     p = Presentation(("a", "b"),
                      (parse_word("a b A B"), parse_word("a a a")))

@@ -170,8 +170,10 @@ def test_criterion_6_abelianization_oracles():
     assert oracle == [1, 1]
     assert smith_invariants(exponents) == oracle
 
-    # apply_tietze recomputes the abelianization after every move and
-    # raises if it changed, so a completed 500-step walk is the proof.
+    # apply_tietze checks after every move that the relation matrix changed
+    # only by a certified row or a unit-pivot column, which keeps the
+    # abelian invariants, and raises otherwise; so a completed 500-step
+    # walk is the proof.
     assert random_tietze_walk(random.Random(62), 500) == 500
     _stamp("6 abelianization oracles", t0, 5.0)
 

@@ -202,6 +202,14 @@ def test_group_subst(capsys):
     assert out == "x\n"
 
 
+@pytest.mark.parametrize("argv", [("subst", "a", "-m", "a"),
+                                  ("subst", "a B", "-m", "a=x", "-m", "b")])
+def test_group_subst_needs_gen_equals_word(capsys, argv):
+    code, out, err = run(capsys, "group", *argv)
+    assert code == 2 and out == ""
+    assert "is not GEN=WORD" in err
+
+
 def test_group_abelianize(capsys, tmp_path):
     f = tmp_path / "p.fp"
     f.write_text("gens: a b\nrel: a b A B\n")
@@ -276,6 +284,29 @@ def test_group_tietze_needs_a_move(capsys, tmp_path):
     code, _, err = run(capsys, "group", "tietze", str(f))
     assert code == 2
     assert "choose one" in err
+
+
+def test_group_tietze_add_gen_needs_gen_equals_word(capsys, tmp_path):
+    f = tmp_path / "p.fp"
+    f.write_text("gens: a\nrel: a a\n")
+    code, out, err = run(capsys, "group", "tietze", str(f), "--add-gen", "z")
+    assert code == 2 and out == ""
+    assert "error: 'z' is not GEN=WORD" in err
+
+
+@pytest.mark.parametrize("moves", [
+    ("--add-gen", "z=a", "--add-rel", "a", "--by", "0:+:"),
+    ("--remove-rel", "0", "--remove-gen", "a", "--by", "", "--using", "0"),
+])
+def test_group_tietze_takes_one_move(capsys, tmp_path, moves):
+    f = tmp_path / "p.fp"
+    f.write_text("gens: a\nrel: a a\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "tietze", str(f), *moves])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 # --------------------------------------------------------------------- csi

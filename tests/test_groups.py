@@ -4,11 +4,12 @@ import time
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
                               Presentation, TietzeError, TietzeMove,
+                              _certificate_product, _check_row_change,
                               abelianization, apply_tietze, concat, conjugate,
                               dumps_fp, dumps_lnk, free_reduce, impose_relator,
                               inverse, linking_number, loads_fp, loads_lnk,
@@ -412,6 +413,148 @@ def presentations(draw):
 @settings(max_examples=300, deadline=None)
 def test_abelianization_matches_the_dense_reference(p):
     assert abelianization(p) == _reference_abelianization(p)
+
+
+# ------------------------------------------- the row-change check of a move
+
+def _reference_invariants_equal(p, q):
+    """The safety net apply_tietze used before the row-change check: the
+    two presentations' abelianizations, each from its own Smith form."""
+    return abelianization(p) == abelianization(q)
+
+
+def _row(w):
+    out = {}
+    for g, e in w:
+        out[g] = out.get(g, 0) + e
+    return {g: v for g, v in out.items() if v}
+
+
+@st.composite
+def tietze_cases(draw, kind=None):
+    """A presentation and a valid move of the given (or any) kind on it.
+    A relator to remove, or a generator's defining relator, is inserted at
+    a random index; other relators may use the generator any number of
+    times, and none of them need be freely reduced."""
+    p = draw(presentations())
+    gens, rels = p
+    kind = kind or draw(st.sampled_from(TietzeMove.KINDS))
+
+    def word(over, size):
+        if not over:
+            return ()
+        letter = st.tuples(st.sampled_from(over), st.sampled_from([1, -1]))
+        return tuple(draw(st.lists(letter, max_size=size)))
+
+    if kind == "add-generator":
+        return p, TietzeMove(kind, gen="z", word=word(gens, 12))
+    k = draw(st.integers(0, len(rels)))
+    if kind == "remove-generator":
+        assume(gens)
+        gen = draw(st.sampled_from(gens))
+        rest = tuple(g for g in gens if g != gen)
+        sign = draw(st.sampled_from([1, -1]))
+        rel = free_reduce(word(rest, 6) + ((gen, sign),) + word(rest, 6))
+        return (Presentation(gens, rels[:k] + (rel,) + rels[k:]),
+                TietzeMove(kind, gen=gen, index=k))
+    terms = draw(st.integers(0, 3)) if rels else 0
+    cert = tuple((draw(st.integers(0, len(rels) - 1)),
+                  draw(st.sampled_from([1, -1])), word(gens, 3))
+                 for _ in range(terms))
+    consequence = _certificate_product(rels, cert)
+    if kind == "add-relator":
+        return p, TietzeMove(kind, word=consequence, certificate=cert)
+    return (Presentation(gens, rels[:k] + (consequence,) + rels[k:]),
+            TietzeMove(kind, index=k, certificate=cert))
+
+
+@given(tietze_cases())
+@settings(max_examples=400, deadline=None)
+def test_row_change_check_accepts_valid_moves_as_the_reference_does(case):
+    p, move = case
+    q = apply_tietze(p, move)
+    assert _reference_invariants_equal(p, q)
+
+
+@pytest.mark.parametrize("kind", TietzeMove.KINDS)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_change_check_rejects_tampered_results(kind, data):
+    p, move = data.draw(tietze_cases(kind))
+    gens, rels = apply_tietze(p, move)
+    tampered = [(gens + ("w",), rels), (gens, rels + ((),))]
+    if gens:
+        tampered.append((gens[:-1], rels))
+    if rels:
+        tampered.append((gens, rels[:-1]))
+    letters = [(i, j) for i, r in enumerate(rels) for j in range(len(r))]
+    if letters:
+        i, j = data.draw(st.sampled_from(letters))
+        r = rels[i]
+        g, e = r[j]
+        for changed in (r[:j] + r[j + 1:], r[:j] + ((g, -e),) + r[j + 1:]):
+            tampered.append((gens, rels[:i] + (changed,) + rels[i + 1:]))
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(rels)), 2)
+             if _row(rels[i]) != _row(rels[j])]
+    if pairs:
+        i, j = data.draw(st.sampled_from(pairs))
+        swapped = list(rels)
+        swapped[i], swapped[j] = rels[j], rels[i]
+        tampered.append((gens, tuple(swapped)))
+    for forged in tampered:
+        with pytest.raises(TietzeError, match=f"^{kind} move"):
+            _check_row_change(p, Presentation._make(forged), move)
+
+
+def test_row_change_check_names_the_first_relator_that_disagrees():
+    p = Presentation(("a", "b"), (parse_word("a a"), parse_word("b b b")))
+    move = TietzeMove("add-relator", word=parse_word("a a b b b"),
+                      certificate=((0, 1, ()), (1, 1, ())))
+    q = apply_tietze(p, move)
+    with pytest.raises(TietzeError, match="result relator 1 is not the"):
+        _check_row_change(p, Presentation._make(
+            (q.generators, (q.relators[0], parse_word("b b"), q.relators[2]))),
+            move)
+    with pytest.raises(TietzeError, match="result relator 2 is not the "
+                                          "certificate's sum of rows"):
+        _check_row_change(p, Presentation._make(
+            (q.generators, q.relators[:2] + (parse_word("a a b b"),))), move)
+
+
+def test_row_change_check_needs_a_unit_pivot():
+    # Z + Z/2 -> Z: b has exponent sum 2 in its would-be defining relator
+    p = Presentation(("a", "b"), (parse_word("b b"),))
+    q = Presentation(("a",), ())
+    assert not _reference_invariants_equal(p, q)
+    with pytest.raises(TietzeError, match="exponent sum 2 of 'b', not a unit"):
+        _check_row_change(p, q, TietzeMove("remove-generator", gen="b",
+                                           index=0))
+
+
+def test_row_change_check_needs_the_generator_eliminated_everywhere():
+    p = Presentation(("a", "b"), (parse_word("b A A"), parse_word("b b b")))
+    move = TietzeMove("remove-generator", gen="b", index=0)
+    assert apply_tietze(p, move).relators == (parse_word("a a a a a a"),)
+    # b^3 carried over without substituting b = a^2
+    q = Presentation._make((("a",), (parse_word("b b b"),)))
+    with pytest.raises(TietzeError, match="result relator 0 is not its "
+                                          "parent's row with 'b' eliminated"):
+        _check_row_change(p, q, move)
+
+
+def test_row_change_check_needs_a_new_generator():
+    # the new column must be zero in every old row
+    p = Presentation(("a", "b"), (parse_word("b a"),))
+    move = TietzeMove("add-generator", gen="b", word=parse_word("a"))
+    q = Presentation._make((("a", "b", "b"),
+                            (parse_word("b a"), parse_word("b A"))))
+    with pytest.raises(TietzeError, match="'b' is already present"):
+        _check_row_change(p, q, move)
+    # a word that uses the new generator leaves it no unit in its column
+    move = TietzeMove("add-generator", gen="z", word=parse_word("z"))
+    q = Presentation(("a", "b", "z"), (parse_word("b a"), ()))
+    with pytest.raises(TietzeError, match="does not define 'z'"):
+        _check_row_change(p, q, move)
 
 
 # Entries of at most 12, yet the dense elimination above grows its
