@@ -118,19 +118,18 @@ def cmd_wirtinger(args) -> int:
 
 
 def cmd_group(args) -> int:
-    # the positional is a word for reduce/subst and a file otherwise
     if args.action == "reduce":
-        print(word_str(free_reduce(parse_word(args.word_or_file))))
+        print(word_str(free_reduce(parse_word(args.word))))
         return 0
     if args.action == "subst":
         mapping = dict(_parse_gen_word(item) for item in args.map)
-        print(word_str(substitute(parse_word(args.word_or_file), mapping)))
+        print(word_str(substitute(parse_word(args.word), mapping)))
         return 0
     if args.action == "abelianize":
-        print(str(abelianization(load_fp(args.word_or_file))))
+        print(str(abelianization(load_fp(args.file))))
         return 0
     # tietze
-    p = load_fp(args.word_or_file)
+    p = load_fp(args.file)
     move = _parse_tietze_move(args)
     try:
         q = apply_tietze(p, move)
@@ -167,6 +166,12 @@ def _parse_certificate(text: str):
 
 
 def _parse_tietze_move(args) -> TietzeMove:
+    # each move reads at most one of --by and --using; the other is an error
+    if (args.by is not None and args.add_rel is None
+            and args.remove_rel is None):
+        raise ValueError("--by goes only with --add-rel or --remove-rel")
+    if args.using is not None and args.remove_gen is None:
+        raise ValueError("--using goes only with --remove-gen")
     if args.add_gen is not None:
         name, word = _parse_gen_word(args.add_gen)
         return TietzeMove("add-generator", gen=name, word=word)
@@ -190,7 +195,7 @@ def _parse_tietze_move(args) -> TietzeMove:
 
 
 def cmd_mazur(args) -> int:
-    ctx = RunContext(args.assets, tol=args.tol)
+    ctx = RunContext(args.assets)
     ok, results = run_group("mazur", ctx)
     chain, cert = ctx.chain, ctx.triangle
     print("triangle angles: pi/7 (A), pi/2 (B), pi/5 (C)")
@@ -231,7 +236,7 @@ def cmd_csi(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    report = verify_all(assets_dir=args.assets, tol=args.tol)
+    report = verify_all(assets_dir=args.assets)
     sys.stdout.write(report.render())
     return 0 if report.overall == "PASS" else 1
 
@@ -284,25 +289,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_wirtinger)
 
     p = sub.add_parser("group", help="word and presentation operations")
-    p.add_argument("action", choices=("reduce", "subst", "tietze",
-                                      "abelianize"))
-    p.add_argument("word_or_file", metavar="WORD|FILE")
-    p.add_argument("-m", "--map", action="append", default=[],
-                   metavar="GEN=WORD", help="substitution image (repeatable)")
-    move = p.add_mutually_exclusive_group()
-    move.add_argument("--add-gen", metavar="NAME=WORD")
-    move.add_argument("--add-rel", metavar="WORD")
-    move.add_argument("--remove-rel", type=int, metavar="INDEX")
-    move.add_argument("--remove-gen", metavar="NAME")
-    p.add_argument("--by", metavar="INDEX:SIGN:CONJ,...",
-                   help="consequence certificate for add-rel/remove-rel")
-    p.add_argument("--using", type=int, metavar="INDEX",
-                   help="defining relator index for remove-gen")
-    p.set_defaults(fn=cmd_group)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action, operand in (("reduce", "WORD"), ("subst", "WORD"),
+                            ("abelianize", "FILE"), ("tietze", "FILE")):
+        a = actions.add_parser(action)
+        a.add_argument(operand.lower(), metavar=operand)
+        a.set_defaults(fn=cmd_group)
+        if action == "subst":   # only subst takes -m
+            a.add_argument("-m", "--map", action="append", default=[],
+                           metavar="GEN=WORD",
+                           help="substitution image (repeatable)")
+        if action == "tietze":  # only tietze takes a move, --by and --using
+            move = a.add_mutually_exclusive_group()
+            move.add_argument("--add-gen", metavar="NAME=WORD")
+            move.add_argument("--add-rel", metavar="WORD")
+            move.add_argument("--remove-rel", type=int, metavar="INDEX")
+            move.add_argument("--remove-gen", metavar="NAME")
+            a.add_argument("--by", metavar="INDEX:SIGN:CONJ,...",
+                           help="consequence certificate for "
+                                "add-rel/remove-rel")
+            a.add_argument("--using", type=int, metavar="INDEX",
+                           help="defining relator index for remove-gen")
 
     p = sub.add_parser("mazur", help="boundary-group triangle certificate")
     p.add_argument("action", choices=("certify",))
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_assets(p)
     p.set_defaults(fn=cmd_mazur)
 
@@ -315,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every bundled check")
     _add_assets(p)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=cmd_verify_all)
 
     return top

@@ -91,23 +91,6 @@ def free_faces(K: SimplicialComplex) -> list[Simplex]:
     return sorted(s for s in K.simplices if len(index[s]) == 1)
 
 
-def is_free_face(K: SimplicialComplex, A: Simplex) -> bool:
-    return A in K.simplices and len(K.cofaces(A)) == 1
-
-
-def elementary_collapse(K: SimplicialComplex, A) -> SimplicialComplex:
-    """Remove the free face A and its unique coface."""
-    A = make_simplex(A)
-    if A not in K.simplices:
-        raise ValueError(f"{' '.join(A)} is not a simplex of {K.name}")
-    cf = K.cofaces(A)
-    if len(cf) != 1:
-        raise ValueError(
-            f"{' '.join(A)} is not a free face of {K.name} "
-            f"({len(cf)} cofaces)")
-    return SimplicialComplex(K.simplices - {A, cf[0]}, name=K.name)
-
-
 def _is_point(simplices: frozenset[Simplex]) -> bool:
     return len(simplices) == 1 and len(next(iter(simplices))) == 1
 
@@ -169,6 +152,18 @@ def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
                                 coface=state.collapse(face)))
     final = SimplicialComplex(frozenset(state.live), name=K.name)
     return ReplayResult(final, tuple(trace), _is_point(final.simplices))
+
+
+def elementary_collapse(K: SimplicialComplex, A) -> SimplicialComplex:
+    """Remove the free face A and its unique coface: a one-step replay."""
+    A = make_simplex(A)
+    result = replay(K, CollapseCertificate((A,), K.name))
+    if result.ok:
+        return result.final
+    if A not in K.simplices:
+        raise ValueError(f"{' '.join(A)} is not a simplex of {K.name}")
+    raise ValueError(f"{' '.join(A)} is not a free face of {K.name} "
+                     f"({len(K.cofaces(A))} cofaces)")
 
 
 def greedy_collapse(

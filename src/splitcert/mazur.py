@@ -125,13 +125,12 @@ class TriangleCertificate(NamedTuple):
     order_displacements: tuple[float, ...]
     rotation_b_matches: bool
     meridian: NontrivialityReport
-    tol: float
 
     @property
     def representation_ok(self) -> bool:
         """Relators hold and beta/gamma have exact orders 5 and 7."""
         return (self.relator_report.ok
-                and min(self.order_displacements) > 10 * self.tol
+                and min(self.order_displacements) > 10 * DEFAULT_TOL
                 and self.rotation_b_matches)
 
     @property
@@ -139,7 +138,7 @@ class TriangleCertificate(NamedTuple):
         return self.meridian.ok and self.meridian.word_displacement > 1e-3
 
 
-def triangle_certificate(tol: float = DEFAULT_TOL) -> TriangleCertificate:
+def triangle_certificate() -> TriangleCertificate:
     from .hyperbolic import evaluate, max_displacement, same_isometry
 
     a, b, c = build_triangle(TRIANGLE_ANGLES)
@@ -151,7 +150,7 @@ def triangle_certificate(tol: float = DEFAULT_TOL) -> TriangleCertificate:
         "beta": r_bc.compose(r_ac),
         "gamma": r_ac.compose(r_ab),
     }
-    report = certify_relators(assignment, TARGET_RELATORS, tol)
+    report = certify_relators(assignment, TARGET_RELATORS)
     # proper powers of the elliptic generators must NOT be the identity
     displacements = []
     for gen, order in (("beta", 5), ("gamma", 7)):
@@ -159,7 +158,7 @@ def triangle_certificate(tol: float = DEFAULT_TOL) -> TriangleCertificate:
             w = tuple([(gen, 1)] * k)
             displacements.append(max_displacement(evaluate(assignment, w)))
     bg = evaluate(assignment, parse_word("beta gamma"))
-    matches = same_isometry(bg, rotation(b, -math.pi), tol)
-    meridian = certify_nontrivial(assignment, MERIDIAN, 0j, tol)
+    matches = same_isometry(bg, rotation(b, -math.pi))
+    meridian = certify_nontrivial(assignment, MERIDIAN, 0j)
     return TriangleCertificate((a, b, c), assignment, report,
-                               tuple(displacements), matches, meridian, tol)
+                               tuple(displacements), matches, meridian)

@@ -21,9 +21,10 @@ from .complexes import (SimplicialComplex, build, cone, euler_characteristic,
 from .groups import (Presentation, TietzeMove, _certificate_product,
                      abelianization, apply_tietze, linking_number, parse_word,
                      wirtinger)
-from .hyperbolic import build_triangle, triangle_defect
+from .hyperbolic import DEFAULT_TOL, build_triangle, triangle_defect
 from .splitting import (OMEGA, FactorMultiset, SplitError, SplitUnknown,
-                        distinguishable, family_demo, verify_spine_split)
+                        SumDescription, distinguishable, family_demo,
+                        multiset_of, verify_spine_split)
 
 PASS, FAIL, SKIP, INCOMPLETE = "PASS", "FAIL", "SKIP", "INCOMPLETE"
 
@@ -130,9 +131,8 @@ class RunContext:
     check and a CLI view) reads. Each object is computed at most once; an
     exception is remembered and raised again to every later reader."""
 
-    def __init__(self, assets_dir=None, tol: float = 1e-9):
+    def __init__(self, assets_dir=None):
         self.assets_dir = assets_dir
-        self.tol = tol
         self._memo: dict = {}
 
     def _once(self, key, compute):
@@ -191,8 +191,7 @@ class RunContext:
 
     @property
     def triangle(self):
-        return self._once("triangle",
-                          lambda: mazur.triangle_certificate(self.tol))
+        return self._once("triangle", mazur.triangle_certificate)
 
 
 # ----------------------------------------------------------- the registry
@@ -238,9 +237,9 @@ def run_group(group: str,
             {r.check_id: r for r in results})
 
 
-def verify_all(assets_dir=None, tol: float = 1e-9) -> VerificationReport:
-    ctx = RunContext(assets_dir, tol)
-    return VerificationReport(tuple(run_checks(CHECKS, ctx)))
+def verify_all(assets_dir=None) -> VerificationReport:
+    return VerificationReport(tuple(run_checks(CHECKS,
+                                               RunContext(assets_dir))))
 
 
 # ------------------------------------------------------------- the checks
@@ -361,7 +360,7 @@ def _boundary_h1(ctx):
 
 def _elliptic_orders(ctx):
     low = min(ctx.triangle.order_displacements)
-    return _verdict(low > 10 * ctx.tol,
+    return _verdict(low > 10 * DEFAULT_TOL,
                     f"proper powers displace probes by >= {low:.3e}")
 
 
@@ -369,7 +368,7 @@ def _gauss_bonnet(ctx):
     a, b, c = build_triangle(mazur.TRIANGLE_ANGLES)
     defect = triangle_defect(a, b, c)
     err = abs(defect - 11 * math.pi / 70)
-    return _verdict(err < ctx.tol,
+    return _verdict(err < DEFAULT_TOL,
                     f"defect {defect:.12f}, |err| = {err:.3e}")
 
 
@@ -394,10 +393,17 @@ def _family(ctx):
 
 
 def _irreflexive(ctx):
+    # each multiset, built again from a sequence of its finite labels in
+    # shuffled order with its omega labels as the cycle, must equal itself
     rng = random.Random(23)
     for _ in range(1000):
         m = random_multiset(rng)
-        if distinguishable(m, m):
+        prefix = [label for label, n in m.counts if n != OMEGA
+                  for _ in range(n)]
+        rng.shuffle(prefix)
+        cycle = [label for label, n in m.counts if n == OMEGA]
+        again = multiset_of(SumDescription.from_sequence(prefix, cycle))
+        if distinguishable(m, again):
             return FAIL, f"multiset {m} separated from itself"
     return PASS, "1000 random multisets: never self-separated"
 

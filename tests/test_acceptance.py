@@ -109,7 +109,7 @@ def test_criterion_4_wirtinger_presentation():
 
 def test_criterion_5_triangle_group_certificate():
     t0 = time.perf_counter()
-    cert = triangle_certificate(tol=1e-9)
+    cert = triangle_certificate()
     a, b, c = cert.vertices
 
     assert cert.relator_report.max_residual < 1e-9

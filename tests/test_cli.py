@@ -111,6 +111,15 @@ def test_budget_is_an_option_of_complex_search_only(action, triangle_file,
     assert "--budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["verify-all"], ["mazur", "certify"]])
+def test_tol_is_not_an_option(argv, capsys):
+    # every numerical check compares against the fixed DEFAULT_TOL
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "complex", "chi", "/no/such/file.scx")
     assert code == 2
@@ -307,6 +316,38 @@ def test_group_tietze_takes_one_move(capsys, tmp_path, moves):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not allowed with argument" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "a A b", "--add-gen", "z=a", "-m", "q=r"),
+    ("reduce", "a A b", "-m", "q=r"),
+    ("subst", "a", "-m", "a=b", "--by", "0:+:"),
+    ("abelianize", "p.fp", "--using", "0"),
+    ("tietze", "p.fp", "--add-gen", "z=a", "-m", "a=b"),
+])
+def test_group_rejects_the_options_of_other_actions(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["group", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("moves,message", [
+    (("--add-gen", "z=a", "--by", "0:+:", "--using", "7"), "--by goes only"),
+    (("--add-gen", "z=a", "--using", "0"), "--using goes only"),
+    (("--add-rel", "a a a a", "--by", "0:+:a", "--using", "0"),
+     "--using goes only"),
+    (("--remove-gen", "a", "--using", "0", "--by", "0:+:"), "--by goes only"),
+])
+def test_group_tietze_rejects_the_option_its_move_ignores(moves, message,
+                                                          capsys, tmp_path):
+    f = tmp_path / "p.fp"
+    f.write_text("gens: a\nrel: a a\n")
+    code, out, err = run(capsys, "group", "tietze", str(f), *moves)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 # --------------------------------------------------------------------- csi

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from splitcert.collapse import (CollapseCertificate, SearchBudget, dumps_cert,
                                 elementary_collapse, free_faces, greedy_collapse,
-                                is_collapsible, is_free_face, loads_cert, replay)
+                                is_collapsible, loads_cert, replay)
 from splitcert.complexes import build, cone, euler_characteristic
 
 _vertex = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -46,13 +46,6 @@ def test_free_faces_sorted_prefix_before_extension():
     K = build([("a", "b", "c"), ("a", "b", "d")])
     ff = free_faces(K)
     assert ff == sorted(ff)
-
-
-def test_is_free_face():
-    K = triangle()
-    assert is_free_face(K, ("a", "b"))
-    assert not is_free_face(K, ("a",))
-    assert not is_free_face(K, ("a", "z"))
 
 
 def test_elementary_collapse_removes_pair():

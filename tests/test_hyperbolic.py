@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitcert.groups import parse_word
-from splitcert.hyperbolic import (Isometry, build_triangle, certify_nontrivial,
-                                  certify_relators, evaluate, hyp_distance,
-                                  identity, is_identity, max_displacement,
+from splitcert.hyperbolic import (PROBES, Isometry, build_triangle,
+                                  certify_nontrivial, certify_relators,
+                                  evaluate, hyp_distance, identity,
+                                  is_identity, max_displacement,
                                   measure_angle, reflection, rotation,
                                   same_isometry, triangle_defect)
 
@@ -54,12 +56,15 @@ def test_triangle_inequality(p, q, r):
 
 def test_identity_and_projective_sign():
     assert is_identity(identity())
-    assert is_identity(Isometry(-1, 0, 0, -1))  # same Moebius map
+    assert is_identity(Isometry(-1, 0))  # same Moebius map
+    assert not is_identity(Isometry(1, 0, rev=True))
 
 
-def test_singular_matrix_rejected():
-    with pytest.raises(ValueError, match="singular"):
-        Isometry(1, 1, 1, 1)
+def test_isometry_is_an_su11_pair():
+    assert Isometry.__slots__ == ("a", "b", "rev")
+    f = reflection(0.1, 0.4 + 0.3j).compose(rotation(0.5 - 0.2j, 2.0))
+    for g in (f, f.inverse(), rotation(0.7j, 1.0)):
+        assert abs(g.a) ** 2 - abs(g.b) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rotation_fixes_center_and_moves_others():
@@ -232,10 +237,99 @@ def test_certify_relators_and_nontrivial():
     rep = certify_relators(asn, (parse_word("r r r"),))
     assert rep.ok and rep.max_residual < 1e-9
 
-    rep2 = certify_relators(asn, (parse_word("r r"),), tol=1e-9)
+    rep2 = certify_relators(asn, (parse_word("r r"),))
     assert not rep2.ok
 
     non = certify_nontrivial(asn, parse_word("r"), witness=0.5)
     assert non.ok and non.word_displacement > 1e-3
     triv = certify_nontrivial(asn, parse_word("r r r"), witness=0.5)
     assert not triv.ok
+
+
+# ------------------------------------------- the four-entry reference path
+
+class _ReferenceIsometry:
+    """The earlier representation: a 2x2 Moebius matrix normalised to unit
+    determinant, plus the orientation flag."""
+
+    def __init__(self, a, b, c, d, rev=False):
+        det = a * d - b * c
+        if abs(det) < 1e-30:
+            raise ValueError("singular matrix is not an isometry")
+        s = cmath.sqrt(det)
+        self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
+        self.rev = rev
+
+    def __call__(self, z):
+        w = z.conjugate() if self.rev else complex(z)
+        return (self.a * w + self.b) / (self.c * w + self.d)
+
+    def compose(self, other):
+        oa, ob, oc, od = other.a, other.b, other.c, other.d
+        if self.rev:
+            oa, ob, oc, od = (oa.conjugate(), ob.conjugate(),
+                              oc.conjugate(), od.conjugate())
+        return _ReferenceIsometry(self.a * oa + self.b * oc,
+                                  self.a * ob + self.b * od,
+                                  self.c * oa + self.d * oc,
+                                  self.c * ob + self.d * od,
+                                  rev=self.rev != other.rev)
+
+    def inverse(self):
+        a, b, c, d = self.d, -self.b, -self.c, self.a
+        if self.rev:
+            a, b, c, d = (a.conjugate(), b.conjugate(),
+                          c.conjugate(), d.conjugate())
+        return _ReferenceIsometry(a, b, c, d, rev=self.rev)
+
+
+def _reference_translation(c):
+    return _ReferenceIsometry(1, -c, -c.conjugate(), 1)
+
+
+def _reference_rotation(center, angle):
+    t = _reference_translation(center)
+    half = cmath.exp(0.5j * angle)
+    spin = _ReferenceIsometry(half, 0, 0, half.conjugate())
+    return t.inverse().compose(spin).compose(t)
+
+
+def _reference_reflection(p, q):
+    t = _reference_translation(p)
+    half = cmath.exp(-0.5j * cmath.phase(t(q)))
+    u = _ReferenceIsometry(half, 0, 0, half.conjugate()).compose(t)
+    conj = _ReferenceIsometry(1, 0, 0, 1, rev=True)
+    return u.inverse().compose(conj).compose(u)
+
+
+def _reference_evaluate(assignment, w):
+    acc = _ReferenceIsometry(1, 0, 0, 1)
+    for g, e in w:
+        acc = acc.compose(assignment[g] if e == 1
+                          else assignment[g].inverse())
+    return acc
+
+
+_generator_specs = st.one_of(
+    st.tuples(st.just("rotation"), disk_points, angles),
+    st.tuples(disk_points, disk_points).filter(
+        lambda pq: abs(pq[0] - pq[1]) > 1e-3).map(
+        lambda pq: ("reflection", *pq)))
+
+
+@given(st.lists(_generator_specs, min_size=1, max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_agrees_with_the_four_entry_reference(specs, data):
+    new, old = {}, {}
+    for i, (kind, x, y) in enumerate(specs):
+        build, reference = ((rotation, _reference_rotation)
+                            if kind == "rotation"
+                            else (reflection, _reference_reflection))
+        new[f"g{i}"], old[f"g{i}"] = build(x, y), reference(x, y)
+    w = data.draw(st.lists(st.tuples(st.sampled_from(sorted(new)),
+                                     st.sampled_from((1, -1))),
+                           max_size=30))
+    f, g = evaluate(new, w), _reference_evaluate(old, w)
+    assert f.rev == g.rev
+    for p in PROBES:
+        assert abs(f(p) - g(p)) < 1e-9

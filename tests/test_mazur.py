@@ -5,7 +5,8 @@ import pytest
 
 from splitcert import mazur
 from splitcert.groups import abelianization, parse_word, word_str
-from splitcert.hyperbolic import evaluate, rotation, same_isometry
+from splitcert.hyperbolic import (certify_nontrivial, evaluate, rotation,
+                                  same_isometry)
 
 
 def test_link_presentation_abelianization():
@@ -104,6 +105,39 @@ def test_meridian_displacement_frozen_value():
     # and the frozen literal, so a regression cannot slide past the oracle
     assert cert.meridian.word_displacement == pytest.approx(
         3.3286485001451394, abs=1e-12)
+
+
+def test_meridian_ladder_matches_a_50_digit_oracle():
+    """(Beta Beta gamma)^k for k = 1..20 against 50-digit point arithmetic:
+    gamma = r_AC r_AB and beta = r_BC r_AC, with r_AB(z) = conj(z),
+    r_AC(z) = e^{2 pi i/7} conj(z) and r_BC the inversion in the circle
+    through B and C orthogonal to the unit circle. The displacement of 0
+    grows by about 1.85 per power, so its image is within 1e-16 of the
+    unit circle from k = 15 on."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        cosh_ab = mp.cos(mp.pi / 5) / mp.sin(mp.pi / 7)
+        cosh_ac = mp.cot(mp.pi / 7) * mp.cot(mp.pi / 5)
+        b = mp.tanh(mp.acosh(cosh_ab) / 2)
+        c = mp.tanh(mp.acosh(cosh_ac) / 2) * mp.expjpi(mp.mpf(1) / 7)
+        x0 = (1 + b * b) / (2 * b)
+        centre = mp.mpc(x0, ((1 + abs(c) ** 2) / 2 - x0 * c.real) / c.imag)
+        radius2 = abs(centre) ** 2 - 1
+        turn = mp.expjpi(mp.mpf(2) / 7)
+
+        def beta_inverse(z):   # r_AC r_BC
+            return turn * mp.conj(centre + radius2 / mp.conj(z - centre))
+
+        oracle, z = [], mp.mpc(0)
+        for _ in range(20):
+            z = beta_inverse(beta_inverse(turn * z))  # gamma(z) = turn z
+            oracle.append(float(2 * mp.atanh(abs(z))))
+
+    asn = mazur.triangle_certificate().assignment
+    for k, want in enumerate(oracle, start=1):
+        report = certify_nontrivial(asn, mazur.MERIDIAN * k, 0j)
+        assert report.ok
+        assert report.word_displacement == pytest.approx(want, rel=1e-12)
 
 
 def test_meridian_fixes_nothing_relevant():

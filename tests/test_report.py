@@ -17,7 +17,8 @@ from splitcert.complexes import SimplicialComplex, build, union
 from splitcert.report import (CHECKS, FAIL, INCOMPLETE, PASS, SKIP, Check,
                               CheckResult, RunContext, VerificationReport,
                               run_checks, verify_all)
-from splitcert.splitting import verify_spine_split
+from splitcert.splitting import (OMEGA, FactorMultiset, multiset_of,
+                                 verify_spine_split)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -116,13 +117,13 @@ def test_triangle_certificate_built_once_per_run(monkeypatch):
     calls = []
     original = mazur.triangle_certificate
 
-    def counted(tol):
-        calls.append(tol)
-        return original(tol)
+    def counted():
+        calls.append(1)
+        return original()
 
     monkeypatch.setattr(mazur, "triangle_certificate", counted)
     assert verify_all().overall == PASS
-    assert calls == [1e-9]
+    assert calls == [1]
 
 
 def test_wirtinger_runs_once_per_run(monkeypatch):
@@ -211,3 +212,34 @@ def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
     assert sum(K.dim() == 3 for K, _ in replayed) > 100
     for K, cert in replayed:
         assert cert.steps == greedy_collapse(K)[0].steps
+
+
+# ------------------------------------------------- DISTINGUISH_IRREFLEXIVE
+
+def test_irreflexive_check_passes_on_shuffled_sequences(monkeypatch):
+    built = []
+
+    def spy(s):
+        built.append(s)
+        return multiset_of(s)
+
+    monkeypatch.setattr(report, "multiset_of", spy)
+    assert report._irreflexive(RunContext()) == (
+        PASS, "1000 random multisets: never self-separated")
+    assert len(built) == 1000
+    assert any(list(s.prefix) != sorted(s.prefix) for s in built)
+
+
+def test_irreflexive_check_fails_on_a_non_canonical_build(monkeypatch):
+    def in_sequence_order(s):
+        # label order as the sequence lists it, not sorted
+        counts = {}
+        for label in s.prefix:
+            counts[label] = counts.get(label, 0) + 1
+        counts.update(dict.fromkeys(s.cycle, OMEGA))
+        return tuple.__new__(FactorMultiset, (tuple(counts.items()),))
+
+    monkeypatch.setattr(report, "multiset_of", in_sequence_order)
+    status, detail = report._irreflexive(RunContext())
+    assert status == FAIL
+    assert detail.endswith("separated from itself")
