@@ -238,8 +238,8 @@ def run_group(group: str,
 
 
 def verify_all(assets_dir=None) -> VerificationReport:
-    return VerificationReport(tuple(run_checks(CHECKS,
-                                               RunContext(assets_dir))))
+    ctx = RunContext(assets_dir)
+    return VerificationReport(tuple(run_checks(CHECKS, ctx)))
 
 
 # ------------------------------------------------------------- the checks
@@ -394,7 +394,8 @@ def _family(ctx):
 
 def _irreflexive(ctx):
     # each multiset, built again from a sequence of its finite labels in
-    # shuffled order with its omega labels as the cycle, must equal itself
+    # shuffled order with its omega labels as the cycle, must not be
+    # distinguishable from the first build
     rng = random.Random(23)
     for _ in range(1000):
         m = random_multiset(rng)
