@@ -97,17 +97,16 @@ def _is_point(simplices: frozenset[Simplex]) -> bool:
 
 class _CollapseState:
     """A complex under a run of elementary collapses: the live simplices,
-    the number of live codimension-1 cofaces of each, and a heap of
-    candidate free faces. Heap entries are checked when popped: a simplex
-    that is gone or no longer has exactly one coface is dropped (counts
-    only fall, so it never becomes free again)."""
+    the number of live codimension-1 cofaces of each, and greedy_collapse's
+    heap of candidate free faces. Heap entries are checked when popped: a
+    simplex that is gone or no longer has exactly one coface is dropped
+    (counts only fall, so it never becomes free again)."""
 
     def __init__(self, K: SimplicialComplex):
         self.index = K.coface_index()
         self.live = set(K.simplices)
         self.count = dict(zip(self.index, map(len, self.index.values())))
-        self.heap = [s for s in K.simplices if self.count[s] == 1]
-        heapq.heapify(self.heap)
+        self.heap: list[Simplex] = []
 
     def collapse(self, face: Simplex) -> Simplex:
         """Remove a free face and its live coface; returns the coface."""
@@ -174,6 +173,7 @@ def greedy_collapse(
     Deterministic; the residual may be anything from a point to K itself.
     """
     state = _CollapseState(K)
+    state.heap = sorted(s for s in K.simplices if state.count[s] == 1)
     steps: list[Simplex] = []
     while (face := state.pop_free()) is not None:
         state.collapse(face)

@@ -170,7 +170,8 @@ class TietzeMove(_TietzeMove):
 
 def _certificate_product(relators: tuple[Word, ...],
                          certificate: Iterable[tuple[int, int, Word]]) -> Word:
-    prod: Word = EPSILON
+    """Product of the terms conj^-1 r^sign conj, freely reduced once."""
+    letters: list[Letter] = []
     for index, sign, conj in certificate:
         if not 0 <= index < len(relators):
             raise TietzeError(f"certificate references relator {index}, "
@@ -178,8 +179,8 @@ def _certificate_product(relators: tuple[Word, ...],
         if sign not in (1, -1):
             raise TietzeError(f"certificate sign must be +-1, got {sign}")
         r = relators[index] if sign == 1 else inverse(relators[index])
-        prod = free_reduce(concat(prod, conjugate(r, conj)))
-    return prod
+        letters += (*inverse(conj), *r, *conj)
+    return free_reduce(letters)
 
 
 def _check_row_change(p: Presentation, q: Presentation,

@@ -22,9 +22,9 @@ from .groups import (Presentation, TietzeMove, _certificate_product,
                      abelianization, apply_tietze, linking_number, parse_word,
                      wirtinger)
 from .hyperbolic import DEFAULT_TOL, build_triangle, triangle_defect
-from .splitting import (OMEGA, FactorMultiset, SplitError, SplitUnknown,
-                        SumDescription, distinguishable, family_demo,
-                        multiset_of, verify_spine_split)
+from .splitting import (OMEGA, FactorMultiset, SplitError, SumDescription,
+                        distinguishable, family_demo, multiset_of,
+                        verify_spine_split)
 
 PASS, FAIL, SKIP, INCOMPLETE = "PASS", "FAIL", "SKIP", "INCOMPLETE"
 
@@ -175,10 +175,12 @@ class RunContext:
 
     @property
     def split(self):
-        """The jester hat's splitting certificate (raises SplitError)."""
+        """The jester hat's split of the bundled certificates (SplitError)."""
         return self._once("split", lambda: verify_spine_split(
             self.complex("jester_hat"), self.complex("jester_A"),
-            self.complex("jester_B")))
+            self.complex("jester_B"),
+            (self.certificate("jester_A"), self.certificate("jester_B"),
+             self.certificate("jester_C"))))
 
     @property
     def link(self) -> Presentation:
@@ -204,15 +206,13 @@ class Check(NamedTuple):
 
 def run_checks(checks, ctx: RunContext,
                strict: bool = False) -> list[CheckResult]:
-    """Run checks in order against one context. A split the budget left
-    unknown is SKIP; every other error is FAIL, unless strict, which lets
-    asset and program errors escape so a named command can exit 2."""
+    """Run checks in order against one context. An error is FAIL, unless
+    strict, which lets asset and program errors escape so a named command
+    can exit 2."""
     results = []
     for check in checks:
         try:
             status, detail = check.fn(ctx)
-        except SplitUnknown as exc:
-            status, detail = SKIP, str(exc)
         except SplitError as exc:
             status, detail = FAIL, str(exc)
         except AssetError as exc:

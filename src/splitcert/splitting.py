@@ -1,10 +1,10 @@
 """Splitting certificates and the factor-multiset invariant.
 
-verify_spine_split packages the combinatorial splitting rule: if a spine is
-the union of two subcomplexes A and B such that A, B, and A n B all collapse
-to a point, the certified conclusion "splits-into-closed-balls" is attached
-to the triple of collapse certificates. The manifold-level reading of that
-conclusion is a citation carried by the token, not a computation.
+verify_spine_split checks the combinatorial splitting rule by replay: if a
+spine is the union of two subcomplexes A and B, and the three certificates
+given collapse A, B and A n B to a point, the certified conclusion
+"splits-into-closed-balls" is attached to them. The manifold-level reading
+of that conclusion is a citation carried by the token, not a computation.
 
 Factor multisets count indecomposable factors with values in N u {omega};
 two infinite-sum descriptions are distinguishable exactly when some label
@@ -16,49 +16,48 @@ import itertools
 import math
 from typing import Mapping, NamedTuple, Optional
 
-from .collapse import CollapseCertificate, SearchBudget, is_collapsible
+from .collapse import CollapseCertificate, replay
 from .complexes import SimplicialComplex, intersection, union
 
 OMEGA = math.inf
 
 CONCLUSION = "splits-into-closed-balls"
 
+Evidence = tuple[CollapseCertificate, CollapseCertificate, CollapseCertificate]
+
 
 class SplitError(ValueError):
     """verify_spine_split failure; the message names the culprit."""
 
 
-class SplitUnknown(SplitError):
-    """A part's collapsibility search ran out of budget: the split is
-    unverified, not refuted."""
-
-
 class SplitCertificate(NamedTuple):
     spine: str
     parts: tuple[str, str]
-    evidence: tuple[CollapseCertificate, CollapseCertificate, CollapseCertificate]
+    evidence: Evidence
     conclusion: str = CONCLUSION
 
 
 def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
                        B: SimplicialComplex,
-                       budget: SearchBudget | None = None) -> SplitCertificate:
-    """Check A u B = spine and that A, B, A n B are all collapsible."""
+                       certs: Evidence) -> SplitCertificate:
+    """Check A u B = spine, then replay certs = (cert_A, cert_B, cert_AB)
+    against A, B and A n B: each must end at a point. A failed replay
+    refutes nothing, so the SplitError names the failed step or what is
+    left, never a verdict. Callers without certificates take them from
+    is_collapsible."""
     if union(A, B).simplices != spine.simplices:
         raise SplitError(
             f"{A.name} union {B.name} is not {spine.name}")
     C = intersection(A, B, name=f"{A.name}&{B.name}")
-    certs = []
-    for part in (A, B, C):
-        verdict = is_collapsible(part, budget)
-        if verdict.kind == "unknown":
-            raise SplitUnknown(f"{part.name}: collapsibility unknown (budget "
-                               f"exhausted after {verdict.nodes} nodes)")
-        if verdict.kind == "no":
-            raise SplitError(f"{part.name} is not collapsible (verdict: no)")
-        certs.append(verdict.certificate)
-    return SplitCertificate(spine.name, (A.name, B.name),
-                            (certs[0], certs[1], certs[2]))
+    for part, cert in zip((A, B, C), certs, strict=True):
+        result = replay(part, cert)
+        if not result.ok:
+            raise SplitError(
+                f"{part.name}: replay failed at {result.failure}")
+        if not result.collapsed_to_point:
+            raise SplitError(f"{part.name}: certificate leaves "
+                             f"{len(result.final)} simplices")
+    return SplitCertificate(spine.name, (A.name, B.name), tuple(certs))
 
 
 # ------------------------------------------------------- factor multisets

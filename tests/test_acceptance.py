@@ -55,15 +55,19 @@ def test_criterion_2_jester_hat_splits():
     assert union(A, B) == J
     assert intersection(A, B) == C
 
+    certs = {}
     for name, K, endpoint in (("jester_C", C, "v"),
                               ("jester_A", A, "w"),
                               ("jester_B", B, "w")):
-        result = replay(K, load_certificate(name))
+        certs[name] = load_certificate(name)
+        result = replay(K, certs[name])
         assert result.ok and result.collapsed_to_point
         assert result.final.vertices() == [endpoint]
 
-    cert = verify_spine_split(J, A, B)
+    bundled = (certs["jester_A"], certs["jester_B"], certs["jester_C"])
+    cert = verify_spine_split(J, A, B, bundled)
     assert cert.conclusion == CONCLUSION == "splits-into-closed-balls"
+    assert cert.evidence == bundled
     _stamp("2 jester split", t0, 1.0)
 
 

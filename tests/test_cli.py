@@ -180,6 +180,44 @@ def test_jester_verify_split_detects_tampering(capsys, asset_copy):
     assert "jester split: FAIL" in out
 
 
+def _tamper_cert(path, edit):
+    """Rewrite a .cert file's steps (comments dropped) through edit."""
+    steps = [l for l in path.read_text().splitlines()
+             if l.strip() and not l.startswith("#")]
+    path.write_text("\n".join(edit(steps)) + "\n")
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda s: s[:1] + s[2:], "step 4 (d g): not free (2 cofaces)"),
+    (lambda s: s[:5] + [s[6], s[5]] + s[7:],
+     "step 5 (c g): not free (2 cofaces)"),
+], ids=["dropped", "swapped"])
+def test_jester_verify_split_replays_the_bundled_certificates(
+        edit, reason, capsys, asset_copy):
+    _tamper_cert(asset_copy / "jester_A.cert", edit)
+    detail = f"jester_A: replay failed at {reason}"
+    code, out, _ = run(capsys, "jester", "verify-split",
+                       "--assets", str(asset_copy))
+    assert code == 1
+    assert out == f"jester split: FAIL ({detail})\n"
+    code, out, _ = run(capsys, "verify-all", "--assets", str(asset_copy))
+    assert code == 1
+    assert f"\nJESTER_SPLIT_CERT         FAIL  {detail}\n" in out
+    assert "not collapsible" not in out
+
+
+def test_jester_verify_split_names_what_a_short_certificate_leaves(
+        capsys, asset_copy):
+    # without its last step the certificate replays but stops at an edge
+    _tamper_cert(asset_copy / "jester_B.cert", lambda s: s[:-1])
+    code, out, _ = run(capsys, "jester", "verify-split",
+                       "--assets", str(asset_copy))
+    assert code == 1
+    assert out == ("jester split: FAIL (jester_B: certificate leaves "
+                   "3 simplices)\n")
+    assert "not collapsible" not in out
+
+
 def test_mazur_certify(capsys):
     code, out, _ = run(capsys, "mazur", "certify")
     assert code == 0

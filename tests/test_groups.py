@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from math import gcd
 
@@ -413,6 +414,43 @@ def presentations(draw):
 @settings(max_examples=300, deadline=None)
 def test_abelianization_matches_the_dense_reference(p):
     assert abelianization(p) == _reference_abelianization(p)
+
+
+# ------------------------------------------------ the certificate product
+
+def _reference_certificate_product(relators, certificate):
+    """The product as _certificate_product built it before it reduced once:
+    the running product freely reduced again after every term."""
+    prod = ()
+    for index, sign, conj in certificate:
+        if not 0 <= index < len(relators):
+            raise TietzeError(f"certificate references relator {index}, "
+                              f"presentation has {len(relators)}")
+        if sign not in (1, -1):
+            raise TietzeError(f"certificate sign must be +-1, got {sign}")
+        r = relators[index] if sign == 1 else inverse(relators[index])
+        prod = free_reduce(concat(prod, conjugate(r, conj)))
+    return prod
+
+
+@given(presentations(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_certificate_product_matches_the_term_by_term_reference(p, data):
+    # indices run one past each end and signs include 0, so the errors are
+    # compared too
+    gens = p.generators or ("a",)
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from([1, -1]))
+    term = st.tuples(st.integers(-1, len(p.relators)),
+                     st.sampled_from([1, -1, 1, -1, 0]),
+                     st.lists(letter, max_size=4).map(tuple))
+    cert = tuple(data.draw(st.lists(term, max_size=4)))
+    try:
+        want = _reference_certificate_product(p.relators, cert)
+    except TietzeError as exc:
+        with pytest.raises(TietzeError, match=f"^{re.escape(str(exc))}$"):
+            _certificate_product(p.relators, cert)
+    else:
+        assert _certificate_product(p.relators, cert) == want
 
 
 # ------------------------------------------- the row-change check of a move

@@ -12,7 +12,8 @@ import pytest
 
 from splitcert import assets, groups, mazur, report
 from splitcert.cli import main
-from splitcert.collapse import CollapseVerdict, SearchBudget, greedy_collapse
+from splitcert.collapse import (CollapseCertificate, CollapseVerdict,
+                                SearchBudget, greedy_collapse, is_collapsible)
 from splitcert.complexes import SimplicialComplex, build, union
 from splitcert.report import (CHECKS, FAIL, INCOMPLETE, PASS, SKIP, Check,
                               CheckResult, RunContext, VerificationReport,
@@ -44,6 +45,7 @@ def test_default_output_matches_golden(argv, golden):
     (["dunce", "check"], "dunce_hat.scx"),
     (["jester", "verify-split"], "jester_A.scx"),
     (["mazur", "certify"], "mazur_link.lnk"),
+    (["jester", "verify-split"], "jester_A.cert"),
 ])
 def test_named_command_without_its_asset_exits_2(argv, missing, asset_copy,
                                                  capsys):
@@ -70,20 +72,20 @@ def test_groups_cover_what_each_named_command_decides():
     assert len(ids) == len(set(ids)) == 29
 
 
-def test_budget_exhaustion_in_the_split_is_skip(monkeypatch, capsys):
-    # the budget only limits the dim >= 3 search, so split two tetrahedra
-    A = build([("a", "b", "c", "d")], name="A")
-    B = build([("b", "c", "d", "e")], name="B")
+def test_budget_exhaustion_in_a_check_is_skip(monkeypatch, capsys):
+    # the budget only limits the dim >= 3 search, so search two tetrahedra
+    K = union(build([("a", "b", "c", "d")]), build([("b", "c", "d", "e")]))
 
-    def split(ctx):
-        cert = verify_spine_split(union(A, B), A, B, SearchBudget(1))
-        return PASS, cert.conclusion
+    def search(ctx):
+        verdict = is_collapsible(K, SearchBudget(1))
+        if verdict.kind == "unknown":
+            return SKIP, f"budget exhausted after {verdict.nodes} nodes"
+        return PASS, f"verdict {verdict.kind}"
 
-    check = Check("JESTER_SPLIT_CERT", "jester", split)
+    check = Check("SEARCH", None, search)
     (result,) = run_checks([check], RunContext())
     assert result.status == SKIP
-    assert result.detail == (
-        "A: collapsibility unknown (budget exhausted after 2 nodes)")
+    assert result.detail == "budget exhausted after 2 nodes"
 
     # an unverified claim never reads as PASS, and no command exits 0 on it
     passed = CheckResult("OTHER", PASS, "")
@@ -93,24 +95,27 @@ def test_budget_exhaustion_in_the_split_is_skip(monkeypatch, capsys):
     monkeypatch.setattr(report, "CHECKS", (check,))
     assert main(["verify-all"]) == 1
     assert capsys.readouterr().out.endswith("\noverall INCOMPLETE\n")
-    assert main(["jester", "verify-split"]) == 1
-    assert capsys.readouterr().out == (
-        "jester split: INCOMPLETE (A: collapsibility unknown "
-        "(budget exhausted after 2 nodes))\n")
+    monkeypatch.setattr(report, "CHECKS", (check._replace(group="dunce"),))
+    assert main(["dunce", "check"]) == 1
+    assert capsys.readouterr().out.endswith("\ndunce hat: FAIL\n")
 
 
 def test_refuted_part_named_unknown_is_fail():
+    # the dunce hat has no free face, so any certificate fails at step 0
     ctx = RunContext()
     part = SimplicialComplex(ctx.complex("dunce_hat").simplices,
                              name="unknown_part")
+    bad = CollapseCertificate((("1", "2"),))
 
     def split(ctx):
-        cert = verify_spine_split(union(part, part), part, part)
+        cert = verify_spine_split(union(part, part), part, part,
+                                  (bad, bad, bad))
         return PASS, cert.conclusion
 
     (result,) = run_checks([Check("SPLIT", None, split)], ctx)
     assert result.status == FAIL
-    assert result.detail == "unknown_part is not collapsible (verdict: no)"
+    assert result.detail == ("unknown_part: replay failed at step 0 (1 2): "
+                             "not free (3 cofaces)")
 
 
 def test_triangle_certificate_built_once_per_run(monkeypatch):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitcert.collapse import SearchBudget
-from splitcert.complexes import build, union
+from splitcert.collapse import CollapseCertificate, is_collapsible
+from splitcert.complexes import build, intersection, union
 from splitcert.splitting import (CONCLUSION, OMEGA, FactorMultiset, SplitError,
-                                 SplitUnknown, SumDescription, distinguishable,
-                                 family_demo, multiset_of, verify_spine_split)
+                                 SumDescription, distinguishable, family_demo,
+                                 multiset_of, verify_spine_split)
 
 labels = st.sampled_from([f"J{i}" for i in range(1, 7)])
 counts = st.one_of(st.integers(1, 9), st.just(OMEGA))
@@ -121,15 +121,22 @@ def test_family_demo_bounds():
 
 # ------------------------------------------------------------- spine split
 
+def _search_certs(A, B):
+    """The certificates a caller without any takes from the search."""
+    return tuple(is_collapsible(part).certificate
+                 for part in (A, B, intersection(A, B)))
+
+
 def test_verify_spine_split_happy_path():
     A = build([("a", "b", "c")], name="A")
     B = build([("b", "c", "d")], name="B")
     spine = union(A, B, name="S")
-    cert = verify_spine_split(spine, A, B)
+    certs = _search_certs(A, B)
+    cert = verify_spine_split(spine, A, B, certs)
     assert cert.conclusion == CONCLUSION == "splits-into-closed-balls"
     assert cert.spine == "S"
     assert cert.parts == ("A", "B")
-    assert len(cert.evidence) == 3
+    assert cert.evidence == certs
     # every evidence certificate is non-trivial here
     assert all(len(e.steps) > 0 for e in cert.evidence)
 
@@ -139,15 +146,19 @@ def test_verify_spine_split_rejects_wrong_union():
     B = build([("b", "c")], name="B")
     spine = build([("a", "b"), ("b", "c"), ("c", "d")], name="S")
     with pytest.raises(SplitError, match="is not S"):
-        verify_spine_split(spine, A, B)
+        verify_spine_split(spine, A, B, _search_certs(A, B))
 
 
 def test_verify_spine_split_names_culprit():
     A = build([("a", "b", "c")], name="A")
     B = build([("d",), ("e",)], name="B")  # two points: not collapsible
     spine = union(A, B, name="S")
-    with pytest.raises(SplitError, match="B is not collapsible"):
-        verify_spine_split(spine, A, B)
+    # no certificate collapses B; an empty one leaves both points
+    certs = (is_collapsible(A).certificate, CollapseCertificate(()),
+             CollapseCertificate(()))
+    with pytest.raises(SplitError,
+                       match=r"^B: certificate leaves 2 simplices$"):
+        verify_spine_split(spine, A, B, certs)
 
 
 def test_verify_spine_split_checks_intersection():
@@ -155,17 +166,24 @@ def test_verify_spine_split_checks_intersection():
     A = build([("a", "b"), ("b", "c")], name="A")
     B = build([("a", "d"), ("d", "c")], name="B")
     spine = union(A, B, name="S")
-    with pytest.raises(SplitError, match="A&B is not collapsible"):
-        verify_spine_split(spine, A, B)
+    certs = (is_collapsible(A).certificate, is_collapsible(B).certificate,
+             CollapseCertificate((("a",),)))
+    with pytest.raises(SplitError, match=r"^A&B: replay failed at step 0 "
+                                         r"\(a\): not free \(0 cofaces\)$"):
+        verify_spine_split(spine, A, B, certs)
 
 
-def test_verify_spine_split_types_unknown_apart_from_no():
-    A = build([("a", "b", "c", "x")], name="A")
-    B = build([("b", "c", "d", "y")], name="B")
-    with pytest.raises(SplitUnknown, match=r"^A: collapsibility unknown "
-                       r"\(budget exhausted after \d+ nodes\)$"):
-        verify_spine_split(union(A, B, name="S"), A, B, SearchBudget(1))
-    B = build([("d",), ("e",)], name="B")
-    with pytest.raises(SplitError) as refuted:
-        verify_spine_split(union(A, B, name="S"), A, B)
-    assert not isinstance(refuted.value, SplitUnknown)
+def test_verify_spine_split_replays_each_certificate_against_its_part():
+    A = build([("a", "b", "c")], name="A")
+    B = build([("b", "c", "d")], name="B")
+    spine = union(A, B, name="S")
+    cert_A, cert_B, cert_AB = _search_certs(A, B)
+    with pytest.raises(SplitError, match=r"^A: replay failed at step 0 "
+                                         r"\(b\): not free \(2 cofaces\)$"):
+        verify_spine_split(spine, A, B, (cert_AB, cert_B, cert_AB))
+    short = CollapseCertificate(cert_B.steps[:-1])
+    with pytest.raises(SplitError, match=r"^B: certificate leaves 3 "
+                                         r"simplices$"):
+        verify_spine_split(spine, A, B, (cert_A, short, cert_AB))
+    with pytest.raises(ValueError):   # the intersection's is missing
+        verify_spine_split(spine, A, B, (cert_A, cert_B))
