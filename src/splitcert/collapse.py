@@ -6,18 +6,20 @@ any higher coface would contribute several codimension-1 cofaces). Removing
 the pair (face, coface) is an elementary collapse; a complex is collapsible
 when some sequence of collapses ends at a single vertex.
 
-greedy_collapse, replay and the search read the complex's coface index
-(built once per complex) instead of rescanning the complex at every step.
-A collapse of (A, C) changes the coface count of the facets of A and C
-only, so a run of collapses costs O(|K|·d) plus heap operations.
+greedy_collapse, replay and the search all walk one _CollapseState: the
+live simplices and their live coface counts, over the complex's coface
+index (built once per complex). A collapse of (A, C) changes the counts of
+the facets of A and C only, so a run of collapses costs O(|K|·d); greedy
+adds its own heap of candidate free faces, and the search undoes collapses
+on the way back up.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, NamedTuple, Optional
+from typing import AbstractSet, NamedTuple, Optional
 
 from .complexes import (Simplex, SimplicialComplex, content_lines,
-                        euler_characteristic, facets, make_simplex)
+                        euler_characteristic, make_simplex)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -91,44 +93,39 @@ def free_faces(K: SimplicialComplex) -> list[Simplex]:
     return sorted(s for s in K.simplices if len(index[s]) == 1)
 
 
-def _is_point(simplices: frozenset[Simplex]) -> bool:
+def _is_point(simplices: AbstractSet[Simplex]) -> bool:
     return len(simplices) == 1 and len(next(iter(simplices))) == 1
 
 
 class _CollapseState:
-    """A complex under a run of elementary collapses: the live simplices,
-    the number of live codimension-1 cofaces of each, and greedy_collapse's
-    heap of candidate free faces. Heap entries are checked when popped: a
-    simplex that is gone or no longer has exactly one coface is dropped
-    (counts only fall, so it never becomes free again)."""
+    """A complex under a run of elementary collapses: the live simplices and
+    the number of live codimension-1 cofaces of each. restore undoes
+    collapse exactly, so a search walks one state down and back up."""
 
     def __init__(self, K: SimplicialComplex):
         self.index = K.coface_index()
         self.live = set(K.simplices)
         self.count = dict(zip(self.index, map(len, self.index.values())))
-        self.heap: list[Simplex] = []
 
     def collapse(self, face: Simplex) -> Simplex:
         """Remove a free face and its live coface; returns the coface."""
         live, count = self.live, self.count
-        coface = next(t for t in self.index[face] if t in live)
-        live.discard(face)
-        live.discard(coface)
+        for coface in self.index[face]:
+            if coface in live:
+                break
+        live.difference_update((face, coface))
         for s in (face, coface):
             for i in range(len(s)):
-                f = s[:i] + s[i + 1:]   # a facet of s
-                count[f] -= 1
-                if count[f] == 1:
-                    heapq.heappush(self.heap, f)
+                count[s[:i] + s[i + 1:]] -= 1   # a facet of s
         return coface
 
-    def pop_free(self) -> Optional[Simplex]:
-        """The least free face (plain tuple order), or None if none is."""
-        while self.heap:
-            face = heapq.heappop(self.heap)
-            if face in self.live and self.count[face] == 1:
-                return face
-        return None
+    def restore(self, face: Simplex, coface: Simplex) -> None:
+        """Put back a pair that collapse took out: its exact inverse."""
+        count = self.count
+        self.live.update((face, coface))
+        for s in (face, coface):
+            for i in range(len(s)):
+                count[s[:i] + s[i + 1:]] += 1
 
 
 def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
@@ -173,13 +170,23 @@ def greedy_collapse(
     Deterministic; the residual may be anything from a point to K itself.
     """
     state = _CollapseState(K)
-    state.heap = sorted(s for s in K.simplices if state.count[s] == 1)
+    live, count = state.live, state.count
+    # candidate free faces, checked when popped: counts only fall, so one
+    # that is gone or has lost its coface never becomes free again
+    heap = sorted(s for s in live if count[s] == 1)
     steps: list[Simplex] = []
-    while (face := state.pop_free()) is not None:
-        state.collapse(face)
-        steps.append(face)
+    while heap:
+        face = heapq.heappop(heap)
+        if face in live and count[face] == 1:
+            coface = state.collapse(face)
+            steps.append(face)
+            for s in (face, coface):
+                for i in range(len(s)):
+                    f = s[:i] + s[i + 1:]
+                    if count[f] == 1:
+                        heapq.heappush(heap, f)
     return (CollapseCertificate(tuple(steps), source_name=K.name),
-            SimplicialComplex(frozenset(state.live), name=K.name))
+            SimplicialComplex(frozenset(live), name=K.name))
 
 
 def is_collapsible(K: SimplicialComplex,
@@ -221,50 +228,36 @@ def is_collapsible(K: SimplicialComplex,
     if chi != 1:
         raise AssertionError(
             f"collapse certificate found for {K.name} but chi = {chi}")
-    return CollapseVerdict("yes", CollapseCertificate(tuple(path), K.name),
-                           nodes)
+    return CollapseVerdict("yes", CollapseCertificate(path, K.name), nodes)
 
 
 def _search(K: SimplicialComplex, max_nodes: int):
     """Depth-first search on an explicit stack. Returns the faces leading
     from K to a point (None if there is none or the budget ran out) and the
-    number of nodes visited.
-
-    A node is a frozenset of simplices of K. Its free faces are its
-    parent's, with only the facets of the collapsed pair rechecked against
-    K's coface index."""
-    index = K.coface_index()
-    seen: set[frozenset] = set()
-    nodes = 0
-    # (simplices, their free faces, iterator over those in tie-break order)
-    stack: list[tuple[frozenset, set[Simplex], Iterator[Simplex]]] = []
-    path: list[Optional[Simplex]] = []   # the face explored out of each frame
-    cur, free = K.simplices, set(free_faces(K))
-    while not _is_point(cur):
-        if cur not in seen:
-            seen.add(cur)
-            nodes += 1
-            if nodes > max_nodes:
-                return None, nodes
-            stack.append((cur, free, iter(sorted(free))))
-            path.append(None)
-        # the next unexplored child, backing up past exhausted complexes
-        while stack and (face := next(stack[-1][2], None)) is None:
+    number of nodes visited. One _CollapseState walks the tree: collapse
+    steps down to a child, restore steps back up from an exhausted node or
+    from a child already in the memo, which is keyed by the live simplices."""
+    state = _CollapseState(K)
+    live, count = state.live, state.count
+    seen: set[frozenset] = set()   # the nodes visited
+    # per node: its free faces in tie-break order, the pair taken out of it
+    stack: list[list] = []
+    while not _is_point(live):
+        node, free = frozenset(live), []
+        if node not in seen:   # a node in the memo is left at once
+            seen.add(node)
+            if len(seen) > max_nodes:
+                return None, len(seen)
+            free = sorted([s for s in node if count[s] == 1])
+        stack.append([iter(free), None])
+        # the next unexplored child, backing up past exhausted nodes
+        while (face := next(stack[-1][0], None)) is None:
             stack.pop()
-            path.pop()
-        if not stack:
-            return None, nodes
-        path[-1] = face
-        parent, parent_free, _ = stack[-1]
-        coface = next(t for t in index[face] if t in parent)
-        cur = parent - {face, coface}
-        free = parent_free - {face, coface}
-        for f in facets(face) + facets(coface):
-            if f in cur and sum(t in cur for t in index[f]) == 1:
-                free.add(f)
-            else:
-                free.discard(f)
-    return path, nodes
+            if not stack:
+                return None, len(seen)
+            state.restore(*stack[-1][1])
+        stack[-1][1] = face, state.collapse(face)
+    return tuple(pair[0] for _, pair in stack), len(seen)
 
 
 # --- .cert file format: one free face per line, '#' comments --------------

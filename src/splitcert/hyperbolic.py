@@ -26,6 +26,8 @@ from typing import Mapping, NamedTuple
 from .groups import Word
 
 DEFAULT_TOL = 1e-9
+# a map that moves a point by more than this is certified nontrivial
+NONTRIVIAL_FLOOR = 10 * DEFAULT_TOL
 
 # three probe points on no common geodesic: only the identity fixes all
 # three, so identity and equality tests read their displacements alone
@@ -202,12 +204,12 @@ class NontrivialityReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.word_displacement > 10.0 * DEFAULT_TOL
+        return self.word_displacement > NONTRIVIAL_FLOOR
 
 
 def certify_nontrivial(assignment: Mapping[str, Isometry], w: Word,
                        witness: complex) -> NontrivialityReport:
     """Certify that w acts nontrivially: it moves the witness point by more
-    than 10 * DEFAULT_TOL."""
+    than NONTRIVIAL_FLOOR."""
     return NontrivialityReport(
         _displacement(evaluate(assignment, w), witness))

@@ -29,9 +29,9 @@ from . import assets
 from .groups import (Presentation, TietzeMove, apply_tietze, concat,
                      free_reduce, impose_relator, parse_word, substitute,
                      wirtinger, word_str)
-from .hyperbolic import (DEFAULT_TOL, NontrivialityReport, RelatorReport,
-                         build_triangle, certify_nontrivial, certify_relators,
-                         reflection, rotation)
+from .hyperbolic import (NONTRIVIAL_FLOOR, NontrivialityReport,
+                         RelatorReport, build_triangle, certify_nontrivial,
+                         certify_relators, reflection, rotation)
 
 R9 = parse_word("x1 X7 X2 x7")          # x1 = x7^-1 x2 x7
 FILLING_RELATORS = (
@@ -130,7 +130,7 @@ class TriangleCertificate(NamedTuple):
     def representation_ok(self) -> bool:
         """Relators hold and beta/gamma have exact orders 5 and 7."""
         return (self.relator_report.ok
-                and min(self.order_displacements) > 10 * DEFAULT_TOL
+                and min(self.order_displacements) > NONTRIVIAL_FLOOR
                 and self.rotation_b_matches)
 
     @property

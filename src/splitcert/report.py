@@ -21,7 +21,8 @@ from .complexes import (SimplicialComplex, build, cone, euler_characteristic,
 from .groups import (Presentation, TietzeMove, _certificate_product,
                      abelianization, apply_tietze, linking_number, parse_word,
                      wirtinger)
-from .hyperbolic import DEFAULT_TOL, build_triangle, triangle_defect
+from .hyperbolic import (DEFAULT_TOL, NONTRIVIAL_FLOOR, build_triangle,
+                         triangle_defect)
 from .splitting import (OMEGA, FactorMultiset, SplitError, SumDescription,
                         distinguishable, family_demo, multiset_of,
                         verify_spine_split)
@@ -360,7 +361,7 @@ def _boundary_h1(ctx):
 
 def _elliptic_orders(ctx):
     low = min(ctx.triangle.order_displacements)
-    return _verdict(low > 10 * DEFAULT_TOL,
+    return _verdict(low > NONTRIVIAL_FLOOR,
                     f"proper powers displace probes by >= {low:.3e}")
 
 

@@ -42,14 +42,16 @@ def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
                        certs: Evidence) -> SplitCertificate:
     """Check A u B = spine, then replay certs = (cert_A, cert_B, cert_AB)
     against A, B and A n B: each must end at a point. A failed replay
-    refutes nothing, so the SplitError names the failed step or what is
-    left, never a verdict. Callers without certificates take them from
-    is_collapsible."""
+    refutes nothing, so the SplitError names the failed step, what is left
+    or a missing (None) certificate, never a verdict. Callers without
+    certificates take them from is_collapsible."""
     if union(A, B).simplices != spine.simplices:
         raise SplitError(
             f"{A.name} union {B.name} is not {spine.name}")
     C = intersection(A, B, name=f"{A.name}&{B.name}")
     for part, cert in zip((A, B, C), certs, strict=True):
+        if cert is None:   # is_collapsible's certificate on "no"
+            raise SplitError(f"{part.name}: no certificate")
         result = replay(part, cert)
         if not result.ok:
             raise SplitError(

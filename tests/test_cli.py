@@ -8,6 +8,7 @@ from splitcert.cli import main
 
 ASSET_SRC = "src/splitcert/assets"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -86,6 +87,16 @@ def test_complex_search_budget_unknown(tmp_path, capsys):
 def test_complex_search_on_bundled_complexes_matches_golden(name, want,
                                                             capsys):
     code, out, _ = run(capsys, "complex", "search", f"{ASSET_SRC}/{name}.scx")
+    assert code == want
+    assert out == (GOLDEN / f"complex_search_{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name,want", [
+    ("tetrahedron_and_point", 1), ("two_tetrahedra", 0),
+])
+def test_complex_search_from_dimension_three_matches_golden(name, want,
+                                                            capsys):
+    code, out, _ = run(capsys, "complex", "search", str(DATA / f"{name}.scx"))
     assert code == want
     assert out == (GOLDEN / f"complex_search_{name}.txt").read_text()
 

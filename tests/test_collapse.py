@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitcert import collapse
 from splitcert.collapse import (CollapseCertificate, SearchBudget, dumps_cert,
                                 elementary_collapse, free_faces, greedy_collapse,
                                 is_collapsible, loads_cert, replay)
@@ -328,6 +329,46 @@ def test_search_matches_reference_from_dimension_three(K):
     assert verdict.nodes == nodes
     if path is not None:
         assert verdict.certificate.steps == path
+
+
+@given(two_or_three_complexes, st.sampled_from([1, 30, 10 ** 6]))
+@settings(max_examples=150, deadline=None)
+def test_search_called_directly_matches_reference(K, max_nodes):
+    # is_collapsible answers most inputs from greedy; calling the search
+    # itself reaches its success return and its backtracking through the memo
+    assert collapse._search(K, max_nodes) == _reference_search(K, max_nodes)
+
+
+@given(two_or_three_complexes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_restore_undoes_collapse(K, data):
+    state = collapse._CollapseState(K)
+    taken = []
+    for _ in range(data.draw(st.integers(0, len(K)))):
+        free = sorted(s for s in state.live if state.count[s] == 1)
+        if not free:
+            break
+        face = data.draw(st.sampled_from(free))
+        taken.append((face, state.collapse(face)))
+    for face, coface in reversed(taken):
+        state.restore(face, coface)
+    fresh = collapse._CollapseState(K)
+    assert (state.live, state.count) == (fresh.live, fresh.count)
+
+
+def test_replay_and_elementary_collapse_use_no_heap(monkeypatch):
+    class NoHeap:
+        def __getattr__(self, name):
+            raise AssertionError(f"heapq.{name} called")
+
+    K = build([("a", "b", "c"), ("c", "d")])
+    cert, _ = greedy_collapse(K)
+    monkeypatch.setattr(collapse, "heapq", NoHeap())
+    assert replay(K, cert).collapsed_to_point
+    assert elementary_collapse(K, ("d",)).simplices == (
+        K.simplices - {("d",), ("c", "d")})
+    with pytest.raises(AssertionError, match="heapq"):
+        greedy_collapse(K)   # greedy's own heap is what the patch guards
 
 
 def annulus(segments):

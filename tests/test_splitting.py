@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from splitcert.collapse import CollapseCertificate, is_collapsible
 from splitcert.complexes import build, intersection, union
+from splitcert.report import FAIL, PASS, Check, RunContext, run_checks
 from splitcert.splitting import (CONCLUSION, OMEGA, FactorMultiset, SplitError,
                                  SumDescription, distinguishable, family_demo,
                                  multiset_of, verify_spine_split)
@@ -159,6 +160,24 @@ def test_verify_spine_split_names_culprit():
     with pytest.raises(SplitError,
                        match=r"^B: certificate leaves 2 simplices$"):
         verify_spine_split(spine, A, B, certs)
+
+
+def test_verify_spine_split_rejects_a_missing_certificate():
+    # is_collapsible gives no certificate on "no"; the split names the part
+    # and does not claim the part is not collapsible
+    A = build([("a", "b", "c")], name="A")
+    B = build([("d",), ("e",)], name="B")
+    spine = union(A, B, name="S")
+    certs = _search_certs(A, B)
+    assert certs[1] is None
+    with pytest.raises(SplitError, match=r"^B: no certificate$"):
+        verify_spine_split(spine, A, B, certs)
+
+    def split(ctx):
+        return PASS, verify_spine_split(spine, A, B, certs).conclusion
+
+    (result,) = run_checks([Check("SPLIT", None, split)], RunContext())
+    assert (result.status, result.detail) == (FAIL, "B: no certificate")
 
 
 def test_verify_spine_split_checks_intersection():
