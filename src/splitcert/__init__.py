@@ -17,7 +17,7 @@ from .collapse import (CollapseCertificate, CollapseVerdict, ReplayResult,
                        SearchBudget, elementary_collapse, free_faces,
                        greedy_collapse, is_collapsible, load_cert, replay)
 from .complexes import (SimplicialComplex, build, cone, euler_characteristic,
-                        intersection, is_subcomplex, load_scx, union)
+                        intersection, load_scx, union)
 from .groups import (AbelianInvariants, LinkDiagram, Presentation, TietzeError,
                      TietzeMove, abelianization, apply_tietze, free_reduce,
                      impose_relator, linking_number, load_fp, load_lnk,

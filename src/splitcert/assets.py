@@ -27,7 +27,7 @@ def load_complex(name: str, assets_dir=None) -> SimplicialComplex:
 
 
 def load_certificate(name: str, assets_dir=None) -> CollapseCertificate:
-    return loads_cert(_read(f"{name}.cert", assets_dir), source_name=name)
+    return loads_cert(_read(f"{name}.cert", assets_dir))
 
 
 def load_diagram(name: str, assets_dir=None) -> LinkDiagram:

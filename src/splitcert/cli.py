@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from . import __version__
-from .collapse import (SearchBudget, free_faces, greedy_collapse,
-                       is_collapsible, load_cert, replay)
+from .collapse import (DEFAULT_BUDGET, SearchBudget, dumps_cert, free_faces,
+                       greedy_collapse, is_collapsible, load_cert, replay)
 from .complexes import euler_characteristic, load_scx
 from .groups import (TietzeError, TietzeMove, abelianization, apply_tietze,
                      dumps_fp, free_reduce, load_fp, load_lnk, parse_word,
@@ -55,8 +55,7 @@ def cmd_complex(args) -> int:
     if verdict.kind == "yes":
         print(f"verdict: yes ({verdict.nodes} nodes, "
               f"{len(verdict.certificate.steps)} steps)")
-        for f in verdict.certificate.steps:
-            print(" ".join(f))
+        sys.stdout.write(dumps_cert(verdict.certificate))
         return 0
     if verdict.kind == "no":
         print(f"verdict: no ({verdict.nodes} nodes, search exhausted)")
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         a = actions.add_parser(action)
         a.add_argument("file")
         if action == "search":   # the other actions reject --budget
-            a.add_argument("--budget", type=int, default=10 ** 6,
+            a.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="node budget of the dim >= 3 search "
                                 "(default 10^6)")
         a.set_defaults(fn=cmd_complex)

@@ -16,6 +16,7 @@ on the way back up.
 from __future__ import annotations
 
 import heapq
+from pathlib import Path
 from typing import AbstractSet, NamedTuple, Optional
 
 from .complexes import (Simplex, SimplicialComplex, content_lines,
@@ -41,7 +42,6 @@ class CollapseCertificate(NamedTuple):
     """Ordered free faces witnessing a collapse; the coface of each step is
     recomputed at replay time (a free face determines its collapse)."""
     steps: tuple[Simplex, ...]
-    source_name: str = "K"
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -153,7 +153,7 @@ def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
 def elementary_collapse(K: SimplicialComplex, A) -> SimplicialComplex:
     """Remove the free face A and its unique coface: a one-step replay."""
     A = make_simplex(A)
-    result = replay(K, CollapseCertificate((A,), K.name))
+    result = replay(K, CollapseCertificate((A,)))
     if result.ok:
         return result.final
     if A not in K.simplices:
@@ -185,7 +185,7 @@ def greedy_collapse(
                     f = s[:i] + s[i + 1:]
                     if count[f] == 1:
                         heapq.heappush(heap, f)
-    return (CollapseCertificate(tuple(steps), source_name=K.name),
+    return (CollapseCertificate(tuple(steps)),
             SimplicialComplex(frozenset(live), name=K.name))
 
 
@@ -228,7 +228,7 @@ def is_collapsible(K: SimplicialComplex,
     if chi != 1:
         raise AssertionError(
             f"collapse certificate found for {K.name} but chi = {chi}")
-    return CollapseVerdict("yes", CollapseCertificate(path, K.name), nodes)
+    return CollapseVerdict("yes", CollapseCertificate(path), nodes)
 
 
 def _search(K: SimplicialComplex, max_nodes: int):
@@ -262,25 +262,20 @@ def _search(K: SimplicialComplex, max_nodes: int):
 
 # --- .cert file format: one free face per line, '#' comments --------------
 
-def loads_cert(text: str, source_name: str = "K") -> CollapseCertificate:
+def loads_cert(text: str) -> CollapseCertificate:
     steps = []
     for lineno, line in content_lines(text):
         try:
             steps.append(make_simplex(line.split()))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return CollapseCertificate(tuple(steps), source_name=source_name)
+    return CollapseCertificate(tuple(steps))
 
 
 def load_cert(path) -> CollapseCertificate:
-    from pathlib import Path
-    p = Path(path)
-    return loads_cert(p.read_text(), source_name=p.stem)
+    return loads_cert(Path(path).read_text())
 
 
-def dumps_cert(cert: CollapseCertificate, header: str | None = None) -> str:
-    lines = []
-    if header:
-        lines.extend(f"# {h}".rstrip() for h in header.splitlines())
-    lines.extend(" ".join(face) for face in cert.steps)
-    return "\n".join(lines) + "\n"
+def dumps_cert(cert: CollapseCertificate) -> str:
+    """One face per line; an empty certificate is the empty text."""
+    return "".join(" ".join(face) + "\n" for face in cert.steps)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from pathlib import Path
 from typing import Iterable, Iterator
 
 Simplex = tuple[str, ...]
@@ -70,9 +71,6 @@ class SimplicialComplex:
     def vertices(self) -> list[str]:
         return sorted(s[0] for s in self.simplices if len(s) == 1)
 
-    def simplices_of_dim(self, dim: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if len(s) == dim + 1)
-
     def dim(self) -> int:
         return max((len(s) for s in self.simplices), default=0) - 1
 
@@ -129,10 +127,6 @@ def intersection(K: SimplicialComplex, L: SimplicialComplex, name: str | None = 
                              name=name or f"{K.name}&{L.name}")
 
 
-def is_subcomplex(L: SimplicialComplex, K: SimplicialComplex) -> bool:
-    return L.simplices <= K.simplices
-
-
 def cone(K: SimplicialComplex, apex: str, name: str | None = None) -> SimplicialComplex:
     """Join of K with a new vertex: every simplex gains an apexed copy."""
     apex_s = make_simplex([apex])
@@ -167,14 +161,5 @@ def loads_scx(text: str, name: str = "K") -> SimplicialComplex:
 
 
 def load_scx(path) -> SimplicialComplex:
-    from pathlib import Path
     p = Path(path)
     return loads_scx(p.read_text(), name=p.stem)
-
-
-def dumps_scx(K: SimplicialComplex, header: str | None = None) -> str:
-    lines = []
-    if header:
-        lines.extend(f"# {h}".rstrip() for h in header.splitlines())
-    lines.extend(" ".join(s) for s in K.maximal_simplices())
-    return "\n".join(lines) + "\n"

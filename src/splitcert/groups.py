@@ -74,11 +74,6 @@ def free_reduce(w: Word) -> Word:
     return tuple(stack)
 
 
-def conjugate(w: Word, by: Word) -> Word:
-    """w conjugated by c: c^-1 w c."""
-    return free_reduce(concat(inverse(by), w, by))
-
-
 def power(w: Word, n: int) -> Word:
     if n < 0:
         return power(inverse(w), -n)
@@ -522,11 +517,8 @@ def load_fp(path) -> Presentation:
     return loads_fp(Path(path).read_text())
 
 
-def dumps_fp(p: Presentation, header: str | None = None) -> str:
-    lines = []
-    if header:
-        lines.extend(f"# {h}".rstrip() for h in header.splitlines())
-    lines.append("gens: " + " ".join(p.generators))
+def dumps_fp(p: Presentation) -> str:
+    lines = ["gens: " + " ".join(p.generators)]
     lines.extend("rel: " + word_str(r) for r in p.relators)
     return "\n".join(lines) + "\n"
 
@@ -568,18 +560,3 @@ def loads_lnk(text: str) -> LinkDiagram:
 
 def load_lnk(path) -> LinkDiagram:
     return loads_lnk(Path(path).read_text())
-
-
-def dumps_lnk(d: LinkDiagram, header: str | None = None) -> str:
-    lines = []
-    if header:
-        lines.extend(f"# {h}".rstrip() for h in header.splitlines())
-    for a in d.arcs:
-        lines.append(f"arc: {a}")
-    for c in d.crossings:
-        sign = "+" if c.sign == 1 else "-"
-        lines.append(f"x: over={c.over} in={c.under_in} out={c.under_out} "
-                     f"sign={sign}")
-    for comp in d.components:
-        lines.append("comp: " + " ".join(comp))
-    return "\n".join(lines) + "\n"

@@ -31,7 +31,8 @@ from .groups import (Presentation, TietzeMove, apply_tietze, concat,
                      wirtinger, word_str)
 from .hyperbolic import (NONTRIVIAL_FLOOR, NontrivialityReport,
                          RelatorReport, build_triangle, certify_nontrivial,
-                         certify_relators, reflection, rotation)
+                         certify_relators, evaluate, max_displacement,
+                         reflection, rotation, same_isometry)
 
 R9 = parse_word("x1 X7 X2 x7")          # x1 = x7^-1 x2 x7
 FILLING_RELATORS = (
@@ -139,8 +140,6 @@ class TriangleCertificate(NamedTuple):
 
 
 def triangle_certificate() -> TriangleCertificate:
-    from .hyperbolic import evaluate, max_displacement, same_isometry
-
     a, b, c = build_triangle(TRIANGLE_ANGLES)
     # products of reflections in the sides: beta spins around C, gamma
     # around A, and their product is forced to be the half-turn at B

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple
 
 from .collapse import CollapseCertificate, replay
 from .complexes import SimplicialComplex, intersection, union
@@ -88,12 +88,6 @@ class FactorMultiset(_FactorMultiset):
     def from_map(cls, counts: Mapping[str, float]) -> "FactorMultiset":
         return cls(counts.items())
 
-    def count(self, label: str) -> float:
-        return dict(self.counts).get(label, 0)
-
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.counts]
-
     def __str__(self) -> str:
         if not self.counts:
             return "(empty)"
@@ -103,35 +97,18 @@ class FactorMultiset(_FactorMultiset):
 
 
 class SumDescription(NamedTuple):
-    """Finite description of an infinite (or finite) summand sequence.
-
-    Either an eventually periodic sequence -- a finite prefix plus a
-    repeating cycle -- or a bare label -> count map. An empty cycle with
-    finite counts describes a finite sum, flagged by is_finite.
-    """
+    """Finite description of an eventually periodic summand sequence: a
+    finite prefix plus a repeating cycle (empty for a finite sum)."""
     prefix: tuple[str, ...] = ()
     cycle: tuple[str, ...] = ()
-    mapped: Optional[tuple[tuple[str, float], ...]] = None
 
     @classmethod
     def from_sequence(cls, prefix, cycle=()) -> "SumDescription":
         return cls(prefix=tuple(prefix), cycle=tuple(cycle))
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[str, float]) -> "SumDescription":
-        return cls(mapped=FactorMultiset.from_map(counts).counts)
-
-    @property
-    def is_finite(self) -> bool:
-        if self.mapped is not None:
-            return all(n != OMEGA for _, n in self.mapped)
-        return not self.cycle
-
 
 def multiset_of(s: SumDescription) -> FactorMultiset:
     """Label counts of the described sequence; cycle labels count omega."""
-    if s.mapped is not None:
-        return FactorMultiset(s.mapped)
     counts: dict[str, float] = {}
     for label in s.prefix:
         counts[label] = counts.get(label, 0) + 1

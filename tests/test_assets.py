@@ -41,8 +41,8 @@ def test_assets_dir_override(asset_copy):
 def test_face_vectors(name, nv, ne, nt):
     K = assets.load_complex(name)
     assert len(K.vertices()) == nv
-    assert len(K.simplices_of_dim(1)) == ne
-    assert len(K.simplices_of_dim(2)) == nt
+    assert sum(len(s) == 2 for s in K.simplices) == ne
+    assert sum(len(s) == 3 for s in K.simplices) == nt
     assert euler_characteristic(K) == nv - ne + nt == 1
 
 
@@ -59,8 +59,8 @@ def test_pure_two_dimensional(name):
 def _boundary_matrices(K):
     """Integer boundary maps d2: triangles -> edges, d1: edges -> vertices."""
     verts = K.vertices()
-    edges = K.simplices_of_dim(1)
-    tris = K.simplices_of_dim(2)
+    edges = sorted(s for s in K.simplices if len(s) == 2)
+    tris = sorted(s for s in K.simplices if len(s) == 3)
     vi = {v: i for i, v in enumerate(verts)}
     ei = {e: i for i, e in enumerate(edges)}
     d1 = []
@@ -163,7 +163,7 @@ def test_jester_edge_multiplicities():
     """Every edge lies in 2 or 3 triangles; the triple edges form a single
     5-cycle (the rim), so the complex has no boundary edge at all."""
     J = assets.load_complex("jester_hat")
-    mult = {e: len(J.cofaces(e)) for e in J.simplices_of_dim(1)}
+    mult = {e: len(J.cofaces(e)) for e in J.simplices if len(e) == 2}
     assert set(mult.values()) == {2, 3}
     rim = sorted(e for e, m in mult.items() if m == 3)
     assert len(rim) == 5

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitcert.complexes import (SimplicialComplex, build, cone, dumps_scx,
+from splitcert.complexes import (SimplicialComplex, build, cone,
                                  euler_characteristic, faces, intersection,
-                                 is_subcomplex, loads_scx, make_simplex, union)
+                                 loads_scx, make_simplex, union)
 
 # small random complexes over a fixed vertex pool
 _vertex = st.sampled_from(["a", "b", "c", "d", "e", "f"])
@@ -68,9 +68,9 @@ def test_union_intersection_subcomplex():
     K = build([("a", "b")])
     L = build([("b", "c")])
     U = union(K, L)
-    assert is_subcomplex(K, U) and is_subcomplex(L, U)
+    assert K.simplices <= U.simplices and L.simplices <= U.simplices
     assert intersection(K, L).simplices == frozenset({("b",)})
-    assert not is_subcomplex(U, K)
+    assert not U.simplices <= K.simplices
 
 
 def test_cone_adds_apex_everywhere():
@@ -108,14 +108,6 @@ def test_complex_equality_ignores_name():
 
 
 # ------------------------------------------------------------ .scx format
-
-def test_scx_roundtrip():
-    K = build([("a", "b", "c"), ("c", "d")], name="demo")
-    text = dumps_scx(K, header="two maximal simplices")
-    assert text.startswith("# two maximal simplices\n")
-    K2 = loads_scx(text, name="demo")
-    assert K2 == K
-
 
 def test_scx_comments_and_blank_lines():
     K = loads_scx("# header\n\na b c\n  # indented comment\nc d # trailing\n")

@@ -168,23 +168,26 @@ def test_each_complex_loads_once_and_a_failed_load_is_remembered(
 
 # ------------------------------------------------------------- CONE_SWEEP
 
-def test_cone_sweep_checks_chi_on_the_replay_trace(monkeypatch):
-    original = report.replay
+def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
+    original = report.is_collapsible
+    cones = []
 
-    def coface_of_wrong_dimension(K, cert):
-        result = original(K, cert)
-        first = result.trace[0]
-        trace = (first._replace(coface=first.face),) + result.trace[1:]
-        return result._replace(trace=trace)
+    def last_step_dropped_on_cone_5(K, budget):
+        verdict = original(K, budget)
+        cones.append(K)
+        if len(cones) == 6:
+            steps = verdict.certificate.steps[:-1]
+            verdict = verdict._replace(certificate=CollapseCertificate(steps))
+        return verdict
 
-    monkeypatch.setattr(report, "replay", coface_of_wrong_dimension)
+    monkeypatch.setattr(report, "is_collapsible", last_step_dropped_on_cone_5)
     assert report._cone_sweep(RunContext()) == (
-        FAIL, "cone 0: chi drifted during greedy")
+        FAIL, "cone 5: certificate does not replay")
 
 
 def test_verify_all_never_copies_a_complex_per_collapse_step(monkeypatch):
     # elementary_collapse builds a new complex (and coface index) per call;
-    # the cone sweep reads chi off the replay trace instead
+    # the cone sweep replays each certificate on one collapse state instead
     def refuse(K, A):
         raise AssertionError("elementary_collapse called")
 
@@ -203,7 +206,7 @@ def test_cone_sweep_fails_on_a_verdict_other_than_yes(monkeypatch):
 
 def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
     # the sweep replays is_collapsible's certificate; on seed 91 it is the
-    # greedy one on every cone, so chi is checked along greedy's sequences
+    # greedy one on every cone
     replayed = []
     original = report.replay
 
