@@ -28,8 +28,8 @@ from .hyperbolic import (Isometry, build_triangle, certify_nontrivial,
                          reflection, rotation, same_isometry, triangle_defect)
 from .report import VerificationReport, verify_all
 from .splitting import (OMEGA, FactorMultiset, SplitCertificate, SplitError,
-                        SumDescription, distinguishable, family_demo,
-                        multiset_of, verify_spine_split)
+                        distinguishable, family_demo, multiset_of,
+                        verify_spine_split)
 
 # the public names are exactly the ones imported above
 __all__ = ["__version__"] + sorted(

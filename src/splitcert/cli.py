@@ -214,14 +214,15 @@ def cmd_mazur(args) -> int:
 def _parse_multiset(text: str) -> FactorMultiset:
     text = text.strip()
     if text in ("-", "empty"):
-        return FactorMultiset.from_map({})
-    counts = {}
+        return FactorMultiset(())
+    pairs = []
     for chunk in text.split(","):
         label, sep, num = chunk.strip().partition(":")
         if not sep:
             raise ValueError(f"multiset term {chunk!r} is not LABEL:COUNT")
-        counts[label] = OMEGA if num in ("w", "omega", "inf") else int(num)
-    return FactorMultiset.from_map(counts)
+        pairs.append(
+            (label, OMEGA if num in ("w", "omega", "inf") else int(num)))
+    return FactorMultiset(pairs)
 
 
 def cmd_csi(args) -> int:

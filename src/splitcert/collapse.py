@@ -47,30 +47,15 @@ class CollapseCertificate(NamedTuple):
         return len(self.steps)
 
 
-class ReplayStep(NamedTuple):
-    index: int
-    face: Simplex
-    ok: bool
-    reason: str
-    coface: Optional[Simplex] = None
-
-
 class ReplayResult(NamedTuple):
     final: Optional[SimplicialComplex]
-    trace: tuple[ReplayStep, ...]
+    trace: tuple[tuple[Simplex, Simplex], ...]   # the (face, coface) pairs
     collapsed_to_point: bool
+    failure: Optional[str] = None   # 'step I (FACE): REASON'
 
     @property
     def ok(self) -> bool:
         return self.final is not None
-
-    @property
-    def failure(self) -> Optional[str]:
-        """'step I (FACE): REASON' for the step a failed replay stopped at."""
-        if self.ok:
-            return None
-        step = self.trace[-1]
-        return f"step {step.index} ({' '.join(step.face)}): {step.reason}"
 
     @property
     def point(self) -> Optional[str]:
@@ -82,9 +67,6 @@ class CollapseVerdict(NamedTuple):
     kind: str  # "yes" | "no" | "unknown"
     certificate: Optional[CollapseCertificate] = None
     nodes: int = 0
-
-    def __bool__(self) -> bool:
-        return self.kind == "yes"
 
 
 def free_faces(K: SimplicialComplex) -> list[Simplex]:
@@ -129,23 +111,22 @@ class _CollapseState:
 
 
 def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
-    """Apply certificate steps in order, reporting each one.
+    """Apply certificate steps in order; trace holds the collapsed pairs.
 
-    On the first failing step the trace stops and final is None. An empty
-    certificate replays to K unchanged.
+    On the first failing step the trace stops, final is None and failure
+    names the step. An empty certificate replays to K unchanged.
     """
     state = _CollapseState(K)
-    trace: list[ReplayStep] = []
+    trace: list[tuple[Simplex, Simplex]] = []
     for i, face in enumerate(cert.steps):
         if face not in state.live:
-            trace.append(ReplayStep(i, face, False, "absent simplex"))
-            return ReplayResult(None, tuple(trace), False)
+            return ReplayResult(None, tuple(trace), False,
+                                f"step {i} ({' '.join(face)}): absent simplex")
         if state.count[face] != 1:
-            trace.append(ReplayStep(i, face, False,
-                                    f"not free ({state.count[face]} cofaces)"))
-            return ReplayResult(None, tuple(trace), False)
-        trace.append(ReplayStep(i, face, True, "collapsed",
-                                coface=state.collapse(face)))
+            return ReplayResult(None, tuple(trace), False,
+                                f"step {i} ({' '.join(face)}): "
+                                f"not free ({state.count[face]} cofaces)")
+        trace.append((face, state.collapse(face)))
     final = SimplicialComplex(frozenset(state.live), name=K.name)
     return ReplayResult(final, tuple(trace), _is_point(final.simplices))
 

@@ -92,15 +92,11 @@ class SimplicialComplex:
         index = self.coface_index()
         return sorted(s for s in self.simplices if not index[s])
 
-    def cofaces(self, simplex: Simplex, codim: int = 1) -> list[Simplex]:
-        """Cofaces of the given simplex with dimension dim(s) + codim."""
-        if codim < 0:
-            raise ValueError(f"codim must be >= 0, got {codim}")
-        index = self.coface_index()
-        level = {tuple(sorted(set(simplex)))}
-        for _ in range(codim):
-            level = {t for u in level for t in index.get(u, ())}
-        return sorted(level & self.simplices)
+    def cofaces(self, simplex: Simplex) -> list[Simplex]:
+        """The codimension-1 cofaces of the given simplex, sorted; [] for a
+        simplex not in the complex."""
+        return sorted(self.coface_index().get(tuple(sorted(set(simplex))),
+                                              ()))
 
 
 def build(maximal_simplices: Iterable[Iterable[str]], name: str = "K") -> SimplicialComplex:

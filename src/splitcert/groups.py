@@ -57,13 +57,6 @@ def inverse(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def concat(*ws: Word) -> Word:
-    out: list[Letter] = []
-    for w in ws:
-        out.extend(w)
-    return tuple(out)
-
-
 def free_reduce(w: Word) -> Word:
     stack: list[Letter] = []
     for g, e in w:
@@ -72,12 +65,6 @@ def free_reduce(w: Word) -> Word:
         else:
             stack.append((g, e))
     return tuple(stack)
-
-
-def power(w: Word, n: int) -> Word:
-    if n < 0:
-        return power(inverse(w), -n)
-    return free_reduce(concat(*([w] * n)))
 
 
 def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
@@ -289,7 +276,7 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
         for g, _ in word:
             if g not in generators:
                 raise TietzeError(f"defining word uses unknown {g!r}")
-        rel = free_reduce(concat(((gen, 1),), inverse(word)))
+        rel = free_reduce(((gen, 1),) + inverse(word))
         result = Presentation(generators + (gen,), relators + (rel,))
     else:  # remove-generator
         if gen not in generators:
@@ -305,7 +292,8 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
         i = hits[0]
         _, e = rel[i]
         # rel = u g^e v = 1  =>  g^e = u^-1 v^-1  =>  g = (v u)^-e
-        definition = power(concat(rel[i + 1:], rel[:i]), -e)
+        vu = rel[i + 1:] + rel[:i]
+        definition = free_reduce(inverse(vu) if e == 1 else vu)
         if any(g == gen for g, _ in definition):
             raise TietzeError("defining word still mentions the generator")
         mapping = {g: ((g, 1),) for g in generators}

@@ -53,12 +53,10 @@ class Isometry:
     def __init__(self, a: complex, b: complex, rev: bool = False):
         self.a, self.b, self.rev = complex(a), complex(b), rev
 
-    def apply(self, z: complex) -> complex:
+    def __call__(self, z: complex) -> complex:
         w = z.conjugate() if self.rev else z
         return (self.a * w + self.b) / (self.b.conjugate() * w
                                         + self.a.conjugate())
-
-    __call__ = apply
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (other acts first)."""
@@ -183,7 +181,6 @@ def evaluate(assignment: Mapping[str, Isometry], w: Word) -> Isometry:
 
 
 class RelatorReport(NamedTuple):
-    residuals: tuple[float, ...]
     max_residual: float
 
     @property
@@ -194,9 +191,8 @@ class RelatorReport(NamedTuple):
 def certify_relators(assignment: Mapping[str, Isometry],
                      relators) -> RelatorReport:
     """Evaluate every relator; the residual is its max probe displacement."""
-    residuals = tuple(max_displacement(evaluate(assignment, r))
-                      for r in relators)
-    return RelatorReport(residuals, max(residuals, default=0.0))
+    return RelatorReport(max((max_displacement(evaluate(assignment, r))
+                              for r in relators), default=0.0))
 
 
 class NontrivialityReport(NamedTuple):

@@ -26,9 +26,9 @@ import math
 from typing import NamedTuple
 
 from . import assets
-from .groups import (Presentation, TietzeMove, apply_tietze, concat,
-                     free_reduce, impose_relator, parse_word, substitute,
-                     wirtinger, word_str)
+from .groups import (Presentation, TietzeMove, apply_tietze, free_reduce,
+                     impose_relator, parse_word, substitute, wirtinger,
+                     word_str)
 from .hyperbolic import (NONTRIVIAL_FLOOR, NontrivialityReport,
                          RelatorReport, build_triangle, certify_nontrivial,
                          certify_relators, evaluate, max_displacement,
@@ -112,7 +112,7 @@ def derivation_chain(link: Presentation) -> DerivationChain:
     x1 = substitute(x1, {"beta": parse_word("beta"),
                          "lambda": parse_word("Beta alpha")})
     # first filling relator solves to x5 = x1 x2 = x1 lambda
-    x5 = free_reduce(concat(x1, parse_word("Beta alpha")))
+    x5 = free_reduce(x1 + parse_word("Beta alpha"))
     # and beta^-2 gamma expands to x5 under gamma = alpha^2
     x5_gamma = substitute(MERIDIAN, {"beta": parse_word("beta"),
                                      "gamma": parse_word("alpha alpha")})

@@ -15,7 +15,7 @@ import random
 from typing import Callable, NamedTuple, Optional
 
 from . import assets, mazur
-from .collapse import SearchBudget, free_faces, is_collapsible, replay
+from .collapse import free_faces, is_collapsible, replay
 from .complexes import (SimplicialComplex, build, cone, euler_characteristic,
                         intersection, union)
 from .groups import (Presentation, TietzeMove, _certificate_product,
@@ -23,9 +23,8 @@ from .groups import (Presentation, TietzeMove, _certificate_product,
                      wirtinger)
 from .hyperbolic import (DEFAULT_TOL, NONTRIVIAL_FLOOR, build_triangle,
                          triangle_defect)
-from .splitting import (OMEGA, FactorMultiset, SplitError, SumDescription,
-                        distinguishable, family_demo, multiset_of,
-                        verify_spine_split)
+from .splitting import (OMEGA, FactorMultiset, SplitError, distinguishable,
+                        family_demo, multiset_of, verify_spine_split)
 
 PASS, FAIL, SKIP, INCOMPLETE = "PASS", "FAIL", "SKIP", "INCOMPLETE"
 
@@ -76,9 +75,9 @@ def random_multiset(rng: random.Random) -> FactorMultiset:
          for lab in labels})
 
 
-def _random_word(rng: random.Random, gens, max_len=4):
+def _random_word(rng: random.Random, gens):
     return tuple((rng.choice(gens), rng.choice((1, -1)))
-                 for _ in range(rng.randint(0, max_len)))
+                 for _ in range(rng.randint(0, 3)))
 
 
 def random_tietze_walk(rng: random.Random, steps: int) -> int:
@@ -105,7 +104,7 @@ def random_tietze_walk(rng: random.Random, steps: int) -> int:
         elif rng.random() < 0.5:
             cert = tuple((rng.randrange(len(p.relators)),
                           rng.choice((1, -1)),
-                          _random_word(rng, p.generators, 3))
+                          _random_word(rng, p.generators))
                          for _ in range(rng.randint(1, 3)))
             word = _certificate_product(p.relators, cert)
             move = TietzeMove("add-relator", word=word, certificate=cert)
@@ -114,7 +113,7 @@ def random_tietze_walk(rng: random.Random, steps: int) -> int:
             fresh += 1
             name = f"g{fresh}"
             move = TietzeMove("add-generator", gen=name,
-                              word=_random_word(rng, p.generators, 3))
+                              word=_random_word(rng, p.generators))
             stack.append(("gen", name))
         p = apply_tietze(p, move)
         applied += 1
@@ -315,10 +314,9 @@ def _search_certifies(name):
 
 def _cone_sweep(ctx):
     rng = random.Random(91)
-    small = SearchBudget(max_nodes=100_000)
     for i in range(1000):
         K = random_cone_complex(rng)
-        verdict = is_collapsible(K, small)
+        verdict = is_collapsible(K)
         if verdict.kind != "yes":
             return FAIL, f"cone {i}: verdict {verdict.kind}"
         # a replayed step removes a face and a coface one dimension up, so
@@ -395,7 +393,7 @@ def _irreflexive(ctx):
                   for _ in range(n)]
         rng.shuffle(prefix)
         cycle = [label for label, n in m.counts if n == OMEGA]
-        again = multiset_of(SumDescription.from_sequence(prefix, cycle))
+        again = multiset_of(prefix, cycle)
         if distinguishable(m, again):
             return FAIL, f"multiset {m} separated from itself"
     return PASS, "1000 random multisets: never self-separated"

@@ -96,23 +96,14 @@ class FactorMultiset(_FactorMultiset):
             for label, n in self.counts)
 
 
-class SumDescription(NamedTuple):
-    """Finite description of an eventually periodic summand sequence: a
-    finite prefix plus a repeating cycle (empty for a finite sum)."""
-    prefix: tuple[str, ...] = ()
-    cycle: tuple[str, ...] = ()
-
-    @classmethod
-    def from_sequence(cls, prefix, cycle=()) -> "SumDescription":
-        return cls(prefix=tuple(prefix), cycle=tuple(cycle))
-
-
-def multiset_of(s: SumDescription) -> FactorMultiset:
-    """Label counts of the described sequence; cycle labels count omega."""
+def multiset_of(prefix, cycle=()) -> FactorMultiset:
+    """Label counts of an eventually periodic summand sequence: a finite
+    prefix, then a cycle repeated forever (empty for a finite sum). Prefix
+    labels count their occurrences; cycle labels count omega."""
     counts: dict[str, float] = {}
-    for label in s.prefix:
+    for label in prefix:
         counts[label] = counts.get(label, 0) + 1
-    for label in set(s.cycle):
+    for label in set(cycle):
         counts[label] = OMEGA
     return FactorMultiset.from_map(counts)
 
@@ -136,8 +127,7 @@ def family_demo(k: int) -> int:
     family = []
     for bits in itertools.product((False, True), repeat=k):
         chosen = [lab for lab, keep in zip(labels, bits) if keep]
-        family.append(multiset_of(
-            SumDescription.from_sequence((), tuple(chosen))))
+        family.append(multiset_of((), chosen))
     # multisets are canonical, so equal maps have equal counts tuples:
     # distinct tuples is exactly "pairwise distinguishable"
     if len({m.counts for m in family}) != len(family):

@@ -166,6 +166,18 @@ def test_cert_replay_partial(capsys, tmp_path):
     assert "collapsed to point: no" in out
 
 
+@pytest.mark.parametrize("name,scx,cert,want", [
+    ("jester_A", f"{ASSET_SRC}/jester_A.scx", f"{ASSET_SRC}/jester_A.cert", 0),
+    ("absent_simplex", DATA / "triangle.scx", DATA / "triangle_absent.cert", 1),
+    ("not_free", DATA / "triangle.scx", DATA / "triangle_not_free.cert", 1),
+    ("short", f"{ASSET_SRC}/jester_A.scx", DATA / "jester_A_short.cert", 1),
+])
+def test_cert_replay_matches_golden(name, scx, cert, want, capsys):
+    code, out, err = run(capsys, "cert", "replay", str(scx), str(cert))
+    assert (code, err) == (want, "")
+    assert out == (GOLDEN / f"cert_replay_{name}.txt").read_text()
+
+
 # ----------------------------------------------------------- named checks
 
 def test_dunce_check(capsys):
@@ -412,6 +424,13 @@ def test_csi_distinguish(capsys):
 
     code, out, _ = run(capsys, "csi", "distinguish", "-", "-")
     assert code == 1
+
+
+def test_csi_rejects_a_repeated_label(capsys):
+    # a label given twice is an error, not a silent merge into one count
+    code, out, err = run(capsys, "csi", "distinguish", "J1:2,J1:3", "J1:3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a label occurs twice")
 
 
 def test_csi_bad_literal(capsys):

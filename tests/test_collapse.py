@@ -1,6 +1,5 @@
 import inspect
 import sys
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -59,7 +58,8 @@ def test_elementary_collapse_removes_pair():
 
 def test_elementary_collapse_rejects_non_free():
     K = triangle()
-    with pytest.raises(ValueError, match="not a free face"):
+    with pytest.raises(ValueError,
+                       match=r"^a is not a free face of K \(2 cofaces\)$"):
         elementary_collapse(K, ("a",))
     with pytest.raises(ValueError, match="not a simplex"):
         elementary_collapse(K, ("x", "y"))
@@ -87,12 +87,14 @@ def test_replay_reports_failing_step():
     result = replay(K, bad)
     assert not result.ok
     assert result.final is None
-    assert result.trace[-1].reason == "absent simplex"
+    assert result.trace == ()
+    assert result.failure == "step 0 (a x): absent simplex"
 
-    not_free = CollapseCertificate((("a",),))
+    not_free = CollapseCertificate((("b", "c"), ("a",)))
     result = replay(K, not_free)
     assert not result.ok
-    assert "not free" in result.trace[-1].reason
+    assert result.trace == ((("b", "c"), ("a", "b", "c")),)
+    assert result.failure == "step 1 (a): not free (2 cofaces)"
 
 
 def test_replay_empty_certificate():
@@ -100,19 +102,23 @@ def test_replay_empty_certificate():
     result = replay(K, CollapseCertificate(()))
     assert result.ok
     assert result.final == K
+    assert result.trace == ()
+    assert result.failure is None
     assert not result.collapsed_to_point
 
 
 def test_replay_records_cofaces():
     cert, _ = greedy_collapse(triangle())
     result = replay(triangle(), cert)
-    assert result.trace[0].coface == ("a", "b", "c")
+    assert len(result.trace) == len(cert.steps)
+    assert [face for face, _ in result.trace] == list(cert.steps)
+    assert result.trace[0] == (("a", "b"), ("a", "b", "c"))
+    assert result.failure is None
 
 
 def test_is_collapsible_triangle():
     verdict = is_collapsible(triangle())
     assert verdict.kind == "yes"
-    assert bool(verdict)
     rr = replay(triangle(), verdict.certificate)
     assert rr.collapsed_to_point
 
@@ -122,7 +128,7 @@ def test_is_collapsible_two_points_is_no():
     verdict = is_collapsible(K)
     assert verdict.kind == "no"
     assert verdict.certificate is None
-    assert not verdict
+    assert verdict.nodes == 1
 
 
 def test_budget_exhaustion_reports_unknown():
@@ -136,13 +142,13 @@ def test_budget_exhaustion_reports_unknown():
 # scans the complex, and every step builds a new simplex set. These are the
 # references the indexed versions must equal.
 
-def _reference_cofaces(simplices, simplex, codim=1):
+def _reference_cofaces(simplices, simplex):
     s = set(simplex)
     vertices = sorted(t[0] for t in simplices if len(t) == 1)
     out = []
-    for extra in combinations([v for v in vertices if v not in s], codim):
-        t = tuple(sorted(s | set(extra)))
-        if t in simplices:
+    for v in vertices:
+        t = tuple(sorted(s | {v}))
+        if v not in s and t in simplices:
             out.append(t)
     return sorted(out)
 
@@ -166,21 +172,19 @@ def _reference_greedy(K):
 
 
 def _reference_replay(K, steps):
-    """(final simplices or None, trace as (index, face, ok, reason, coface))
-    of the old replay."""
+    """(final simplices or None, trace as (face, coface) pairs, failure or
+    None) of the old replay."""
     cur, trace = K.simplices, []
     for i, face in enumerate(steps):
+        at = f"step {i} ({' '.join(face)})"
         if face not in cur:
-            trace.append((i, face, False, "absent simplex", None))
-            return None, trace
+            return None, tuple(trace), f"{at}: absent simplex"
         cf = _reference_cofaces(cur, face)
         if len(cf) != 1:
-            trace.append((i, face, False, f"not free ({len(cf)} cofaces)",
-                          None))
-            return None, trace
-        trace.append((i, face, True, "collapsed", cf[0]))
+            return None, tuple(trace), f"{at}: not free ({len(cf)} cofaces)"
+        trace.append((face, cf[0]))
         cur = cur - {face, cf[0]}
-    return cur, trace
+    return cur, tuple(trace), None
 
 
 class _Exhausted(Exception):
@@ -231,11 +235,6 @@ def _reference_is_collapsible(K, max_nodes):
     return ("unknown" if nodes > max_nodes else "no"), None, nodes
 
 
-def _trace(result):
-    return [(t.index, t.face, t.ok, t.reason, t.coface)
-            for t in result.trace]
-
-
 def _final(result):
     return None if result.final is None else result.final.simplices
 
@@ -252,9 +251,7 @@ def test_coface_index_matches_reference(K):
     # absent simplices, an unsorted one and the empty face as well
     probes = [*K.simplices, ("zz",), ("v0", "zz"), (), ("v1", "v0")]
     for s in probes:
-        for codim in range(4):
-            assert K.cofaces(s, codim) == _reference_cofaces(K.simplices, s,
-                                                             codim)
+        assert K.cofaces(s) == _reference_cofaces(K.simplices, s)
 
 
 @given(two_or_three_complexes)
@@ -298,8 +295,9 @@ def test_replay_matches_reference_on_valid_and_corrupted_certificates(K,
                           + steps[i + 2:])                         # swapped
     for candidate in candidates:
         result = replay(K, CollapseCertificate(candidate))
-        final, trace = _reference_replay(K, candidate)
-        assert (_final(result), _trace(result)) == (final, trace)
+        final, trace, failure = _reference_replay(K, candidate)
+        assert (_final(result), result.trace, result.failure) == (
+            final, trace, failure)
         assert result.collapsed_to_point == (
             final is not None and len(final) == 1)
 

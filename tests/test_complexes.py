@@ -96,7 +96,10 @@ def test_cone_rejects_existing_apex():
 def test_cofaces():
     K = build([("a", "b", "c"), ("a", "b", "d")])
     assert K.cofaces(("a", "b")) == [("a", "b", "c"), ("a", "b", "d")]
-    assert K.cofaces(("c",), codim=2) == [("a", "b", "c")]
+    assert K.cofaces(("c",)) == [("a", "c"), ("b", "c")]
+    # unsorted input and repeated vertices name the same simplex
+    assert K.cofaces(("b", "a", "a")) == [("a", "b", "c"), ("a", "b", "d")]
+    assert K.cofaces(("x",)) == []
     assert K.cofaces(("a", "b", "c")) == []
 
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
                               Presentation, TietzeError, TietzeMove,
                               _certificate_product, _check_row_change,
-                              abelianization, apply_tietze, concat, dumps_fp,
+                              abelianization, apply_tietze, dumps_fp,
                               free_reduce, impose_relator, inverse,
                               linking_number, loads_fp, loads_lnk, parse_word,
-                              power, smith_invariants, substitute,
-                              validate_diagram, wirtinger, word_str)
+                              smith_invariants, substitute, validate_diagram,
+                              wirtinger, word_str)
 
 words = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([1, -1])),
@@ -48,8 +48,8 @@ def test_reduce_idempotent(w):
 
 @given(words)
 def test_word_times_inverse_reduces_to_identity(w):
-    assert free_reduce(concat(w, inverse(w))) == ()
-    assert free_reduce(concat(inverse(w), w)) == ()
+    assert free_reduce(w + inverse(w)) == ()
+    assert free_reduce(inverse(w) + w) == ()
 
 
 @given(words)
@@ -58,12 +58,15 @@ def test_parse_roundtrip(w):
     assert parse_word(word_str(w)) == w
 
 
-def test_conjugate_and_power():
+def test_conjugate_and_remove_generator_definition():
     a, b = parse_word("a"), parse_word("b")
-    assert free_reduce(concat(inverse(b), a, b)) == parse_word("B a b")
-    assert power(parse_word("a b"), 2) == parse_word("a b a b")
-    assert power(parse_word("a"), -2) == parse_word("A A")
-    assert power(parse_word("a"), 0) == ()
+    assert free_reduce(inverse(b) + a + b) == parse_word("B a b")
+    # u x^e v = 1 defines x = (v u)^-e, read at either exponent
+    for relator, x in (("x a b", "B A"), ("a X b", "b a")):
+        p = Presentation(("a", "b", "x"),
+                         (parse_word(relator), parse_word("x x")))
+        q = apply_tietze(p, TietzeMove("remove-generator", gen="x", index=0))
+        assert q.relators == (free_reduce(parse_word(x) * 2),)
 
 
 def test_substitute_requires_full_mapping():
@@ -75,8 +78,8 @@ def test_substitute_requires_full_mapping():
 @settings(max_examples=50)
 def test_substitute_is_homomorphic(u, v):
     mapping = {"a": parse_word("x y"), "b": parse_word("Y"), "c": ()}
-    left = substitute(concat(u, v), mapping)
-    right = free_reduce(concat(substitute(u, mapping), substitute(v, mapping)))
+    left = substitute(u + v, mapping)
+    right = free_reduce(substitute(u, mapping) + substitute(v, mapping))
     assert left == right
 
 
@@ -428,7 +431,7 @@ def _reference_certificate_product(relators, certificate):
         if sign not in (1, -1):
             raise TietzeError(f"certificate sign must be +-1, got {sign}")
         r = relators[index] if sign == 1 else inverse(relators[index])
-        prod = free_reduce(concat(prod, inverse(conj), r, conj))
+        prod = free_reduce(prod + inverse(conj) + r + conj)
     return prod
 
 

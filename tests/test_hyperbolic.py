@@ -239,6 +239,10 @@ def test_certify_relators_and_nontrivial():
 
     rep2 = certify_relators(asn, (parse_word("r r"),))
     assert not rep2.ok
+    # the report keeps the worst residual only
+    both = certify_relators(asn, (parse_word("r r r"), parse_word("r r")))
+    assert both.max_residual == rep2.max_residual
+    assert certify_relators(asn, ()).max_residual == 0.0
 
     non = certify_nontrivial(asn, parse_word("r"), witness=0.5)
     assert non.ok and non.word_displacement > 1e-3

@@ -6,7 +6,7 @@ PUBLIC = (
     "AbelianInvariants", "CollapseCertificate", "CollapseVerdict",
     "FactorMultiset", "Isometry", "LinkDiagram", "OMEGA", "Presentation",
     "ReplayResult", "SearchBudget", "SimplicialComplex", "SplitCertificate",
-    "SplitError", "SumDescription", "TietzeError", "TietzeMove",
+    "SplitError", "TietzeError", "TietzeMove",
     "VerificationReport", "__version__", "abelianization", "apply_tietze",
     "build", "build_triangle", "certify_nontrivial", "certify_relators",
     "cone", "distinguishable", "elementary_collapse", "euler_characteristic",

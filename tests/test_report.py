@@ -172,8 +172,8 @@ def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
     original = report.is_collapsible
     cones = []
 
-    def last_step_dropped_on_cone_5(K, budget):
-        verdict = original(K, budget)
+    def last_step_dropped_on_cone_5(K):
+        verdict = original(K)
         cones.append(K)
         if len(cones) == 6:
             steps = verdict.certificate.steps[:-1]
@@ -200,7 +200,7 @@ def test_verify_all_never_copies_a_complex_per_collapse_step(monkeypatch):
 
 def test_cone_sweep_fails_on_a_verdict_other_than_yes(monkeypatch):
     monkeypatch.setattr(report, "is_collapsible",
-                        lambda K, budget: CollapseVerdict("no", None, 1))
+                        lambda K: CollapseVerdict("no", None, 1))
     assert report._cone_sweep(RunContext()) == (FAIL, "cone 0: verdict no")
 
 
@@ -227,24 +227,24 @@ def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
 def test_irreflexive_check_passes_on_shuffled_sequences(monkeypatch):
     built = []
 
-    def spy(s):
-        built.append(s)
-        return multiset_of(s)
+    def spy(prefix, cycle):
+        built.append(prefix)
+        return multiset_of(prefix, cycle)
 
     monkeypatch.setattr(report, "multiset_of", spy)
     assert report._irreflexive(RunContext()) == (
         PASS, "1000 random multisets: never self-separated")
     assert len(built) == 1000
-    assert any(list(s.prefix) != sorted(s.prefix) for s in built)
+    assert any(prefix != sorted(prefix) for prefix in built)
 
 
 def test_irreflexive_check_fails_on_a_non_canonical_build(monkeypatch):
-    def in_sequence_order(s):
+    def in_sequence_order(prefix, cycle):
         # label order as the sequence lists it, not sorted
         counts = {}
-        for label in s.prefix:
+        for label in prefix:
             counts[label] = counts.get(label, 0) + 1
-        counts.update(dict.fromkeys(s.cycle, OMEGA))
+        counts.update(dict.fromkeys(cycle, OMEGA))
         return tuple.__new__(FactorMultiset, (tuple(counts.items()),))
 
     monkeypatch.setattr(report, "multiset_of", in_sequence_order)

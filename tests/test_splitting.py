@@ -1,15 +1,15 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from splitcert.collapse import CollapseCertificate, is_collapsible
 from splitcert.complexes import build, intersection, union
 from splitcert.report import FAIL, PASS, Check, RunContext, run_checks
 from splitcert.splitting import (CONCLUSION, OMEGA, FactorMultiset, SplitError,
-                                 SumDescription, distinguishable, family_demo,
-                                 multiset_of, verify_spine_split)
+                                 distinguishable, family_demo, multiset_of,
+                                 verify_spine_split)
 
 labels = st.sampled_from([f"J{i}" for i in range(1, 7)])
 counts = st.one_of(st.integers(1, 9), st.just(OMEGA))
@@ -38,9 +38,12 @@ def test_omega_is_infinity():
 
 
 def test_multiset_of_counts_prefix_and_cycle():
-    s = SumDescription.from_sequence(("J1", "J2", "J1"), ("J3", "J2"))
+    m = multiset_of(("J1", "J2", "J1"), ("J3", "J2"))
     # J2 appears in the cycle, so it counts omega
-    assert multiset_of(s).counts == (("J1", 2), ("J2", OMEGA), ("J3", OMEGA))
+    assert m.counts == (("J1", 2), ("J2", OMEGA), ("J3", OMEGA))
+    # a finite sum has no cycle, and any iterables will do
+    assert multiset_of(iter(["J2", "J2"])).counts == (("J2", 2),)
+    assert multiset_of([]).counts == ()
 
 
 def test_distinguishable_semantics():
