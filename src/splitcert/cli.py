@@ -217,8 +217,8 @@ def _parse_multiset(text: str) -> FactorMultiset:
         return FactorMultiset(())
     pairs = []
     for chunk in text.split(","):
-        label, sep, num = chunk.strip().partition(":")
-        if not sep:
+        label, sep, num = (part.strip() for part in chunk.partition(":"))
+        if not sep or not label:
             raise ValueError(f"multiset term {chunk!r} is not LABEL:COUNT")
         pairs.append(
             (label, OMEGA if num in ("w", "omega", "inf") else int(num)))

@@ -433,6 +433,21 @@ def test_csi_rejects_a_repeated_label(capsys):
     assert err.startswith("error: a label occurs twice")
 
 
+def test_csi_strips_the_blanks_around_a_label(capsys):
+    # "J1 " and "J1" are one label, so these two sums are the same
+    code, out, _ = run(capsys, "csi", "distinguish", "J1 :3", "J1:3")
+    assert (code, out) == (1, "distinguishable: no\n")
+
+    code, out, _ = run(capsys, "csi", "distinguish", " J1 : w ", "J1:w")
+    assert (code, out) == (1, "distinguishable: no\n")
+
+
+def test_csi_rejects_an_empty_label(capsys):
+    code, out, err = run(capsys, "csi", "distinguish", ":3", "-")
+    assert (code, out) == (2, "")
+    assert "LABEL:COUNT" in err
+
+
 def test_csi_bad_literal(capsys):
     code, _, err = run(capsys, "csi", "distinguish", "J1", "J2:1")
     assert code == 2

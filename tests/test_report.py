@@ -4,8 +4,10 @@ The golden files hold the default stdout of each command as it was before
 the registry existed; the views must reproduce it byte for byte.
 """
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -172,7 +174,7 @@ def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
     original = report.is_collapsible
     cones = []
 
-    def last_step_dropped_on_cone_5(K):
+    def last_step_dropped_on_the_6th_cone(K):
         verdict = original(K)
         cones.append(K)
         if len(cones) == 6:
@@ -180,9 +182,52 @@ def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
             verdict = verdict._replace(certificate=CollapseCertificate(steps))
         return verdict
 
-    monkeypatch.setattr(report, "is_collapsible", last_step_dropped_on_cone_5)
+    # the sweep checks distinct cones only; the 6th is first drawn at 8
+    monkeypatch.setattr(report, "is_collapsible", last_step_dropped_on_the_6th_cone)
+    assert report._cone_sweep(RunContext()) == (
+        FAIL, "cone 8: certificate does not replay")
+
+
+def _seed_91_cones():
+    rng = random.Random(91)
+    return [report.random_cone_complex(rng) for _ in range(1000)]
+
+
+def test_cone_sweep_fails_on_a_corrupted_repeated_cone(monkeypatch):
+    # the tetrahedron is drawn 129 times; skipping its repeats must not
+    # skip the check of its first draw, index 5
+    counts = Counter(K.simplices for K in _seed_91_cones())
+    target = max((s for s in counts if max(map(len, s)) == 4),
+                 key=counts.__getitem__)
+    assert counts[target] == 129
+    original = report.is_collapsible
+
+    def last_step_dropped_on_target(K):
+        verdict = original(K)
+        if K.simplices == target:
+            steps = verdict.certificate.steps[:-1]
+            verdict = verdict._replace(certificate=CollapseCertificate(steps))
+        return verdict
+
+    monkeypatch.setattr(report, "is_collapsible", last_step_dropped_on_target)
     assert report._cone_sweep(RunContext()) == (
         FAIL, "cone 5: certificate does not replay")
+
+
+def test_cone_sweep_replays_each_distinct_cone_once(monkeypatch):
+    distinct = list(dict.fromkeys(K.simplices for K in _seed_91_cones()))
+    assert len(distinct) == 176
+    assert sum(max(map(len, s)) == 4 for s in distinct) == 114
+    replayed = []
+    original = report.replay
+
+    def spy(K, cert):
+        replayed.append(K.simplices)
+        return original(K, cert)
+
+    monkeypatch.setattr(report, "replay", spy)
+    assert report._cone_sweep(RunContext())[0] == PASS
+    assert replayed == distinct
 
 
 def test_verify_all_never_copies_a_complex_per_collapse_step(monkeypatch):
@@ -216,7 +261,7 @@ def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
 
     monkeypatch.setattr(report, "replay", spy)
     assert report._cone_sweep(RunContext())[0] == PASS
-    assert len(replayed) == 1000
+    assert len(replayed) == 176
     assert sum(K.dim() == 3 for K, _ in replayed) > 100
     for K, cert in replayed:
         assert cert.steps == greedy_collapse(K)[0].steps
