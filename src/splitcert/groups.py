@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from math import gcd
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import content_lines
 
@@ -57,13 +57,15 @@ def inverse(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def free_reduce(w: Word) -> Word:
+def free_reduce(w: Iterable[Letter]) -> Word:
     stack: list[Letter] = []
-    for g, e in w:
-        if stack and stack[-1][0] == g and stack[-1][1] == -e:
+    top = None   # stack[-1], kept to save a lookup per letter
+    for letter in w:
+        if top and top[0] == letter[0] and top[1] == -letter[1]:
             stack.pop()
+            top = stack[-1] if stack else None
         else:
-            stack.append((g, e))
+            stack.append(top := letter)
     return tuple(stack)
 
 
@@ -75,10 +77,16 @@ def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
             raise ValueError(f"generator {g!r} not covered by the substitution")
         image = mapping[g] if e == 1 else inverse(mapping[g])
         out.extend(image)
-    return free_reduce(tuple(out))
+    return free_reduce(out)
 
 
 # ------------------------------------------------------------ presentations
+
+def _check_declared(generators: Container[str], relator: Word) -> None:
+    for g, _ in relator:
+        if g not in generators:
+            raise ValueError(f"relator uses undeclared generator {g!r}")
+
 
 class _Presentation(NamedTuple):
     generators: tuple[str, ...]
@@ -96,9 +104,7 @@ class Presentation(_Presentation):
                 raise ValueError(f"duplicate generator {g!r}")
             seen.add(g)
         for r in relators:
-            for g, _ in r:
-                if g not in seen:
-                    raise ValueError(f"relator uses undeclared generator {g!r}")
+            _check_declared(seen, r)
         return super().__new__(cls, generators, relators)
 
     def __str__(self) -> str:
@@ -175,6 +181,8 @@ def _check_row_change(p: Presentation, q: Presentation,
     a column whose pivot is a unit. Both are unimodular row and column
     operations (Havas-Holt-Rees), so they keep the invariant factors and
     the free rank, and no Smith normal form is needed to compare them.
+    Cost: a pass over each relator added, removed or in the certificate;
+    for a generator removed, a pass over each other relator too.
     """
     kind, word, certificate, gen, index = move
     rels, new, gens = p.relators, q.relators, p.generators
@@ -246,9 +254,10 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
     """Apply a certified Tietze move; the presented group is unchanged.
 
     Raises TietzeError (and leaves p alone) when the certificate fails.
-    As a safety net, _check_row_change then confirms that the result's
-    relation matrix is p's after a change that keeps the abelian
-    invariants, in time linear in the relators' total length.
+    Only what is new gets Presentation's checks (ValueError): an added
+    relator's letters and an added generator's name. Every other relator
+    is p's, or reduced or substituted from p's letters, so it needs none.
+    The safety net for every result is _check_row_change.
     """
     kind, word, certificate, gen, index = move
     generators, relators = p
@@ -259,25 +268,26 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
             raise TietzeError(
                 f"certificate product {word_str(got)} != relator "
                 f"{word_str(target)}")
-        result = Presentation(generators, relators + (target,))
+        _check_declared(generators, target)
+        result = Presentation._make((generators, relators + (target,)))
     elif kind == "remove-relator":
         if not 0 <= index < len(relators):
             raise TietzeError(f"no relator {index} to remove")
-        rest = tuple(r for i, r in enumerate(relators) if i != index)
+        rest = relators[:index] + relators[index + 1:]
         got = _certificate_product(rest, certificate)
         if got != free_reduce(relators[index]):
             raise TietzeError(
                 f"removed relator is not certified by the others: "
                 f"{word_str(got)}")
-        result = Presentation(generators, rest)
+        result = Presentation._make((generators, rest))
     elif kind == "add-generator":
         if gen in generators:
             raise TietzeError(f"generator {gen!r} already present")
         for g, _ in word:
             if g not in generators:
                 raise TietzeError(f"defining word uses unknown {g!r}")
-        rel = free_reduce(((gen, 1),) + inverse(word))
-        result = Presentation(generators + (gen,), relators + (rel,))
+        rel = free_reduce(((_check_gen(gen), 1),) + inverse(word))
+        result = Presentation._make((generators + (gen,), relators + (rel,)))
     else:  # remove-generator
         if gen not in generators:
             raise TietzeError(f"no generator {gen!r}")
@@ -296,15 +306,15 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
         definition = free_reduce(inverse(vu) if e == 1 else vu)
         if any(g == gen for g, _ in definition):
             raise TietzeError("defining word still mentions the generator")
-        mapping = {g: ((g, 1),) for g in generators}
-        mapping[gen] = definition
+        mapping = {g: ((g, 1),) for g in generators} | {gen: definition}
         # Keep relators that reduce to epsilon: silently dropping them
         # would shift the indices that later certificates refer to.  An
         # empty certificate removes a trivial relator explicitly.
-        new_rels = tuple(substitute(r, mapping)
-                         for i2, r in enumerate(relators) if i2 != index)
+        new_rels = tuple(substitute(r, mapping) if (gen, 1) in r
+                         or (gen, -1) in r else free_reduce(r)
+                         for r in relators[:index] + relators[index + 1:])
         gens = tuple(g for g in generators if g != gen)
-        result = Presentation(gens, new_rels)
+        result = Presentation._make((gens, new_rels))
 
     _check_row_change(p, result, move)
     return result

@@ -364,6 +364,22 @@ def test_group_tietze_add_gen_needs_gen_equals_word(capsys, tmp_path):
     assert "error: 'z' is not GEN=WORD" in err
 
 
+@pytest.mark.parametrize("moves,message", [
+    # the certificate checks (a^3 conjugated by z), the new relator's
+    # letters do not
+    (("--add-rel", "Z a a a z", "--by", "0:+:z"),
+     "relator uses undeclared generator 'z'"),
+    (("--add-gen", "Bad=a"), "bad generator token 'Bad'"),
+])
+def test_group_tietze_validates_what_a_move_adds(moves, message, capsys,
+                                                 tmp_path):
+    f = tmp_path / "p.fp"
+    f.write_text("gens: a\nrel: a a a\n")
+    code, out, err = run(capsys, "group", "tietze", str(f), *moves)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("moves", [
     ("--add-gen", "z=a", "--add-rel", "a", "--by", "0:+:"),
     ("--remove-rel", "0", "--remove-gen", "a", "--by", "", "--using", "0"),

@@ -597,6 +597,238 @@ def test_row_change_check_needs_a_new_generator():
         _check_row_change(p, q, move)
 
 
+# ------------------------------------- the path that validated every result
+
+def _reference_free_reduce(w):
+    """free_reduce as it was before it kept the top of its stack: a new
+    tuple for every letter kept."""
+    stack = []
+    for g, e in w:
+        if stack and stack[-1][0] == g and stack[-1][1] == -e:
+            stack.pop()
+        else:
+            stack.append((g, e))
+    return tuple(stack)
+
+
+def _reference_substitute(w, mapping):
+    """substitute as it was, reducing a tuple copy with the old free_reduce."""
+    out = []
+    for g, e in w:
+        if g not in mapping:
+            raise ValueError(f"generator {g!r} not covered by the substitution")
+        image = mapping[g] if e == 1 else inverse(mapping[g])
+        out.extend(image)
+    return _reference_free_reduce(tuple(out))
+
+
+def _reference_apply_tietze(p, move):
+    """apply_tietze as it was when every result went through
+    Presentation(...), which validates all of its generators and letters."""
+    kind, word, certificate, gen, index = move
+    generators, relators = p
+    if kind == "add-relator":
+        target = _reference_free_reduce(word)
+        got = _reference_certificate_product(relators, certificate)
+        if got != target:
+            raise TietzeError(
+                f"certificate product {word_str(got)} != relator "
+                f"{word_str(target)}")
+        result = Presentation(generators, relators + (target,))
+    elif kind == "remove-relator":
+        if not 0 <= index < len(relators):
+            raise TietzeError(f"no relator {index} to remove")
+        rest = tuple(r for i, r in enumerate(relators) if i != index)
+        got = _reference_certificate_product(rest, certificate)
+        if got != _reference_free_reduce(relators[index]):
+            raise TietzeError(
+                f"removed relator is not certified by the others: "
+                f"{word_str(got)}")
+        result = Presentation(generators, rest)
+    elif kind == "add-generator":
+        if gen in generators:
+            raise TietzeError(f"generator {gen!r} already present")
+        for g, _ in word:
+            if g not in generators:
+                raise TietzeError(f"defining word uses unknown {g!r}")
+        rel = _reference_free_reduce(((gen, 1),) + inverse(word))
+        result = Presentation(generators + (gen,), relators + (rel,))
+    else:  # remove-generator
+        if gen not in generators:
+            raise TietzeError(f"no generator {gen!r}")
+        if not 0 <= index < len(relators):
+            raise TietzeError(f"no relator {index}")
+        rel = _reference_free_reduce(relators[index])
+        hits = [i for i, (g, _) in enumerate(rel) if g == gen]
+        if len(hits) != 1:
+            raise TietzeError(
+                f"relator {index} has {len(hits)} letters of "
+                f"{gen!r}, need exactly 1")
+        i = hits[0]
+        _, e = rel[i]
+        vu = rel[i + 1:] + rel[:i]
+        definition = _reference_free_reduce(inverse(vu) if e == 1 else vu)
+        if any(g == gen for g, _ in definition):
+            raise TietzeError("defining word still mentions the generator")
+        mapping = {g: ((g, 1),) for g in generators}
+        mapping[gen] = definition
+        new_rels = tuple(_reference_substitute(r, mapping)
+                         for i2, r in enumerate(relators) if i2 != index)
+        gens = tuple(g for g in generators if g != gen)
+        result = Presentation(gens, new_rels)
+    _check_row_change(p, result, move)
+    return result
+
+
+def _outcome(fn, *args):
+    """What fn returns, with its exact type, or the type and message of
+    what it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+@given(words)
+def test_free_reduce_matches_the_reference(w):
+    want = _reference_free_reduce(w)
+    assert free_reduce(w) == want
+    got = free_reduce(list(w))   # _certificate_product hands it a list
+    assert type(got) is tuple and got == want
+
+
+@given(words, words, words, words, st.data())
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_the_reference_when_images_cancel(w, u, v, x,
+                                                             data):
+    # a -> u v, b -> V x, c -> X U: the images of "a b c" cancel to the
+    # empty word, and u, v and x need not be reduced themselves
+    mapping = {"a": u + v, "b": inverse(v) + x, "c": inverse(x) + inverse(u)}
+    assert substitute(parse_word("a b c"), mapping) == ()
+    assert substitute(parse_word("C B A"), mapping) == ()
+    if data.draw(st.booleans()):
+        del mapping[data.draw(st.sampled_from(sorted(mapping)))]
+    for word in (w, w + inverse(w), parse_word("a b c") + w):
+        assert (_outcome(substitute, word, mapping)
+                == _outcome(_reference_substitute, word, mapping))
+
+
+FAULTS = {"add-relator": ("none", "word", "certificate", "conjugate"),
+          "remove-relator": ("none", "index", "certificate"),
+          "add-generator": ("none", "gen", "word"),
+          "remove-generator": ("none", "index", "gen")}
+
+
+@st.composite
+def tietze_cases_and_faults(draw):
+    """A case of tietze_cases, then perhaps one field of its move
+    replaced, so that the move may fail any check apply_tietze makes. An
+    added relator may be conjugated, certificate and all, by a word in an
+    undeclared generator z: its certificate still checks, and it reaches
+    the check of its letters."""
+    p, move = draw(tietze_cases())
+    gens, rels = p
+    letter = st.tuples(st.sampled_from(gens + ("z",)), st.sampled_from([1, -1]))
+    word = st.lists(letter, max_size=6).map(tuple)
+    fault = draw(st.sampled_from(FAULTS[move.kind]))
+    if fault == "index":
+        move = move._replace(index=draw(st.integers(-1, len(rels) + 1)))
+    elif fault == "gen":
+        move = move._replace(gen=draw(st.sampled_from(
+            gens + ("z", "Bad", "x9", "1x"))))
+    elif fault == "word":
+        move = move._replace(word=draw(word))
+    elif fault == "certificate":
+        term = st.tuples(st.integers(-1, len(rels)),
+                         st.sampled_from([1, -1, 0]), word)
+        move = move._replace(certificate=tuple(draw(st.lists(term,
+                                                             max_size=3))))
+    elif fault == "conjugate":
+        c = draw(word) + (("z", draw(st.sampled_from([1, -1]))),)
+        move = move._replace(
+            word=inverse(c) + move.word + c,
+            certificate=tuple((i, s, conj + c)
+                              for i, s, conj in move.certificate))
+    return p, move
+
+
+@given(tietze_cases_and_faults())
+@settings(max_examples=400, deadline=None)
+def test_apply_tietze_matches_the_validating_reference(case):
+    p, move = case
+    got = _outcome(apply_tietze, p, move)
+    assert got == _outcome(_reference_apply_tietze, p, move)
+    assert got[0] is Presentation or issubclass(got[0], ValueError)
+
+
+def _walk_word(rng, gens):
+    if not gens:
+        return ()
+    return tuple((rng.choice(gens), rng.choice((1, -1)))
+                 for _ in range(rng.randint(0, 3)))
+
+
+@given(presentations(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_apply_tietze_matches_the_validating_reference_on_walks(start, seed):
+    """A LIFO walk of 500 certified moves, unwound at the end."""
+    rng = random.Random(seed)
+    p, stack, fresh = start, [], 0
+    for step in range(500 + 6):
+        gens, rels = p
+        if stack and (step >= 500 or len(stack) >= 6 or rng.random() < 0.45):
+            kind, payload = stack.pop()
+            if kind == "rel":
+                move = TietzeMove("remove-relator", index=len(rels) - 1,
+                                  certificate=payload)
+            else:
+                move = TietzeMove("remove-generator", gen=payload,
+                                  index=len(rels) - 1)
+        elif step >= 500:
+            break
+        elif rels and rng.random() < 0.5:
+            cert = tuple((rng.randrange(len(rels)), rng.choice((1, -1)),
+                          _walk_word(rng, gens))
+                         for _ in range(rng.randint(1, 3)))
+            move = TietzeMove("add-relator", certificate=cert,
+                              word=_reference_certificate_product(rels, cert))
+            stack.append(("rel", cert))
+        else:
+            fresh += 1
+            move = TietzeMove("add-generator", gen=f"g{fresh}",
+                              word=_walk_word(rng, gens))
+            stack.append(("gen", f"g{fresh}"))
+        want = _reference_apply_tietze(p, move)
+        p = apply_tietze(p, move)
+        assert type(p) is Presentation and p == want
+    assert p.generators == start.generators
+    # a generator removed reduces every other relator on its way
+    assert p.relators in (start.relators,
+                          tuple(map(free_reduce, start.relators)))
+
+
+@pytest.mark.parametrize("kind", TietzeMove.KINDS)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_each_move_kind_returns_a_presentation(kind, data):
+    p, move = data.draw(tietze_cases(kind))
+    assert type(apply_tietze(p, move)) is Presentation
+
+
+def test_apply_tietze_still_validates_what_a_move_adds():
+    p = Presentation(("a",), (parse_word("a a a"),))
+    # the certificate checks: conjugating a^3 by z gives the word
+    move = TietzeMove("add-relator", word=parse_word("Z a a a z"),
+                      certificate=((0, 1, parse_word("z")),))
+    with pytest.raises(ValueError,
+                       match="^relator uses undeclared generator 'z'$"):
+        apply_tietze(p, move)
+    with pytest.raises(ValueError, match="^bad generator token 'Bad'$"):
+        apply_tietze(p, TietzeMove("add-generator", gen="Bad",
+                                   word=parse_word("a")))
+
+
 # Entries of at most 12, yet the dense elimination above grows its
 # coefficients without bound on this matrix (a 65-bit pivot by the tenth
 # pass of its inner loop, still running after a minute).
