@@ -102,9 +102,9 @@ def cmd_jester(args) -> int:
 def cmd_dunce(args) -> int:
     ctx = RunContext(args.assets)
     ok, _ = run_group("dunce", ctx)
-    print(f"free faces: {len(ctx.free_faces('dunce_hat'))}")
+    print(f"free faces: {len(free_faces(ctx.complex('dunce_hat')))}")
     print(f"collapsibility verdict: {ctx.search('dunce_hat').kind}")
-    print(f"chi: {ctx.chi('dunce_hat')}")
+    print(f"chi: {euler_characteristic(ctx.complex('dunce_hat'))}")
     print(f"dunce hat: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

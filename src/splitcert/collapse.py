@@ -6,18 +6,18 @@ any higher coface would contribute several codimension-1 cofaces). Removing
 the pair (face, coface) is an elementary collapse; a complex is collapsible
 when some sequence of collapses ends at a single vertex.
 
-greedy_collapse, replay and the search all walk one _CollapseState: the
-live simplices and their live coface counts, over the complex's coface
-index (built once per complex). A collapse of (A, C) changes the counts of
-the facets of A and C only, so a run of collapses costs O(|K|·d); greedy
-adds its own heap of candidate free faces, and the search undoes collapses
-on the way back up.
+greedy_collapse, replay and the search all walk one _CollapseState: a live
+flag and a live coface count per position of the complex's SimplexIndex. A
+collapse of (A, C) changes the counts of the facets of A and C only, so a
+run of collapses costs O(|K|·d); greedy adds its own heap of candidate free
+faces, and the search undoes collapses on the way back up.
 """
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from pathlib import Path
-from typing import AbstractSet, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .complexes import (Simplex, SimplicialComplex, content_lines,
                         euler_characteristic, make_simplex)
@@ -71,43 +71,39 @@ class CollapseVerdict(NamedTuple):
 
 def free_faces(K: SimplicialComplex) -> list[Simplex]:
     """All simplices with exactly one proper coface, sorted lexicographically."""
-    index = K.coface_index()
-    return sorted(s for s in K.simplices if len(index[s]) == 1)
-
-
-def _is_point(simplices: AbstractSet[Simplex]) -> bool:
-    return len(simplices) == 1 and len(next(iter(simplices))) == 1
+    index = K.index()
+    return [s for s, n in zip(index.order, index.counts) if n == 1]
 
 
 class _CollapseState:
-    """A complex under a run of elementary collapses: the live simplices and
-    the number of live codimension-1 cofaces of each. restore undoes
-    collapse exactly, so a search walks one state down and back up."""
+    """A complex under collapses: live[i] is 1 while simplex i is present
+    and count[i] is its number of live cofaces. The live set stays closed,
+    so a removed simplex has count 0 and one live simplex is a vertex."""
 
     def __init__(self, K: SimplicialComplex):
-        self.index = K.coface_index()
-        self.live = set(K.simplices)
-        self.count = dict(zip(self.index, map(len, self.index.values())))
+        self.index = K.index()
+        self.live = bytearray(b"\1") * len(self.index.order)
+        self.count = list(self.index.counts)
 
-    def collapse(self, face: Simplex) -> Simplex:
+    def collapse(self, face: int) -> int:
         """Remove a free face and its live coface; returns the coface."""
-        live, count = self.live, self.count
-        for coface in self.index[face]:
-            if coface in live:
+        live, count, facets = self.live, self.count, self.index.facets
+        for coface in self.index.cofaces[face]:
+            if live[coface]:
                 break
-        live.difference_update((face, coface))
-        for s in (face, coface):
-            for i in range(len(s)):
-                count[s[:i] + s[i + 1:]] -= 1   # a facet of s
+        live[face] = live[coface] = 0
+        for f in facets[face]:
+            count[f] -= 1
+        for f in facets[coface]:
+            count[f] -= 1
         return coface
 
-    def restore(self, face: Simplex, coface: Simplex) -> None:
+    def restore(self, face: int, coface: int) -> None:
         """Put back a pair that collapse took out: its exact inverse."""
-        count = self.count
-        self.live.update((face, coface))
         for s in (face, coface):
-            for i in range(len(s)):
-                count[s[:i] + s[i + 1:]] += 1
+            self.live[s] = 1
+            for f in self.index.facets[s]:
+                self.count[f] += 1
 
 
 def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
@@ -117,18 +113,20 @@ def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
     names the step. An empty certificate replays to K unchanged.
     """
     state = _CollapseState(K)
+    order, ids, count = state.index.order, state.index.ids, state.count
     trace: list[tuple[Simplex, Simplex]] = []
     for i, face in enumerate(cert.steps):
-        if face not in state.live:
+        f = ids.get(face)
+        if f is None or not state.live[f]:
             return ReplayResult(None, tuple(trace), False,
                                 f"step {i} ({' '.join(face)}): absent simplex")
-        if state.count[face] != 1:
+        if count[f] != 1:
             return ReplayResult(None, tuple(trace), False,
                                 f"step {i} ({' '.join(face)}): "
-                                f"not free ({state.count[face]} cofaces)")
-        trace.append((face, state.collapse(face)))
-    final = SimplicialComplex(frozenset(state.live), name=K.name)
-    return ReplayResult(final, tuple(trace), _is_point(final.simplices))
+                                f"not free ({count[f]} cofaces)")
+        trace.append((face, order[state.collapse(f)]))
+    final = SimplicialComplex(frozenset(compress(order, state.live)), K.name)
+    return ReplayResult(final, tuple(trace), len(final) == 1)
 
 
 def elementary_collapse(K: SimplicialComplex, A) -> SimplicialComplex:
@@ -151,23 +149,24 @@ def greedy_collapse(
     Deterministic; the residual may be anything from a point to K itself.
     """
     state = _CollapseState(K)
-    live, count = state.live, state.count
-    # candidate free faces, checked when popped: counts only fall, so one
-    # that is gone or has lost its coface never becomes free again
-    heap = sorted(s for s in live if count[s] == 1)
+    order, facets, count = state.index.order, state.index.facets, state.count
+    # candidate free faces (sorted, so a heap), checked when popped: counts
+    # only fall, so one that is gone or has lost its coface stays unfree
+    heap = [i for i, n in enumerate(count) if n == 1]
     steps: list[Simplex] = []
     while heap:
         face = heapq.heappop(heap)
-        if face in live and count[face] == 1:
+        if count[face] == 1:
             coface = state.collapse(face)
-            steps.append(face)
-            for s in (face, coface):
-                for i in range(len(s)):
-                    f = s[:i] + s[i + 1:]
-                    if count[f] == 1:
-                        heapq.heappush(heap, f)
+            steps.append(order[face])
+            for f in facets[face]:
+                if count[f] == 1:
+                    heapq.heappush(heap, f)
+            for f in facets[coface]:
+                if count[f] == 1:
+                    heapq.heappush(heap, f)
     return (CollapseCertificate(tuple(steps)),
-            SimplicialComplex(frozenset(live), name=K.name))
+            SimplicialComplex(frozenset(compress(order, state.live)), K.name))
 
 
 def is_collapsible(K: SimplicialComplex,
@@ -194,19 +193,15 @@ def is_collapsible(K: SimplicialComplex,
     """
     cert, residual = greedy_collapse(K)
     path, nodes = cert.steps, len(cert.steps)
-    if K.dim() <= 2:
-        if not _is_point(residual.simplices):
-            return CollapseVerdict("no", None, nodes + 1)
-    else:
-        max_nodes = (budget or SearchBudget()).max_nodes
-        if not (_is_point(residual.simplices) and nodes <= max_nodes):
-            path, nodes = _search(K, max_nodes)
-            if path is None:
-                return CollapseVerdict(
-                    "unknown" if nodes > max_nodes else "no", None, nodes)
-    # collapsibility implies chi = 1; cheap sanity on every yes
-    chi = euler_characteristic(K)
-    if chi != 1:
+    if K.dim() <= 2 and len(residual) != 1:
+        return CollapseVerdict("no", None, nodes + 1)
+    max_nodes = (budget or SearchBudget()).max_nodes
+    if K.dim() > 2 and not (len(residual) == 1 and nodes <= max_nodes):
+        path, nodes = _search(K, max_nodes)
+        if path is None:
+            return CollapseVerdict(
+                "unknown" if nodes > max_nodes else "no", None, nodes)
+    if (chi := euler_characteristic(K)) != 1:   # collapsible implies chi = 1
         raise AssertionError(
             f"collapse certificate found for {K.name} but chi = {chi}")
     return CollapseVerdict("yes", CollapseCertificate(path), nodes)
@@ -217,19 +212,20 @@ def _search(K: SimplicialComplex, max_nodes: int):
     from K to a point (None if there is none or the budget ran out) and the
     number of nodes visited. One _CollapseState walks the tree: collapse
     steps down to a child, restore steps back up from an exhausted node or
-    from a child already in the memo, which is keyed by the live simplices."""
+    from a child already in the memo, whose key is bytes(live): the node's
+    exact live flags, not a hash of them."""
     state = _CollapseState(K)
     live, count = state.live, state.count
-    seen: set[frozenset] = set()   # the nodes visited
+    seen: set[bytes] = set()   # the nodes visited
     # per node: its free faces in tie-break order, the pair taken out of it
     stack: list[list] = []
-    while not _is_point(live):
-        node, free = frozenset(live), []
+    while live.count(1) != 1:
+        node, free = bytes(live), []
         if node not in seen:   # a node in the memo is left at once
             seen.add(node)
             if len(seen) > max_nodes:
                 return None, len(seen)
-            free = sorted([s for s in node if count[s] == 1])
+            free = [i for i, n in enumerate(count) if n == 1]
         stack.append([iter(free), None])
         # the next unexplored child, backing up past exhausted nodes
         while (face := next(stack[-1][0], None)) is None:
@@ -238,7 +234,7 @@ def _search(K: SimplicialComplex, max_nodes: int):
                 return None, len(seen)
             state.restore(*stack[-1][1])
         stack[-1][1] = face, state.collapse(face)
-    return tuple(pair[0] for _, pair in stack), len(seen)
+    return tuple(state.index.order[pair[0]] for _, pair in stack), len(seen)
 
 
 # --- .cert file format: one free face per line, '#' comments --------------

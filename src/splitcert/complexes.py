@@ -1,15 +1,15 @@
 """Finite abstract simplicial complexes over named vertices.
 
 A simplex is a sorted tuple of vertex names; a complex stores its full
-face-closed simplex set. Coface queries walk a coface index, the Hasse
-diagram mapping each simplex to its codimension-1 cofaces. The index is
-built once per complex, on the first query, in O(|K|·d) by listing the
-facets of every simplex (d is the largest simplex size).
+face-closed simplex set. Its SimplexIndex numbers the simplices by their
+position in sorted order (so position order is tuple order) and lists the
+codimension-1 facets and cofaces of each. It is built once per complex, on
+the first query, in O(|K|·d) (d is the largest simplex size).
 """
 from __future__ import annotations
 
-import itertools
 import re
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -34,12 +34,27 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
 def faces(simplex: Simplex) -> Iterator[Simplex]:
     """All nonempty proper and improper faces of a simplex."""
     for r in range(1, len(simplex) + 1):
-        yield from itertools.combinations(simplex, r)
+        yield from combinations(simplex, r)
 
 
-def facets(simplex: Simplex) -> list[Simplex]:
-    """The codimension-1 faces of a simplex; () for a vertex."""
-    return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
+class SimplexIndex:
+    """Read-only: order[i] is simplex i, ids maps it back, facets[i] and
+    cofaces[i] list positions in increasing order (none below a vertex)."""
+
+    __slots__ = ("order", "ids", "facets", "cofaces", "counts", "dim", "chi")
+
+    def __init__(self, simplices: Iterable[Simplex]):
+        self.order = order = tuple(sorted(simplices))
+        self.ids = ids = dict(zip(order, range(len(order))))
+        self.facets = facets = [tuple(map(ids.__getitem__, combinations(
+            s, len(s) - 1))) if len(s) > 1 else () for s in order]
+        self.cofaces = cofaces = [[] for _ in order]
+        for i, fs in enumerate(facets):
+            for f in fs:
+                cofaces[f].append(i)
+        self.counts = list(map(len, cofaces))
+        self.dim = max(map(len, order), default=0) - 1
+        self.chi = sum(1 if len(s) % 2 else -1 for s in order)
 
 
 class SimplicialComplex:
@@ -50,7 +65,7 @@ class SimplicialComplex:
     def __init__(self, simplices: frozenset[Simplex], name: str = "K"):
         self.simplices = simplices
         self.name = name
-        self._index: dict[Simplex, list[Simplex]] | None = None
+        self._index: SimplexIndex | None = None
 
     def __contains__(self, simplex) -> bool:
         return tuple(sorted(simplex)) in self.simplices
@@ -72,31 +87,27 @@ class SimplicialComplex:
         return sorted(s[0] for s in self.simplices if len(s) == 1)
 
     def dim(self) -> int:
-        return max((len(s) for s in self.simplices), default=0) - 1
+        return self.index().dim
 
-    def coface_index(self) -> dict[Simplex, list[Simplex]]:
-        """Each simplex, and the empty face (), mapped to its
-        codimension-1 cofaces, in no particular order. Built on the first
-        call and kept; callers must not mutate it."""
+    def index(self) -> SimplexIndex:
+        """Built on the first call and kept; callers must not mutate it."""
         if self._index is None:
-            index = {s: [] for s in self.simplices}
-            index[()] = []
-            for s in self.simplices:
-                for f in facets(s):
-                    index[f].append(s)
-            self._index = index
+            self._index = SimplexIndex(self.simplices)
         return self._index
 
     def maximal_simplices(self) -> list[Simplex]:
-        """Simplices that are not a proper face of any other simplex."""
-        index = self.coface_index()
-        return sorted(s for s in self.simplices if not index[s])
+        """The simplices that are a proper face of no other, sorted."""
+        index = self.index()
+        return [s for s, n in zip(index.order, index.counts) if not n]
 
     def cofaces(self, simplex: Simplex) -> list[Simplex]:
-        """The codimension-1 cofaces of the given simplex, sorted; [] for a
-        simplex not in the complex."""
-        return sorted(self.coface_index().get(tuple(sorted(set(simplex))),
-                                              ()))
+        """The codimension-1 cofaces of the given simplex, sorted; the
+        vertices for the empty face; [] for a simplex not in the complex."""
+        index, s = self.index(), tuple(sorted(set(simplex)))
+        if not s:
+            return [v for v in index.order if len(v) == 1]
+        i = index.ids.get(s)
+        return [] if i is None else [index.order[c] for c in index.cofaces[i]]
 
 
 def build(maximal_simplices: Iterable[Iterable[str]], name: str = "K") -> SimplicialComplex:
@@ -109,7 +120,7 @@ def build(maximal_simplices: Iterable[Iterable[str]], name: str = "K") -> Simpli
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
-    return sum((-1) ** (len(s) - 1) for s in K.simplices)
+    return K.index().chi
 
 
 def union(K: SimplicialComplex, L: SimplicialComplex, name: str | None = None) -> SimplicialComplex:

@@ -162,13 +162,6 @@ class RunContext:
     def diagram(self, name):
         return self._asset(assets.load_diagram, name)
 
-    def free_faces(self, name):
-        return self._once(("ff", name), lambda: free_faces(self.complex(name)))
-
-    def chi(self, name) -> int:
-        return self._once(
-            ("chi", name), lambda: euler_characteristic(self.complex(name)))
-
     def search(self, name):
         return self._once(("search", name),
                           lambda: is_collapsible(self.complex(name)))
@@ -250,7 +243,7 @@ def _verdict(ok: bool, detail: str) -> tuple[str, str]:
 
 def _no_free_faces(name, detail):
     def fn(ctx):
-        ff = ctx.free_faces(name)
+        ff = free_faces(ctx.complex(name))
         if ff:
             return FAIL, f"{len(ff)} free faces, first {' '.join(ff[0])}"
         return PASS, detail
@@ -259,7 +252,7 @@ def _no_free_faces(name, detail):
 
 def _chi_one(name):
     def fn(ctx):
-        chi = ctx.chi(name)
+        chi = euler_characteristic(ctx.complex(name))
         return _verdict(chi == 1, f"chi = {chi}")
     return fn
 

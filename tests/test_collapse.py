@@ -1,15 +1,21 @@
+import heapq
 import inspect
+import random
 import sys
+from typing import AbstractSet
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitcert import collapse
-from splitcert.collapse import (CollapseCertificate, SearchBudget, dumps_cert,
+from splitcert import collapse, complexes
+from splitcert.collapse import (CollapseCertificate, CollapseVerdict,
+                                ReplayResult, SearchBudget, dumps_cert,
                                 elementary_collapse, free_faces, greedy_collapse,
                                 is_collapsible, loads_cert, replay)
-from splitcert.complexes import build, cone, euler_characteristic
+from splitcert.complexes import (Simplex, SimplicialComplex, build, cone,
+                                 euler_characteristic)
+from splitcert.report import random_cone_complex
 
 _vertex = st.sampled_from(["a", "b", "c", "d", "e"])
 _simplex = st.sets(_vertex, min_size=1, max_size=3).map(tuple)
@@ -239,6 +245,217 @@ def _final(result):
     return None if result.final is None else result.final.simplices
 
 
+# --- the tuple-keyed collapse core that the id state replaced, copied
+# verbatim but for its names: the state keyed each simplex by its tuple of
+# vertex names, over a dict from each simplex (and the empty face) to its
+# codimension-1 cofaces. The id core must give exactly its certificates,
+# residuals, traces, failures, verdicts and node counts.
+
+def _old_coface_index(K):
+    """The parent's SimplicialComplex.coface_index."""
+    index = {s: [] for s in K.simplices}
+    index[()] = []
+    for s in K.simplices:
+        for f in [s[:i] + s[i + 1:] for i in range(len(s))]:
+            index[f].append(s)
+    return index
+
+
+def _old_euler_characteristic(K):
+    return sum((-1) ** (len(s) - 1) for s in K.simplices)
+
+
+def _is_point(simplices: AbstractSet[Simplex]) -> bool:
+    return len(simplices) == 1 and len(next(iter(simplices))) == 1
+
+
+class _OldCollapseState:
+    """A complex under a run of elementary collapses: the live simplices and
+    the number of live codimension-1 cofaces of each. restore undoes
+    collapse exactly, so a search walks one state down and back up."""
+
+    def __init__(self, K: SimplicialComplex):
+        self.index = _old_coface_index(K)
+        self.live = set(K.simplices)
+        self.count = dict(zip(self.index, map(len, self.index.values())))
+
+    def collapse(self, face: Simplex) -> Simplex:
+        """Remove a free face and its live coface; returns the coface."""
+        live, count = self.live, self.count
+        for coface in self.index[face]:
+            if coface in live:
+                break
+        live.difference_update((face, coface))
+        for s in (face, coface):
+            for i in range(len(s)):
+                count[s[:i] + s[i + 1:]] -= 1   # a facet of s
+        return coface
+
+    def restore(self, face: Simplex, coface: Simplex) -> None:
+        """Put back a pair that collapse took out: its exact inverse."""
+        count = self.count
+        self.live.update((face, coface))
+        for s in (face, coface):
+            for i in range(len(s)):
+                count[s[:i] + s[i + 1:]] += 1
+
+
+def _old_replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
+    """Apply certificate steps in order; trace holds the collapsed pairs.
+
+    On the first failing step the trace stops, final is None and failure
+    names the step. An empty certificate replays to K unchanged.
+    """
+    state = _OldCollapseState(K)
+    trace: list[tuple[Simplex, Simplex]] = []
+    for i, face in enumerate(cert.steps):
+        if face not in state.live:
+            return ReplayResult(None, tuple(trace), False,
+                                f"step {i} ({' '.join(face)}): absent simplex")
+        if state.count[face] != 1:
+            return ReplayResult(None, tuple(trace), False,
+                                f"step {i} ({' '.join(face)}): "
+                                f"not free ({state.count[face]} cofaces)")
+        trace.append((face, state.collapse(face)))
+    final = SimplicialComplex(frozenset(state.live), name=K.name)
+    return ReplayResult(final, tuple(trace), _is_point(final.simplices))
+
+
+def _old_greedy_collapse(
+        K: SimplicialComplex) -> tuple[CollapseCertificate, SimplicialComplex]:
+    """Repeatedly collapse the least free face (plain tuple order on the
+    sorted vertex names) until stuck.
+
+    Deterministic; the residual may be anything from a point to K itself.
+    """
+    state = _OldCollapseState(K)
+    live, count = state.live, state.count
+    # candidate free faces, checked when popped: counts only fall, so one
+    # that is gone or has lost its coface never becomes free again
+    heap = sorted(s for s in live if count[s] == 1)
+    steps: list[Simplex] = []
+    while heap:
+        face = heapq.heappop(heap)
+        if face in live and count[face] == 1:
+            coface = state.collapse(face)
+            steps.append(face)
+            for s in (face, coface):
+                for i in range(len(s)):
+                    f = s[:i] + s[i + 1:]
+                    if count[f] == 1:
+                        heapq.heappush(heap, f)
+    return (CollapseCertificate(tuple(steps)),
+            SimplicialComplex(frozenset(live), name=K.name))
+
+
+def _old_is_collapsible(K: SimplicialComplex,
+                        budget: SearchBudget | None = None) -> CollapseVerdict:
+    """Decide whether K collapses to a point.
+
+    "yes" carries a replayable certificate ending at one vertex, "no" is a
+    proof that none exists, and "unknown" means the node budget ran out.
+    nodes counts the distinct non-point complexes visited.
+
+    Dimension <= 2 is decided by greedy_collapse, without the budget. A
+    triangle with a free edge keeps it free until the triangle is removed,
+    so every maximal collapse sequence removes the same triangles. If one
+    is left, no sequence reaches a point; otherwise what is left is a graph
+    without leaves, homotopy equivalent to K, which is a point exactly when
+    K is contractible. So the greedy residual is a point iff K collapses
+    (Tancer, arXiv:1211.6254: the problem is NP-complete from dimension 3).
+
+    Dimension >= 3 runs a memoized backtracking search over free faces in
+    tie-break order, so its first descent is the greedy path. An exhausted
+    budget stops it at once, with nodes = max_nodes + 1. Greedy runs first
+    (Benedetti-Lutz, arXiv:1303.6422): a point it reaches within the budget
+    is the search's answer and node count; otherwise the search runs.
+    """
+    cert, residual = _old_greedy_collapse(K)
+    path, nodes = cert.steps, len(cert.steps)
+    if K.dim() <= 2:
+        if not _is_point(residual.simplices):
+            return CollapseVerdict("no", None, nodes + 1)
+    else:
+        max_nodes = (budget or SearchBudget()).max_nodes
+        if not (_is_point(residual.simplices) and nodes <= max_nodes):
+            path, nodes = _old_search(K, max_nodes)
+            if path is None:
+                return CollapseVerdict(
+                    "unknown" if nodes > max_nodes else "no", None, nodes)
+    # collapsibility implies chi = 1; cheap sanity on every yes
+    chi = _old_euler_characteristic(K)
+    if chi != 1:
+        raise AssertionError(
+            f"collapse certificate found for {K.name} but chi = {chi}")
+    return CollapseVerdict("yes", CollapseCertificate(path), nodes)
+
+
+def _old_search(K: SimplicialComplex, max_nodes: int):
+    """Depth-first search on an explicit stack. Returns the faces leading
+    from K to a point (None if there is none or the budget ran out) and the
+    number of nodes visited. One _OldCollapseState walks the tree: collapse
+    steps down to a child, restore steps back up from an exhausted node or
+    from a child already in the memo, which is keyed by the live simplices."""
+    state = _OldCollapseState(K)
+    live, count = state.live, state.count
+    seen: set[frozenset] = set()   # the nodes visited
+    # per node: its free faces in tie-break order, the pair taken out of it
+    stack: list[list] = []
+    while not _is_point(live):
+        node, free = frozenset(live), []
+        if node not in seen:   # a node in the memo is left at once
+            seen.add(node)
+            if len(seen) > max_nodes:
+                return None, len(seen)
+            free = sorted([s for s in node if count[s] == 1])
+        stack.append([iter(free), None])
+        # the next unexplored child, backing up past exhausted nodes
+        while (face := next(stack[-1][0], None)) is None:
+            stack.pop()
+            if not stack:
+                return None, len(seen)
+            state.restore(*stack[-1][1])
+        stack[-1][1] = face, state.collapse(face)
+    return tuple(pair[0] for _, pair in stack), len(seen)
+
+
+def _replay_key(result):
+    return (_final(result), None if result.final is None else result.final.name,
+            result.trace, result.collapsed_to_point, result.failure)
+
+
+def _candidates(steps, rng):
+    """The certificate, and copies with a step dropped, two steps swapped,
+    an absent face put in and a face appended: a failure at every kind of
+    step."""
+    out = [steps, steps + (("zz",),)]
+    if steps:
+        i = rng.randrange(len(steps))
+        out.append(steps[:i] + steps[i + 1:])
+        out.append(steps[:i] + (("v0", "zz"),) + steps[i:])
+        out.append(steps + (steps[i],))   # a face replayed twice is absent
+    if len(steps) > 1:
+        i = rng.randrange(len(steps) - 1)
+        out.append(steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2:])
+    return out
+
+
+def _assert_core_matches_the_old_one(K, budgets, rng):
+    cert, residual = greedy_collapse(K)
+    old_cert, old_residual = _old_greedy_collapse(K)
+    assert cert == old_cert
+    assert (residual.simplices, residual.name) == (
+        old_residual.simplices, old_residual.name)
+    for steps in _candidates(cert.steps, rng):
+        candidate = CollapseCertificate(steps)
+        assert _replay_key(replay(K, candidate)) == _replay_key(
+            _old_replay(K, candidate))
+    for budget in budgets:
+        assert is_collapsible(K, SearchBudget(budget)) == _old_is_collapsible(
+            K, SearchBudget(budget))
+        assert collapse._search(K, budget) == _old_search(K, budget)
+
+
 two_or_three_complexes = st.one_of(two_complexes, three_complexes)
 
 
@@ -340,18 +557,30 @@ def test_search_called_directly_matches_reference(K, max_nodes):
 @given(two_or_three_complexes, st.data())
 @settings(max_examples=150, deadline=None)
 def test_restore_undoes_collapse(K, data):
-    state = collapse._CollapseState(K)
+    # the id state, driven by the same faces as the tuple-keyed state it
+    # replaced, holds the same live set and counts at every step
+    state, old = collapse._CollapseState(K), _OldCollapseState(K)
+    order, cofaces = K.index().order, K.index().cofaces
     taken = []
     for _ in range(data.draw(st.integers(0, len(K)))):
-        free = sorted(s for s in state.live if state.count[s] == 1)
+        free = [i for i, n in enumerate(state.count) if n == 1]
+        assert [order[i] for i in free] == sorted(
+            s for s in old.live if old.count[s] == 1)
         if not free:
             break
         face = data.draw(st.sampled_from(free))
-        taken.append((face, state.collapse(face)))
+        coface = state.collapse(face)
+        assert order[coface] == old.collapse(order[face])
+        taken.append((face, coface))
+        assert {order[i] for i, on in enumerate(state.live) if on} == old.live
+        for i, n in enumerate(state.count):
+            assert n == old.count[order[i]] == sum(
+                state.live[c] for c in cofaces[i])
     for face, coface in reversed(taken):
         state.restore(face, coface)
     fresh = collapse._CollapseState(K)
     assert (state.live, state.count) == (fresh.live, fresh.count)
+    assert state.live == bytearray([1]) * len(K)
 
 
 def test_replay_and_elementary_collapse_use_no_heap(monkeypatch):
@@ -418,6 +647,117 @@ def test_cones_are_collapsible_with_chi_conserved(K):
         cur = elementary_collapse(cur, step)
         assert euler_characteristic(cur) == 1
     assert len(cur) == 1
+
+
+# --- the id core against the tuple-keyed core it replaced
+
+def grid_disk(n):
+    """The n x n grid disk, each square cut along one diagonal."""
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = (f"g{i}_{j}", f"g{i + 1}_{j}", f"g{i + 1}_{j + 1}",
+                          f"g{i}_{j + 1}")
+            tris += [(a, b, c), (a, c, d)]
+    return build(tris, name=f"grid{n}")
+
+
+def path(n):
+    return build([(f"p{i}", f"p{i + 1}") for i in range(n)], name=f"path{n}")
+
+
+def cone_plus_loop():
+    """The cone over the 2 x 2 grid disk with a loop through a new vertex zz
+    added: 70 simplices, homotopy equivalent to a circle, and far more
+    collapse orders than a 20,000-node search can exhaust."""
+    K = cone(grid_disk(2), "apex")
+    return build([*K.maximal_simplices(), ("g0_0", "zz"), ("g2_2", "zz")],
+                 name="cone_plus_loop")
+
+
+def _seed_91_cones():
+    """The distinct complexes among CONE_SWEEP's 1,000 seed-91 draws."""
+    rng, cones = random.Random(91), {}
+    for _ in range(1000):
+        K = random_cone_complex(rng)
+        cones.setdefault(K.simplices, K)
+    return list(cones.values())
+
+
+@given(two_or_three_complexes, st.sampled_from([1, 3, 30, 10 ** 6]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_core_matches_the_tuple_keyed_core(K, max_nodes, rng):
+    _assert_core_matches_the_old_one(K, {max_nodes}, rng)
+
+
+@pytest.mark.parametrize("K", [*(grid_disk(n) for n in range(1, 7)),
+                               path(200), cone(path(30), "zz"),
+                               cone(grid_disk(3), "apex")],
+                         ids=lambda K: K.name)
+def test_core_matches_the_tuple_keyed_core_on_grids_and_paths(K):
+    _assert_core_matches_the_old_one(K, {1, 50, 10 ** 6}, random.Random(7))
+
+
+def test_core_matches_the_tuple_keyed_core_where_the_search_backtracks():
+    # greedy gets stuck, so every budget runs the search to its end
+    _assert_core_matches_the_old_one(cone_plus_loop(), {1, 50, 2_000},
+                                     random.Random(5))
+
+
+def test_core_matches_the_tuple_keyed_core_on_the_seed_91_cones():
+    cones = _seed_91_cones()
+    assert len(cones) == 176
+    rng = random.Random(91)
+    for K in cones:
+        _assert_core_matches_the_old_one(K, {3, 2_000}, rng)
+
+
+def test_one_complex_builds_its_index_once(monkeypatch):
+    built = []
+
+    class Counted(complexes.SimplexIndex):
+        __slots__ = ()
+
+        def __init__(self, simplices):
+            built.append(len(simplices))
+            super().__init__(simplices)
+
+    monkeypatch.setattr(complexes, "SimplexIndex", Counted)
+    # a cone greedy collapses, and a tetrahedron and a point the search
+    # has to exhaust
+    for K in (cone(grid_disk(2), "apex"), build([("a", "b", "c", "d"),
+                                                 ("e",)])):
+        free_faces(K)
+        K.cofaces(("g0_0",))
+        K.maximal_simplices()
+        cert, _ = greedy_collapse(K)
+        replay(K, cert)
+        is_collapsible(K)
+        K.dim()
+        euler_characteristic(K)
+    assert built == [67, 16]
+
+
+# --- large inputs: each takes well under a second with the id core
+
+def test_grid_64_is_collapsible_and_its_certificate_replays():
+    K = grid_disk(64)
+    assert len(K) == 24833
+    verdict = is_collapsible(K)
+    assert verdict.kind == "yes"
+    assert replay(K, verdict.certificate).collapsed_to_point
+
+
+def test_path_10000_is_collapsible():
+    verdict = is_collapsible(path(10_000))
+    assert verdict.kind == "yes" and len(verdict.certificate) == 10_000
+
+
+def test_cone_plus_loop_search_stops_at_the_budget():
+    K = cone_plus_loop()
+    assert (len(K), K.dim(), euler_characteristic(K)) == (70, 3, 0)
+    assert collapse._search(K, 20_000) == (None, 20_001)
 
 
 # ----------------------------------------------------------- .cert format
