@@ -22,8 +22,8 @@ from splitcert.groups import (Crossing, LinkDiagram, Presentation,
 from splitcert.hyperbolic import (rotation, same_isometry, triangle_defect)
 from splitcert.mazur import (derivation_chain, target_presentation,
                              triangle_certificate)
-from splitcert.report import (PASS, random_cone_complex, random_multiset,
-                              random_tietze_walk, verify_all)
+from splitcert.report import (PASS, TIETZE_WALK_START, random_cone_complex,
+                              random_multiset, random_tietze_walk, verify_all)
 from splitcert.splitting import (CONCLUSION, distinguishable, family_demo,
                                  verify_spine_split)
 
@@ -174,11 +174,10 @@ def test_criterion_6_abelianization_oracles():
     assert oracle == [1, 1]
     assert smith_invariants(exponents) == oracle
 
-    # apply_tietze checks after every move that the relation matrix changed
-    # only by a certified row or a unit-pivot column, which keeps the
-    # abelian invariants, and raises otherwise; so a completed 500-step
-    # walk is the proof.
-    assert random_tietze_walk(random.Random(62), 500) == 500
+    # every move of the walk is certified, so its end presents the group
+    # its start does
+    end = random_tietze_walk(random.Random(62), 500)
+    assert abelianization(end) == abelianization(TIETZE_WALK_START)
     _stamp("6 abelianization oracles", t0, 5.0)
 
 

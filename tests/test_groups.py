@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
                               Presentation, TietzeError, TietzeMove,
-                              _certificate_product, _check_row_change,
-                              abelianization, apply_tietze, dumps_fp,
-                              free_reduce, impose_relator, inverse,
-                              linking_number, loads_fp, loads_lnk, parse_word,
+                              _certificate_product, abelianization,
+                              apply_tietze, dumps_fp, free_reduce,
+                              impose_relator, inverse, linking_number,
+                              loads_fp, loads_lnk, parse_word,
                               smith_invariants, substitute, validate_diagram,
                               wirtinger, word_str)
 
@@ -113,6 +113,11 @@ def test_tietze_add_and_remove_relator():
     back = apply_tietze(q, TietzeMove("remove-relator", index=2,
                                       certificate=cert))
     assert back.relators == p.relators
+    # b^2 is the inverse of a^3 conjugated by b, times the added relator;
+    # the relators on either side of it keep their order
+    mid = apply_tietze(q, TietzeMove("remove-relator", index=1, certificate=(
+        (0, -1, parse_word("b")), (1, 1, ()))))
+    assert mid.relators == (q.relators[0], q.relators[2])
 
 
 def test_tietze_add_relator_rejects_bad_certificate():
@@ -455,19 +460,12 @@ def test_certificate_product_matches_the_term_by_term_reference(p, data):
         assert _certificate_product(p.relators, cert) == want
 
 
-# ------------------------------------------- the row-change check of a move
+# ------------------------------------------------- valid moves on random input
 
 def _reference_invariants_equal(p, q):
-    """The safety net apply_tietze used before the row-change check: the
-    two presentations' abelianizations, each from its own Smith form."""
+    """Whether p and q have the same abelian invariants, each from its own
+    Smith normal form: a Tietze move must never change them."""
     return abelianization(p) == abelianization(q)
-
-
-def _row(w):
-    out = {}
-    for g, e in w:
-        out[g] = out.get(g, 0) + e
-    return {g: v for g, v in out.items() if v}
 
 
 @st.composite
@@ -510,91 +508,10 @@ def tietze_cases(draw, kind=None):
 
 @given(tietze_cases())
 @settings(max_examples=400, deadline=None)
-def test_row_change_check_accepts_valid_moves_as_the_reference_does(case):
+def test_valid_moves_keep_the_abelian_invariants(case):
     p, move = case
     q = apply_tietze(p, move)
     assert _reference_invariants_equal(p, q)
-
-
-@pytest.mark.parametrize("kind", TietzeMove.KINDS)
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_row_change_check_rejects_tampered_results(kind, data):
-    p, move = data.draw(tietze_cases(kind))
-    gens, rels = apply_tietze(p, move)
-    tampered = [(gens + ("w",), rels), (gens, rels + ((),))]
-    if gens:
-        tampered.append((gens[:-1], rels))
-    if rels:
-        tampered.append((gens, rels[:-1]))
-    letters = [(i, j) for i, r in enumerate(rels) for j in range(len(r))]
-    if letters:
-        i, j = data.draw(st.sampled_from(letters))
-        r = rels[i]
-        g, e = r[j]
-        for changed in (r[:j] + r[j + 1:], r[:j] + ((g, -e),) + r[j + 1:]):
-            tampered.append((gens, rels[:i] + (changed,) + rels[i + 1:]))
-    pairs = [(i, j) for i, j in itertools.combinations(range(len(rels)), 2)
-             if _row(rels[i]) != _row(rels[j])]
-    if pairs:
-        i, j = data.draw(st.sampled_from(pairs))
-        swapped = list(rels)
-        swapped[i], swapped[j] = rels[j], rels[i]
-        tampered.append((gens, tuple(swapped)))
-    for forged in tampered:
-        with pytest.raises(TietzeError, match=f"^{kind} move"):
-            _check_row_change(p, Presentation._make(forged), move)
-
-
-def test_row_change_check_names_the_first_relator_that_disagrees():
-    p = Presentation(("a", "b"), (parse_word("a a"), parse_word("b b b")))
-    move = TietzeMove("add-relator", word=parse_word("a a b b b"),
-                      certificate=((0, 1, ()), (1, 1, ())))
-    q = apply_tietze(p, move)
-    with pytest.raises(TietzeError, match="result relator 1 is not the"):
-        _check_row_change(p, Presentation._make(
-            (q.generators, (q.relators[0], parse_word("b b"), q.relators[2]))),
-            move)
-    with pytest.raises(TietzeError, match="result relator 2 is not the "
-                                          "certificate's sum of rows"):
-        _check_row_change(p, Presentation._make(
-            (q.generators, q.relators[:2] + (parse_word("a a b b"),))), move)
-
-
-def test_row_change_check_needs_a_unit_pivot():
-    # Z + Z/2 -> Z: b has exponent sum 2 in its would-be defining relator
-    p = Presentation(("a", "b"), (parse_word("b b"),))
-    q = Presentation(("a",), ())
-    assert not _reference_invariants_equal(p, q)
-    with pytest.raises(TietzeError, match="exponent sum 2 of 'b', not a unit"):
-        _check_row_change(p, q, TietzeMove("remove-generator", gen="b",
-                                           index=0))
-
-
-def test_row_change_check_needs_the_generator_eliminated_everywhere():
-    p = Presentation(("a", "b"), (parse_word("b A A"), parse_word("b b b")))
-    move = TietzeMove("remove-generator", gen="b", index=0)
-    assert apply_tietze(p, move).relators == (parse_word("a a a a a a"),)
-    # b^3 carried over without substituting b = a^2
-    q = Presentation._make((("a",), (parse_word("b b b"),)))
-    with pytest.raises(TietzeError, match="result relator 0 is not its "
-                                          "parent's row with 'b' eliminated"):
-        _check_row_change(p, q, move)
-
-
-def test_row_change_check_needs_a_new_generator():
-    # the new column must be zero in every old row
-    p = Presentation(("a", "b"), (parse_word("b a"),))
-    move = TietzeMove("add-generator", gen="b", word=parse_word("a"))
-    q = Presentation._make((("a", "b", "b"),
-                            (parse_word("b a"), parse_word("b A"))))
-    with pytest.raises(TietzeError, match="'b' is already present"):
-        _check_row_change(p, q, move)
-    # a word that uses the new generator leaves it no unit in its column
-    move = TietzeMove("add-generator", gen="z", word=parse_word("z"))
-    q = Presentation(("a", "b", "z"), (parse_word("b a"), ()))
-    with pytest.raises(TietzeError, match="does not define 'z'"):
-        _check_row_change(p, q, move)
 
 
 # ------------------------------------- the path that validated every result
@@ -676,7 +593,6 @@ def _reference_apply_tietze(p, move):
                          for i2, r in enumerate(relators) if i2 != index)
         gens = tuple(g for g in generators if g != gen)
         result = Presentation(gens, new_rels)
-    _check_row_change(p, result, move)
     return result
 
 
@@ -772,10 +688,14 @@ def _walk_word(rng, gens):
 @given(presentations(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_apply_tietze_matches_the_validating_reference_on_walks(start, seed):
-    """A LIFO walk of 500 certified moves, unwound at the end."""
+    """A LIFO walk of 500 certified moves, unwound at the end. The walk's
+    first presentation and its last before unwinding have the same abelian
+    invariants."""
     rng = random.Random(seed)
     p, stack, fresh = start, [], 0
     for step in range(500 + 6):
+        if step == 500:
+            assert abelianization(p) == abelianization(start)
         gens, rels = p
         if stack and (step >= 500 or len(stack) >= 6 or rng.random() < 0.45):
             kind, payload = stack.pop()

@@ -267,6 +267,24 @@ def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
         assert cert.steps == greedy_collapse(K)[0].steps
 
 
+# ------------------------------------------------------- TIETZE_INVARIANCE
+
+def test_tietze_invariance_fails_when_a_move_changes_the_group(monkeypatch):
+    original = report.apply_tietze
+    calls = []
+
+    def imposes_a_on_the_first_move(p, move):
+        calls.append(move)
+        if len(calls) == 1:
+            p = groups.impose_relator(p, (("a", 1),))
+        return original(p, move)
+
+    monkeypatch.setattr(report, "apply_tietze", imposes_a_on_the_first_move)
+    assert report._tietze_invariance(RunContext()) == (
+        FAIL, "invariants changed: Z/3 + Z -> Z")
+    assert len(calls) == 500
+
+
 # ------------------------------------------------- DISTINGUISH_IRREFLEXIVE
 
 def test_irreflexive_check_passes_on_shuffled_sequences(monkeypatch):
