@@ -56,16 +56,19 @@ class VerificationReport(NamedTuple):
 
 # ----------------------------------------------------- randomized helpers
 
-def random_cone_complex(rng: random.Random) -> SimplicialComplex:
-    """Cone over a small random complex; collapsible by construction."""
+def random_cone_base(rng: random.Random) -> frozenset[frozenset[str]]:
+    """Maximal faces of a small random complex; equal iff the complexes are."""
     nv = rng.randint(1, 5)
     verts = [f"v{i}" for i in range(nv)]
-    maximal = [[v] for v in verts]
+    drawn = [frozenset([v]) for v in verts]
     for _ in range(rng.randint(0, 6)):
-        size = rng.randint(1, min(3, nv))
-        maximal.append(rng.sample(verts, size))
-    base = build(maximal, name="base")
-    return cone(base, "apex", name="rcone")
+        drawn.append(frozenset(rng.sample(verts, rng.randint(1, min(3, nv)))))
+    return frozenset(f for f in drawn if not any(f < g for g in drawn))
+
+
+def random_cone_complex(rng: random.Random) -> SimplicialComplex:
+    """Cone over a small random complex; collapsible by construction."""
+    return cone(build(random_cone_base(rng), name="base"), "apex", name="rcone")
 
 
 def random_multiset(rng: random.Random) -> FactorMultiset:
@@ -307,14 +310,12 @@ def _search_certifies(name):
 
 def _cone_sweep(ctx):
     rng = random.Random(91)
-    checked = set()
+    first = {}
     for i in range(1000):
-        K = random_cone_complex(rng)
-        # is_collapsible and replay are functions of the simplex set alone,
-        # so a repeated draw would only repeat its first draw's checks
-        if K.simplices in checked:
-            continue
-        checked.add(K.simplices)
+        first.setdefault(random_cone_base(rng), i)
+    # a cone and its checks depend on its base's maximal faces alone
+    for base, i in first.items():
+        K = cone(build(base, name="base"), "apex", name="rcone")
         verdict = is_collapsible(K)
         if verdict.kind != "yes":
             return FAIL, f"cone {i}: verdict {verdict.kind}"

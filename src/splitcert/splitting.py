@@ -103,9 +103,10 @@ def multiset_of(prefix, cycle=()) -> FactorMultiset:
     counts: dict[str, float] = {}
     for label in prefix:
         counts[label] = counts.get(label, 0) + 1
-    for label in set(cycle):
+    for label in cycle:
         counts[label] = OMEGA
-    return FactorMultiset.from_map(counts)
+    # each label once, counted >= 1 or OMEGA: canonical once sorted
+    return FactorMultiset._make((tuple(sorted(counts.items())),))
 
 
 def distinguishable(m1: FactorMultiset, m2: FactorMultiset) -> bool:
@@ -121,13 +122,11 @@ def distinguishable(m1: FactorMultiset, m2: FactorMultiset) -> bool:
 def family_demo(k: int) -> int:
     """Build the 2^k subset descriptions over labels J1..Jk and verify they
     are pairwise distinguishable. Returns 2^k."""
-    if not isinstance(k, int) or k < 0 or k > 20:
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= 20:
         raise ValueError(f"k must be an integer in [0, 20], got {k!r}")
     labels = [f"J{i}" for i in range(1, k + 1)]
-    family = []
-    for bits in itertools.product((False, True), repeat=k):
-        chosen = [lab for lab, keep in zip(labels, bits) if keep]
-        family.append(multiset_of((), chosen))
+    family = [multiset_of((), itertools.compress(labels, bits))
+              for bits in itertools.product((0, 1), repeat=k)]
     # multisets are canonical, so equal maps have equal counts tuples:
     # distinct tuples is exactly "pairwise distinguishable"
     if len({m.counts for m in family}) != len(family):

@@ -11,12 +11,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitcert import assets, groups, mazur, report
 from splitcert.cli import main
 from splitcert.collapse import (CollapseCertificate, CollapseVerdict,
                                 SearchBudget, greedy_collapse, is_collapsible)
-from splitcert.complexes import SimplicialComplex, build, union
+from splitcert.complexes import SimplicialComplex, build, cone, union
 from splitcert.report import (CHECKS, FAIL, INCOMPLETE, PASS, SKIP, Check,
                               CheckResult, RunContext, VerificationReport,
                               run_checks, verify_all)
@@ -188,9 +190,32 @@ def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
         FAIL, "cone 8: certificate does not replay")
 
 
+def _old_random_cone_complex(rng):
+    """random_cone_complex as it was, building the complex of every draw."""
+    nv = rng.randint(1, 5)
+    verts = [f"v{i}" for i in range(nv)]
+    maximal = [[v] for v in verts]
+    for _ in range(rng.randint(0, 6)):
+        size = rng.randint(1, min(3, nv))
+        maximal.append(rng.sample(verts, size))
+    return cone(build(maximal, name="base"), "apex", name="rcone")
+
+
 def _seed_91_cones():
+    """The sweep's 1,000 draws, built as the sweep built them before it
+    keyed each draw by its maximal faces."""
     rng = random.Random(91)
-    return [report.random_cone_complex(rng) for _ in range(1000)]
+    return [_old_random_cone_complex(rng) for _ in range(1000)]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_random_cone_complex_draws_as_before(seed):
+    rng, old_rng = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert (report.random_cone_complex(rng).simplices
+                == _old_random_cone_complex(old_rng).simplices)
+    assert rng.getstate() == old_rng.getstate()
 
 
 def test_cone_sweep_fails_on_a_corrupted_repeated_cone(monkeypatch):
@@ -215,6 +240,8 @@ def test_cone_sweep_fails_on_a_corrupted_repeated_cone(monkeypatch):
 
 
 def test_cone_sweep_replays_each_distinct_cone_once(monkeypatch):
+    # exactly the simplex sets of the 1,000 draws, each once, in the order
+    # of its first draw
     distinct = list(dict.fromkeys(K.simplices for K in _seed_91_cones()))
     assert len(distinct) == 176
     assert sum(max(map(len, s)) == 4 for s in distinct) == 114

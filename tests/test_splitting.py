@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from splitcert import splitting
 from splitcert.collapse import CollapseCertificate, is_collapsible
 from splitcert.complexes import build, intersection, union
 from splitcert.report import FAIL, PASS, Check, RunContext, run_checks
@@ -44,6 +45,33 @@ def test_multiset_of_counts_prefix_and_cycle():
     # a finite sum has no cycle, and any iterables will do
     assert multiset_of(iter(["J2", "J2"])).counts == (("J2", 2),)
     assert multiset_of([]).counts == ()
+
+
+def _reference_multiset_of(prefix, cycle):
+    """Each label's count from its definition, through the validating
+    constructor."""
+    return FactorMultiset.from_map(
+        {label: OMEGA if label in cycle else prefix.count(label)
+         for label in prefix + cycle})
+
+
+# labels out of sorted order, and some that sort differently as strings
+sequences = st.lists(st.sampled_from(["J2", "J10", "J1", "K", "J3"]),
+                     max_size=8)
+
+
+@given(sequences, sequences, st.booleans())
+@example(["J2", "J1"], [], False)                 # unsorted prefix
+@example([], ["J3", "J1", "J3"], False)          # repeated, unsorted cycle
+@example(["J1", "J2", "J1"], ["J2", "J2"], True)  # a label in both
+@example([], [], True)
+def test_multiset_of_matches_the_validating_construction(prefix, cycle,
+                                                         as_iterators):
+    want = _reference_multiset_of(prefix, cycle)
+    if as_iterators:
+        prefix, cycle = iter(prefix), iter(cycle)
+    got = multiset_of(prefix, cycle)
+    assert type(got) is FactorMultiset and got == want
 
 
 def test_distinguishable_semantics():
@@ -102,12 +130,22 @@ def test_family_demo_counts():
 
 
 def test_family_demo_bounds():
-    with pytest.raises(ValueError):
-        family_demo(-1)
-    with pytest.raises(ValueError):
-        family_demo(21)
-    with pytest.raises(ValueError):
-        family_demo(2.0)
+    for bad in (-1, 21, 2.0, True, False):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            family_demo(bad)
+
+
+def test_family_demo_detects_a_collision(monkeypatch):
+    # without J3, the subsets that differ in J3 alone give equal multisets
+    original = splitting.multiset_of
+
+    def drops_J3(prefix, cycle=()):
+        return original(prefix, [label for label in cycle if label != "J3"])
+
+    monkeypatch.setattr(splitting, "multiset_of", drops_J3)
+    assert family_demo(2) == 4
+    with pytest.raises(AssertionError, match="subset descriptions collided"):
+        family_demo(3)
 
 
 # ------------------------------------------------------------- spine split
