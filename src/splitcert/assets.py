@@ -3,32 +3,31 @@
 point at modified copies."""
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
-from .collapse import CollapseCertificate, loads_cert
-from .complexes import SimplicialComplex, loads_scx
-from .groups import LinkDiagram, loads_lnk
+from .collapse import CollapseCertificate, load_cert
+from .complexes import SimplicialComplex, load_scx
+from .groups import LinkDiagram, load_lnk
 
 COMPLEXES = ("dunce_hat", "jester_hat", "jester_A", "jester_B", "jester_C")
 CERTIFICATES = ("jester_C", "jester_A", "jester_B")
 DIAGRAMS = ("mazur_link",)
 
+BUNDLED = Path(__file__).with_name("assets")
 
-def _read(name: str, assets_dir=None) -> str:
-    if assets_dir is not None:
-        return (Path(assets_dir) / name).read_text()
-    ref = resources.files(__package__) / "assets" / name
-    return ref.read_text()
+
+def _path(name: str, assets_dir) -> Path:
+    # an empty assets_dir is the working directory, not the bundled one
+    return Path(BUNDLED if assets_dir is None else assets_dir) / name
 
 
 def load_complex(name: str, assets_dir=None) -> SimplicialComplex:
-    return loads_scx(_read(f"{name}.scx", assets_dir), name=name)
+    return load_scx(_path(f"{name}.scx", assets_dir))
 
 
 def load_certificate(name: str, assets_dir=None) -> CollapseCertificate:
-    return loads_cert(_read(f"{name}.cert", assets_dir))
+    return load_cert(_path(f"{name}.cert", assets_dir))
 
 
 def load_diagram(name: str, assets_dir=None) -> LinkDiagram:
-    return loads_lnk(_read(f"{name}.lnk", assets_dir))
+    return load_lnk(_path(f"{name}.lnk", assets_dir))

@@ -13,9 +13,9 @@ from . import __version__
 from .collapse import (DEFAULT_BUDGET, SearchBudget, dumps_cert, free_faces,
                        greedy_collapse, is_collapsible, load_cert, replay)
 from .complexes import euler_characteristic, load_scx
-from .groups import (TietzeError, TietzeMove, abelianization, apply_tietze,
-                     dumps_fp, free_reduce, load_fp, load_lnk, parse_word,
-                     substitute, wirtinger, word_str)
+from .groups import (TietzeError, TietzeMove, _check_gen, abelianization,
+                     apply_tietze, dumps_fp, free_reduce, load_fp, load_lnk,
+                     parse_word, substitute, wirtinger, word_str)
 from .report import RunContext, run_group, verify_all
 from .splitting import OMEGA, FactorMultiset, distinguishable
 
@@ -119,7 +119,10 @@ def cmd_group(args) -> int:
         print(word_str(free_reduce(parse_word(args.word))))
         return 0
     if args.action == "subst":
-        mapping = dict(_parse_gen_word(item) for item in args.map)
+        pairs = [_parse_gen_word(item) for item in args.map]
+        mapping = dict(pairs)
+        if len(mapping) != len(pairs):
+            raise ValueError(f"a generator is mapped twice in {args.map!r}")
         print(word_str(substitute(parse_word(args.word), mapping)))
         return 0
     if args.action == "abelianize":
@@ -141,7 +144,7 @@ def _parse_gen_word(text: str):
     gen, sep, word = text.partition("=")
     if not sep:
         raise ValueError(f"{text!r} is not GEN=WORD")
-    return gen, parse_word(word)
+    return _check_gen(gen), parse_word(word)
 
 
 def _parse_certificate(text: str):

@@ -33,8 +33,10 @@ class SearchBudget(_SearchBudget):
     __slots__ = ()
 
     def __new__(cls, max_nodes: int = DEFAULT_BUDGET):
-        if max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+        if (isinstance(max_nodes, bool) or not isinstance(max_nodes, int)
+                or max_nodes < 1):
+            raise ValueError(
+                f"max_nodes must be an integer >= 1, got {max_nodes!r}")
         return super().__new__(cls, max_nodes)
 
 

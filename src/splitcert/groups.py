@@ -226,11 +226,10 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
                 f"{gen!r}, need exactly 1")
         i = hits[0]
         _, e = rel[i]
-        # rel = u g^e v = 1  =>  g^e = u^-1 v^-1  =>  g = (v u)^-e
+        # rel = u g^e v = 1  =>  g^e = u^-1 v^-1  =>  g = (v u)^-e, and v u
+        # holds no letter of g, so neither does the definition
         vu = rel[i + 1:] + rel[:i]
         definition = free_reduce(inverse(vu) if e == 1 else vu)
-        if any(g == gen for g, _ in definition):
-            raise TietzeError("defining word still mentions the generator")
         mapping = {g: ((g, 1),) for g in generators} | {gen: definition}
         # Keep relators that reduce to epsilon: silently dropping them
         # would shift the indices that later certificates refer to.  An

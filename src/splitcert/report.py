@@ -66,11 +66,6 @@ def random_cone_base(rng: random.Random) -> frozenset[frozenset[str]]:
     return frozenset(f for f in drawn if not any(f < g for g in drawn))
 
 
-def random_cone_complex(rng: random.Random) -> SimplicialComplex:
-    """Cone over a small random complex; collapsible by construction."""
-    return cone(build(random_cone_base(rng), name="base"), "apex", name="rcone")
-
-
 def random_multiset(rng: random.Random) -> FactorMultiset:
     labels = rng.sample([f"J{i}" for i in range(1, 9)], rng.randint(0, 5))
     return FactorMultiset.from_map(

@@ -48,7 +48,7 @@ def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
     if union(A, B).simplices != spine.simplices:
         raise SplitError(
             f"{A.name} union {B.name} is not {spine.name}")
-    C = intersection(A, B, name=f"{A.name}&{B.name}")
+    C = intersection(A, B)
     for part, cert in zip((A, B, C), certs, strict=True):
         if cert is None:   # is_collapsible's certificate on "no"
             raise SplitError(f"{part.name}: no certificate")

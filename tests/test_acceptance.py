@@ -22,7 +22,7 @@ from splitcert.groups import (Crossing, LinkDiagram, Presentation,
 from splitcert.hyperbolic import (rotation, same_isometry, triangle_defect)
 from splitcert.mazur import (derivation_chain, target_presentation,
                              triangle_certificate)
-from splitcert.report import (PASS, TIETZE_WALK_START, random_cone_complex,
+from splitcert.report import (PASS, TIETZE_WALK_START, random_cone_base,
                               random_multiset, random_tietze_walk, verify_all)
 from splitcert.splitting import (CONCLUSION, distinguishable, family_demo,
                                  verify_spine_split)
@@ -84,7 +84,8 @@ def test_criterion_3_search_autonomy_and_chi_conservation():
 
     rng = random.Random(317)
     for _ in range(1000):
-        K = random_cone_complex(rng)
+        K = cone(build(random_cone_base(rng), name="base"), "apex",
+                 name="rcone")
         chi = euler_characteristic(K)
         cert, residual = greedy_collapse(K)
         current = K

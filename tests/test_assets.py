@@ -33,6 +33,34 @@ def test_assets_dir_override(asset_copy):
         assets.load_complex("dunce_hat", assets_dir=asset_copy / "nope")
 
 
+_LOADERS = [*((assets.load_complex, n) for n in assets.COMPLEXES),
+            *((assets.load_certificate, n) for n in assets.CERTIFICATES),
+            *((assets.load_diagram, n) for n in assets.DIAGRAMS)]
+
+
+@pytest.mark.parametrize("load,name", _LOADERS,
+                         ids=[f"{f.__name__}-{n}" for f, n in _LOADERS])
+def test_bundled_and_copied_assets_load_alike(asset_copy, monkeypatch, load,
+                                              name):
+    # one path for both: the bundled directory, a --assets copy, and the
+    # working directory for an empty --assets give equal objects
+    bundled = load(name)
+    assert load(name, assets_dir=asset_copy) == bundled
+    assert load(name, assets_dir=str(asset_copy)) == bundled
+    monkeypatch.chdir(asset_copy)
+    assert load(name, assets_dir="") == bundled
+
+
+@pytest.mark.parametrize("load,ext", [(assets.load_complex, "scx"),
+                                      (assets.load_certificate, "cert"),
+                                      (assets.load_diagram, "lnk")])
+def test_a_missing_asset_names_its_path(tmp_path, load, ext):
+    with pytest.raises(FileNotFoundError) as exc:
+        load("nope", assets_dir=tmp_path)
+    assert exc.value.filename == str(tmp_path / f"nope.{ext}")
+    assert str(tmp_path / f"nope.{ext}") in str(exc.value)
+
+
 @pytest.mark.parametrize("name,nv,ne,nt", [
     ("dunce_hat", 8, 24, 17),
     ("jester_hat", 9, 29, 21),

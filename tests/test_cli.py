@@ -280,6 +280,22 @@ def test_group_subst_needs_gen_equals_word(capsys, argv):
     assert "is not GEN=WORD" in err
 
 
+def test_group_subst_rejects_a_repeated_gen(capsys):
+    # a generator given two images is an error, not a silent keep-the-last
+    code, out, err = run(capsys, "group", "subst", "a", "-m", "a=b",
+                         "-m", "a=c")
+    assert (code, out) == (2, "")
+    assert err == "error: a generator is mapped twice in ['a=b', 'a=c']\n"
+
+
+@pytest.mark.parametrize("gen", ["A", "", "1a", "a b"])
+def test_group_subst_rejects_a_bad_gen(capsys, gen):
+    # GEN is a generator token, as a Presentation's generators are
+    code, out, err = run(capsys, "group", "subst", "a", "-m", f"{gen}=b")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad generator token {gen!r}\n"
+
+
 def test_group_abelianize(capsys, tmp_path):
     f = tmp_path / "p.fp"
     f.write_text("gens: a b\nrel: a b A B\n")
@@ -531,11 +547,14 @@ def test_console_script_version():
 
 def test_import_does_not_load_dataclasses():
     # the records are NamedTuples, so start-up never imports dataclasses
-    # (and its inspect, ast and dis); -S keeps site hooks out of the count
+    # (and its inspect, ast and dis), and the bundled assets are plain files
+    # next to the package, read without importlib.resources; -S keeps site
+    # hooks out of the count
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import splitcert.cli; "
-            "print('dataclasses' in sys.modules)")
+            "print('dataclasses' in sys.modules, "
+            "'importlib.resources' in sys.modules)")
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"

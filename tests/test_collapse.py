@@ -15,7 +15,7 @@ from splitcert.collapse import (CollapseCertificate, CollapseVerdict,
                                 is_collapsible, loads_cert, replay)
 from splitcert.complexes import (Simplex, SimplicialComplex, build, cone,
                                  euler_characteristic)
-from splitcert.report import random_cone_complex
+from splitcert.report import random_cone_base
 
 _vertex = st.sampled_from(["a", "b", "c", "d", "e"])
 _simplex = st.sets(_vertex, min_size=1, max_size=3).map(tuple)
@@ -632,8 +632,12 @@ def test_search_depth_does_not_use_the_call_stack():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_nodes=0)
+    # a bool or a float is no node count: inf would never stop the search
+    for max_nodes in (0, -1, True, False, 2.5, 1.0, float("inf"), "10"):
+        with pytest.raises(ValueError,
+                           match="max_nodes must be an integer >= 1"):
+            SearchBudget(max_nodes=max_nodes)
+    assert SearchBudget(max_nodes=1).max_nodes == 1
 
 
 @given(base_complexes)
@@ -679,7 +683,8 @@ def _seed_91_cones():
     """The distinct complexes among CONE_SWEEP's 1,000 seed-91 draws."""
     rng, cones = random.Random(91), {}
     for _ in range(1000):
-        K = random_cone_complex(rng)
+        K = cone(build(random_cone_base(rng), name="base"), "apex",
+                 name="rcone")
         cones.setdefault(K.simplices, K)
     return list(cones.values())
 

@@ -191,7 +191,7 @@ def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
 
 
 def _old_random_cone_complex(rng):
-    """random_cone_complex as it was, building the complex of every draw."""
+    """The sweep's cone draw as it was, building the complex of every draw."""
     nv = rng.randint(1, 5)
     verts = [f"v{i}" for i in range(nv)]
     maximal = [[v] for v in verts]
@@ -213,8 +213,9 @@ def _seed_91_cones():
 def test_random_cone_complex_draws_as_before(seed):
     rng, old_rng = random.Random(seed), random.Random(seed)
     for _ in range(20):
-        assert (report.random_cone_complex(rng).simplices
-                == _old_random_cone_complex(old_rng).simplices)
+        K = cone(build(report.random_cone_base(rng), name="base"), "apex",
+                 name="rcone")
+        assert K.simplices == _old_random_cone_complex(old_rng).simplices
     assert rng.getstate() == old_rng.getstate()
 
 
