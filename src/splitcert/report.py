@@ -20,7 +20,7 @@ from .complexes import (SimplicialComplex, build, cone, euler_characteristic,
                         intersection, union)
 from .groups import (Presentation, TietzeMove, _certificate_product,
                      abelianization, apply_tietze, linking_number, parse_word,
-                     wirtinger)
+                     wirtinger, word_str)
 from .hyperbolic import (DEFAULT_TOL, NONTRIVIAL_FLOOR, build_triangle,
                          triangle_defect)
 from .splitting import (OMEGA, FactorMultiset, SplitError, distinguishable,
@@ -180,7 +180,7 @@ class RunContext:
 
     @property
     def chain(self):
-        return self._once("chain", lambda: mazur.derivation_chain(self.link))
+        return self._once("chain", mazur.derivation_chain)
 
     @property
     def triangle(self):
@@ -197,9 +197,10 @@ class Check(NamedTuple):
 
 def run_checks(checks, ctx: RunContext,
                strict: bool = False) -> list[CheckResult]:
-    """Run checks in order against one context. An error is FAIL, unless
-    strict, which lets asset and program errors escape so a named command
-    can exit 2."""
+    """Run checks in order against one context. A SplitError is a
+    refutation (FAIL); an AssetError is input that could not be read (FAIL,
+    or under strict its cause escapes so a named command exits 2); any
+    other exception is a defect (FAIL naming it; under strict it escapes)."""
     results = []
     for check in checks:
         try:
@@ -332,6 +333,13 @@ def _link_h1(ctx):
     return _verdict(inv.free_rank == 2 and not inv.factors, f"H1 = {inv}")
 
 
+def _r9(ctx):
+    rels = ctx.link.relators
+    if len(rels) < 9:
+        return FAIL, f"{len(rels)} relators, no relator 9"
+    return _verdict(rels[8] == mazur.R9, f"relator 9 is {word_str(rels[8])}")
+
+
 def _linking(ctx):
     lk = linking_number(ctx.diagram("mazur_link"), 0, 1)
     return _verdict(abs(lk) == 1, f"lk = {lk}")
@@ -422,8 +430,7 @@ CHECKS = (
     Check("CONE_SWEEP", None, _cone_sweep),
     Check("MAZUR_WIRTINGER_SHAPE", None, _wirtinger_shape),
     Check("MAZUR_ABELIANIZATION", None, _link_h1),
-    Check("MAZUR_R9", None, lambda ctx: _verdict(
-        ctx.link.relators[8] == mazur.R9, "relator 9 is x1 X7 X2 x7")),
+    Check("MAZUR_R9", "mazur", _r9),
     Check("MAZUR_LINKING", None, _linking),
     Check("MAZUR_DERIVATION_CHAIN", "mazur", lambda ctx: _verdict(
         ctx.chain.ok, "; ".join(ctx.chain.lines()))),

@@ -105,7 +105,7 @@ def test_criterion_4_wirtinger_presentation():
     assert ab.free_rank == 2 and ab.factors == ()
     assert p.relators[8] == parse_word("x1 X7 X2 x7")
 
-    chain = derivation_chain(p)
+    chain = derivation_chain()
     assert chain.x1_word == parse_word("Beta Beta alpha beta")
     assert chain.x5_word == parse_word("Beta Beta alpha alpha")
     assert chain.ok

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from splitcert.cli import main
+from splitcert.groups import loads_lnk
 
 ASSET_SRC = "src/splitcert/assets"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -259,6 +260,26 @@ def test_wirtinger_output(capsys):
     assert len([l for l in lines if l.startswith("rel: ")]) == 9
 
 
+@pytest.mark.parametrize("text,message", [
+    ("arc: a a\ncomp: a a\n", "duplicate arc names"),
+    ("arc: a\nx: over=z in=a out=a sign=+\ncomp: a\n",
+     "crossing references unknown arc 'z'"),
+    ("arc: a b\ncomp: a b\n",
+     "component ('a', 'b') has several arcs but no crossings"),
+    ("arc: a\nloop: a\ncomp: a\n",
+     "line 2: expected arc:/x:/comp:, got 'loop: a'"),
+])
+def test_wirtinger_rejects_a_bad_diagram(text, message, capsys, tmp_path):
+    with pytest.raises(ValueError) as exc:
+        loads_lnk(text)
+    assert str(exc.value) == message
+    f = tmp_path / "bad.lnk"
+    f.write_text(text)
+    code, out, err = run(capsys, "wirtinger", str(f))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_group_reduce(capsys):
     code, out, _ = run(capsys, "group", "reduce", "a A b B b")
     assert code == 0
@@ -386,6 +407,11 @@ def test_group_tietze_add_gen_needs_gen_equals_word(capsys, tmp_path):
     (("--add-rel", "Z a a a z", "--by", "0:+:z"),
      "relator uses undeclared generator 'z'"),
     (("--add-gen", "Bad=a"), "bad generator token 'Bad'"),
+    (("--add-rel", "a a a a", "--by", "0:+"),
+     "certificate term '0:+' is not INDEX:SIGN:CONJUGATOR"),
+    (("--add-rel", "a a a a", "--by", "0:+:a:a"),
+     "certificate term '0:+:a:a' is not INDEX:SIGN:CONJUGATOR"),
+    (("--add-rel", "a a a a", "--by", "0:x:a"), "bad certificate sign 'x'"),
 ])
 def test_group_tietze_validates_what_a_move_adds(moves, message, capsys,
                                                  tmp_path):
@@ -441,6 +467,30 @@ def test_group_tietze_rejects_the_option_its_move_ignores(moves, message,
     code, out, err = run(capsys, "group", "tietze", str(f), *moves)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_group_tietze_skips_an_empty_certificate_term(capsys, tmp_path):
+    f = tmp_path / "p.fp"
+    f.write_text("gens: a b\nrel: a a a\nrel: b b\n")
+    want = run(capsys, "group", "tietze", str(f),
+               "--add-rel", "B a a a b b b", "--by", "0:+:b,1:+:")
+    assert want[0] == 0
+    assert run(capsys, "group", "tietze", str(f), "--add-rel",
+               "B a a a b b b", "--by", ",0:+:b, ,1:+:,") == want
+
+
+@pytest.mark.parametrize("moves,message", [
+    (("--add-rel", "a a a"), "--add-rel needs --by INDEX:SIGN:CONJ,..."),
+    (("--remove-rel", "0"), "--remove-rel needs --by INDEX:SIGN:CONJ,..."),
+    (("--remove-gen", "a"), "--remove-gen needs --using RELATOR_INDEX"),
+])
+def test_group_tietze_move_without_its_option(moves, message, capsys,
+                                              tmp_path):
+    f = tmp_path / "p.fp"
+    f.write_text("gens: a\nrel: a a a\n")
+    code, out, err = run(capsys, "group", "tietze", str(f), *moves)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # --------------------------------------------------------------------- csi
@@ -521,8 +571,17 @@ def test_verify_all_missing_diagram_fails_only_its_checks(capsys, asset_copy):
              if line.startswith("MAZUR_")]
     assert len(mazur) == 6
     for check_id, status, detail in mazur:
+        if check_id == "MAZUR_DERIVATION_CHAIN":
+            continue
         assert status == "FAIL"
         assert detail.startswith("asset unavailable: "), check_id
+    # the derivation chain reads no asset: its line is the golden one
+    chain = [line for line in out.splitlines()
+             if line.startswith("MAZUR_DERIVATION_CHAIN ")]
+    assert chain == [line for line in
+                     (GOLDEN / "verify-all.txt").read_text().splitlines()
+                     if line.startswith("MAZUR_DERIVATION_CHAIN ")]
+    assert report["MAZUR_DERIVATION_CHAIN"] == "PASS"
     assert report["DUNCE_FREE_FACES"] == "PASS"
     assert report["JESTER_SPLIT_CERT"] == "PASS"
     # the pure-geometry checks do not touch assets at all

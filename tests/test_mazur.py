@@ -4,9 +4,12 @@ import math
 import pytest
 
 from splitcert import mazur
+from splitcert.cli import main
 from splitcert.groups import abelianization, parse_word, word_str
 from splitcert.hyperbolic import (certify_nontrivial, evaluate, rotation,
                                   same_isometry)
+from splitcert.report import (CHECKS, FAIL, PASS, RunContext, run_checks,
+                              verify_all)
 
 
 def test_link_presentation_abelianization():
@@ -35,7 +38,7 @@ def test_filling_relators_really_are_quotients():
 
 
 def test_derivation_chain_words():
-    chain = mazur.derivation_chain(mazur.link_presentation())
+    chain = mazur.derivation_chain()
     assert chain.ok
     assert word_str(chain.x1_word) == "Beta Beta alpha beta"
     assert word_str(chain.x5_word) == "Beta Beta alpha alpha"
@@ -43,15 +46,48 @@ def test_derivation_chain_words():
     assert len(chain.lines()) == 3
 
 
-def test_derivation_chain_rejects_tampered_diagram(asset_copy):
+def test_tampered_relator_9_fails_mazur_r9_and_mazur_certify(asset_copy,
+                                                            capsys):
+    # flip the ninth crossing's sign: the diagram stays valid, and its
+    # relator 9 reads x1 x7 X2 X7, not r9
     lnk = asset_copy / "mazur_link.lnk"
-    lines = lnk.read_text().splitlines()
-    # swap the two final crossing lines so relator 9 is no longer r9
-    xs = [i for i, line in enumerate(lines) if line.startswith("x:")]
-    lines[xs[-1]], lines[xs[-2]] = lines[xs[-2]], lines[xs[-1]]
-    lnk.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="ninth relator"):
-        mazur.derivation_chain(mazur.link_presentation(asset_copy))
+    text = lnk.read_text()
+    ninth = "x: over=x7 in=x2 out=x1 sign=-"
+    assert text.count(ninth) == 1
+    lnk.write_text(text.replace(ninth, ninth[:-1] + "+"))
+
+    assert main(["mazur", "certify", "--assets", str(asset_copy)]) == 1
+    captured = capsys.readouterr()
+    assert "PI1_BOUNDARY_NONTRIVIAL: FAIL\n" in captured.out
+    assert captured.err == ""
+
+    report = verify_all(asset_copy)
+    lines = {c.check_id: c for c in report.checks}
+    assert lines["MAZUR_R9"] == (
+        "MAZUR_R9", FAIL, "relator 9 is x1 x7 X2 X7")
+    # the derivation chain's words never came from the link
+    assert lines["MAZUR_DERIVATION_CHAIN"] == (
+        "MAZUR_DERIVATION_CHAIN", PASS,
+        "; ".join(mazur.derivation_chain().lines()))
+    assert report.overall == FAIL
+
+
+def test_a_link_without_relator_9_fails_mazur_r9(asset_copy, capsys):
+    # a valid diagram with three crossings: the trefoil
+    (asset_copy / "mazur_link.lnk").write_text(
+        "arc: a b c\n"
+        "x: over=c in=a out=b sign=+\n"
+        "x: over=a in=b out=c sign=+\n"
+        "x: over=b in=c out=a sign=+\n"
+        "comp: a b c\n")
+    assert main(["mazur", "certify", "--assets", str(asset_copy)]) == 1
+    captured = capsys.readouterr()
+    assert "PI1_BOUNDARY_NONTRIVIAL: FAIL\n" in captured.out
+    assert captured.err == ""
+    (r9,) = run_checks([c for c in CHECKS if c.id == "MAZUR_R9"],
+                       RunContext(asset_copy))
+    assert r9.status == FAIL
+    assert r9.detail == "3 relators, no relator 9"
 
 
 def test_target_presentation():

@@ -22,8 +22,8 @@ from splitcert.complexes import SimplicialComplex, build, cone, union
 from splitcert.report import (CHECKS, FAIL, INCOMPLETE, PASS, SKIP, Check,
                               CheckResult, RunContext, VerificationReport,
                               run_checks, verify_all)
-from splitcert.splitting import (OMEGA, FactorMultiset, multiset_of,
-                                 verify_spine_split)
+from splitcert.splitting import (OMEGA, FactorMultiset, SplitError,
+                                 multiset_of, verify_spine_split)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -69,7 +69,7 @@ def test_groups_cover_what_each_named_command_decides():
                                "DUNCE_EULER"]
     assert groups["jester"] == ["JESTER_SPLIT_CERT"]
     assert groups["mazur"] == [
-        "MAZUR_DERIVATION_CHAIN", "TRIANGLE_RELATORS",
+        "MAZUR_R9", "MAZUR_DERIVATION_CHAIN", "TRIANGLE_RELATORS",
         "TRIANGLE_ELLIPTIC_ORDERS", "TRIANGLE_BG_HALF_TURN",
         "MERIDIAN_DISPLACEMENT"]
     ids = [c.id for c in CHECKS]
@@ -342,3 +342,77 @@ def test_irreflexive_check_fails_on_a_non_canonical_build(monkeypatch):
     status, detail = report._irreflexive(RunContext())
     assert status == FAIL
     assert detail.endswith("separated from itself")
+
+
+# ------------------------------------------------- how a check's end is read
+
+def test_a_defect_in_a_check_is_fail_and_escapes_under_strict():
+    def broken(ctx):
+        return 1 // 0
+
+    check = Check("BROKEN", None, broken)
+    assert run_checks([check], RunContext()) == [CheckResult(
+        "BROKEN", FAIL, "ZeroDivisionError: integer division or modulo by "
+                        "zero")]
+    with pytest.raises(ZeroDivisionError):
+        run_checks([check], RunContext(), strict=True)
+
+
+def test_a_split_error_is_a_verdict_even_under_strict():
+    def refuted(ctx):
+        raise SplitError("jester_A: no certificate")
+
+    assert run_checks([Check("SPLIT", None, refuted)], RunContext(),
+                      strict=True) == [
+        CheckResult("SPLIT", FAIL, "jester_A: no certificate")]
+
+
+def _run(check_id, ctx):
+    (result,) = run_checks([c for c in CHECKS if c.id == check_id], ctx)
+    return result.status, result.detail
+
+
+def test_dunce_search_out_of_budget_is_skip(monkeypatch):
+    monkeypatch.setattr(report, "is_collapsible",
+                        lambda K: CollapseVerdict("unknown", None, 7))
+    assert _run("DUNCE_SEARCH_VERDICT", RunContext()) == (
+        SKIP, "budget exhausted")
+
+
+@pytest.mark.parametrize("verdict,want", [
+    (CollapseVerdict("unknown", None, 7),
+     (SKIP, "budget exhausted after 7 nodes")),
+    (CollapseVerdict("no", None, 7), (FAIL, "verdict no")),
+    # an empty certificate leaves all of jester_C
+    (CollapseVerdict("yes", CollapseCertificate(()), 7),
+     (FAIL, "search certificate does not replay")),
+])
+def test_search_check_reads_the_verdict_it_gets(verdict, want, monkeypatch):
+    monkeypatch.setattr(report, "is_collapsible", lambda K: verdict)
+    assert _run("SEARCH_JESTER_C", RunContext()) == want
+
+
+def test_decomposition_fails_when_c_is_not_the_intersection(asset_copy):
+    scx = asset_copy / "jester_C.scx"
+    text = scx.read_text()
+    assert text.count("e f g\n") == 1
+    scx.write_text(text.replace("e f g\n", ""))
+    assert _run("JESTER_DECOMPOSITION", RunContext(asset_copy)) == (
+        FAIL, "A intersect B differs from C")
+
+
+def test_cert_replay_fails_on_a_certificate_that_stops_short(asset_copy):
+    short = Path(__file__).resolve().parent / "data" / "jester_A_short.cert"
+    (asset_copy / "jester_A.cert").write_text(short.read_text())
+    assert _run("JESTER_A_CERT_REPLAY", RunContext(asset_copy)) == (
+        FAIL, "replay left 33 simplices")
+
+
+def test_cert_replay_fails_on_a_point_other_than_v(asset_copy):
+    # collapse the last edge a v from v, not from a: C ends at vertex a
+    cert = asset_copy / "jester_C.cert"
+    text = cert.read_text()
+    assert text.endswith("\nb\na\n")
+    cert.write_text(text[:-2] + "v\n")
+    assert _run("JESTER_C_CERT_REPLAY", RunContext(asset_copy)) == (
+        FAIL, "collapsed to a, expected v")

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from splitcert import splitting
 from splitcert.collapse import CollapseCertificate, is_collapsible
 from splitcert.complexes import build, intersection, union
-from splitcert.report import FAIL, PASS, Check, RunContext, run_checks
+from splitcert.report import (CHECKS, FAIL, PASS, Check, RunContext,
+                              run_checks)
 from splitcert.splitting import (CONCLUSION, OMEGA, FactorMultiset, SplitError,
                                  distinguishable, family_demo, multiset_of,
                                  verify_spine_split)
@@ -144,8 +145,12 @@ def test_family_demo_detects_a_collision(monkeypatch):
 
     monkeypatch.setattr(splitting, "multiset_of", drops_J3)
     assert family_demo(2) == 4
-    with pytest.raises(AssertionError, match="subset descriptions collided"):
-        family_demo(3)
+    # the subsets that differ in J3 alone pair up
+    assert family_demo(3) == 4
+    assert family_demo(10) == 512
+    (result,) = run_checks([c for c in CHECKS if c.id == "FAMILY_DEMO"],
+                           RunContext())
+    assert result.status == FAIL
 
 
 # ------------------------------------------------------------- spine split
