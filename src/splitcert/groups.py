@@ -54,7 +54,7 @@ def word_str(w: Word) -> str:
 
 
 def inverse(w: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
+    return tuple([(g, -e) for g, e in reversed(w)])
 
 
 def free_reduce(w: Iterable[Letter]) -> Word:
@@ -94,6 +94,7 @@ class _Presentation(NamedTuple):
 
 
 class Presentation(_Presentation):
+    """Relators are stored freely reduced, after their letters are checked."""
     __slots__ = ()
 
     def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
@@ -105,7 +106,8 @@ class Presentation(_Presentation):
             seen.add(g)
         for r in relators:
             _check_declared(seen, r)
-        return super().__new__(cls, generators, relators)
+        return super().__new__(cls, generators,
+                               tuple(map(free_reduce, relators)))
 
     def __str__(self) -> str:
         gens = " ".join(self.generators)
@@ -121,7 +123,7 @@ def impose_relator(p: Presentation, w: Word) -> Presentation:
     changes. Use apply_tietze for presentation changes that must preserve
     the group.
     """
-    return Presentation(p.generators, p.relators + (free_reduce(w),))
+    return Presentation(p.generators, p.relators + (w,))
 
 
 class _TietzeMove(NamedTuple):
@@ -181,8 +183,8 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
     must have exactly one letter in its defining relator. Raises
     TietzeError (and leaves p alone) when the certificate fails. Only what
     is new gets Presentation's checks (ValueError): an added relator's
-    letters and an added generator's name. Every other relator is p's, or
-    reduced or substituted from p's letters, so it needs none.
+    letters and an added generator's name. A relator carried over is p's,
+    freely reduced already; only the words a move makes are reduced.
     """
     kind, word, certificate, gen, index = move
     generators, relators = p
@@ -200,7 +202,7 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
             raise TietzeError(f"no relator {index} to remove")
         rest = relators[:index] + relators[index + 1:]
         got = _certificate_product(rest, certificate)
-        if got != free_reduce(relators[index]):
+        if got != relators[index]:
             raise TietzeError(
                 f"removed relator is not certified by the others: "
                 f"{word_str(got)}")
@@ -218,7 +220,7 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
             raise TietzeError(f"no generator {gen!r}")
         if not 0 <= index < len(relators):
             raise TietzeError(f"no relator {index}")
-        rel = free_reduce(relators[index])
+        rel = relators[index]
         hits = [i for i, (g, _) in enumerate(rel) if g == gen]
         if len(hits) != 1:
             raise TietzeError(
@@ -230,12 +232,13 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
         # holds no letter of g, so neither does the definition
         vu = rel[i + 1:] + rel[:i]
         definition = free_reduce(inverse(vu) if e == 1 else vu)
-        mapping = {g: ((g, 1),) for g in generators} | {gen: definition}
+        images = {(gen, 1): definition, (gen, -1): inverse(definition)}
         # Keep relators that reduce to epsilon: silently dropping them
         # would shift the indices that later certificates refer to.  An
         # empty certificate removes a trivial relator explicitly.
-        new_rels = tuple(substitute(r, mapping) if (gen, 1) in r
-                         or (gen, -1) in r else free_reduce(r)
+        new_rels = tuple(free_reduce([x for letter in r
+                                      for x in images.get(letter, (letter,))])
+                         if (gen, 1) in r or (gen, -1) in r else r
                          for r in relators[:index] + relators[index + 1:])
         gens = tuple(g for g in generators if g != gen)
         return Presentation._make((gens, new_rels))
@@ -301,19 +304,13 @@ def wirtinger(d: LinkDiagram) -> Presentation:
     """One generator per arc; per crossing the relator
     under_out . over^sign . under_in^-1 . over^-sign."""
     validate_diagram(d)
-    relators = []
-    for over, under_in, under_out, sign in d.crossings:
-        w = ((under_out, 1), (over, sign), (under_in, -1), (over, -sign))
-        relators.append(free_reduce(w))
-    return Presentation(tuple(d.arcs), tuple(relators))
+    return Presentation(tuple(d.arcs), tuple(
+        ((under_out, 1), (over, sign), (under_in, -1), (over, -sign))
+        for over, under_in, under_out, sign in d.crossings))
 
 
-def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
-    """Half the signed count of crossings between two components.
-
-    Assumes a realizable diagram; for the bundled assets this is the
-    meridian-pairing sanity value.
-    """
+def crossing_sum(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
+    """The signed count of crossings between two components."""
     ca = set(d.components[comp_a])
     cb = set(d.components[comp_b])
     total = 0
@@ -321,6 +318,13 @@ def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
     for over, under, _, sign in d.crossings:
         if (over in ca and under in cb) or (over in cb and under in ca):
             total += sign
+    return total
+
+
+def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
+    """Half of crossing_sum. Assumes a realizable diagram; for the bundled
+    assets this is the meridian-pairing sanity value."""
+    total = crossing_sum(d, comp_a, comp_b)
     if total % 2:
         raise ValueError("odd inter-component crossing sum; diagram broken")
     return total // 2

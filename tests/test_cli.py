@@ -353,6 +353,22 @@ def test_group_tietze_add_gen(capsys, tmp_path):
     assert "rel: b A A" in out
 
 
+def test_group_tietze_prints_relators_read_unreduced_reduced(capsys,
+                                                             tmp_path):
+    # a relator is stored freely reduced as it is read, so one that a move
+    # only carries over is printed reduced too
+    f = tmp_path / "p.fp"
+    f.write_text("gens: a b\nrel: a b B\nrel: b b\n")
+    code, out, _ = run(capsys, "group", "tietze", str(f), "--add-gen", "c=a")
+    assert code == 0
+    assert out == "gens: a b c\nrel: a\nrel: b b\nrel: c A\n"
+    # an undeclared letter is refused even where it cancels
+    f.write_text("gens: a\nrel: a c C\n")
+    code, _, err = run(capsys, "group", "tietze", str(f), "--add-gen", "c=a")
+    assert code == 2
+    assert "undeclared generator 'c'" in err
+
+
 def test_group_tietze_add_and_remove_rel(capsys, tmp_path):
     f = tmp_path / "p.fp"
     f.write_text("gens: a b\nrel: a a a\nrel: b b\n")

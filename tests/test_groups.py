@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
                               Presentation, TietzeError, TietzeMove,
-                              _certificate_product, abelianization,
+                              _certificate_product, _check_declared,
+                              _check_gen, abelianization,
                               apply_tietze, dumps_fp, free_reduce,
                               impose_relator, inverse, linking_number,
                               loads_fp, loads_lnk, parse_word,
@@ -94,6 +95,27 @@ def test_presentation_validation():
     assert str(p) == "< a b | a b A B >"
     assert repr(p) == ("Presentation(generators=('a', 'b'), relators=((('a', "
                        "1), ('b', 1), ('a', -1), ('b', -1)),))")
+
+
+def test_relators_are_stored_freely_reduced():
+    p = Presentation(("a", "b"), (parse_word("a b B a"), parse_word("b B"),
+                                  parse_word("A b")))
+    assert p.relators == (parse_word("a a"), (), parse_word("A b"))
+    assert str(p) == "< a b | a a, 1, A b >"
+    assert impose_relator(p, parse_word("a A b")).relators[-1] == (("b", 1),)
+    # a relator read from a file is printed reduced
+    assert dumps_fp(loads_fp("gens: a b\nrel: a b B\n")) == (
+        "gens: a b\nrel: a\n")
+
+
+def test_an_undeclared_letter_in_a_cancelling_pair_still_raises():
+    # the letters are checked as given, before the relator is reduced
+    with pytest.raises(ValueError,
+                       match="^relator uses undeclared generator 'c'$"):
+        Presentation(("a",), (parse_word("c C"),))
+    with pytest.raises(ValueError,
+                       match="^relator uses undeclared generator 'c'$"):
+        Presentation(("a",), (parse_word("a c C A"),))
 
 
 def test_impose_relator_changes_the_group():
@@ -408,13 +430,19 @@ def test_smith_matches_the_dense_reference(m):
 
 
 @st.composite
-def presentations(draw):
+def raw_presentations(draw):
+    """Generators and relators as drawn, so a relator is often not freely
+    reduced: the arguments of a Presentation, not one."""
     gens = tuple(f"x{i}" for i in range(draw(st.integers(0, 5))))
     if not gens:
-        return Presentation((), ())
+        return (), ()
     letter = st.tuples(st.sampled_from(gens), st.sampled_from([1, -1]))
     relator = st.lists(letter, max_size=12).map(tuple)
-    return Presentation(gens, tuple(draw(st.lists(relator, max_size=5))))
+    return gens, tuple(draw(st.lists(relator, max_size=5)))
+
+
+def presentations():
+    return raw_presentations().map(lambda raw: Presentation(*raw))
 
 
 @given(presentations())
@@ -470,12 +498,15 @@ def _reference_invariants_equal(p, q):
 
 @st.composite
 def tietze_cases(draw, kind=None):
-    """A presentation and a valid move of the given (or any) kind on it.
-    A relator to remove, or a generator's defining relator, is inserted at
-    a random index; other relators may use the generator any number of
-    times, and none of them need be freely reduced."""
-    p = draw(presentations())
-    gens, rels = p
+    """The arguments (generators, relators) of a presentation, and a valid
+    move of the given (or any) kind on it. A relator to remove, or a
+    generator's defining relator, is inserted at a random index; other
+    relators may use the generator any number of times. The relators are
+    returned as drawn, so they are often not freely reduced: a relator to
+    remove may carry a cancelling pair, and a defining relator may have
+    cancelling pairs on either side of its generator. Presentation(*raw)
+    reduces them; Presentation._make(raw) keeps them as they are."""
+    gens, rels = draw(raw_presentations())
     kind = kind or draw(st.sampled_from(TietzeMove.KINDS))
 
     def word(over, size):
@@ -485,31 +516,47 @@ def tietze_cases(draw, kind=None):
         return tuple(draw(st.lists(letter, max_size=size)))
 
     if kind == "add-generator":
-        return p, TietzeMove(kind, gen="z", word=word(gens, 12))
-    k = draw(st.integers(0, len(rels)))
+        return (gens, rels), TietzeMove(kind, gen="z", word=word(gens, 12))
     if kind == "remove-generator":
         assume(gens)
         gen = draw(st.sampled_from(gens))
         rest = tuple(g for g in gens if g != gen)
-        sign = draw(st.sampled_from([1, -1]))
-        rel = free_reduce(word(rest, 6) + ((gen, sign),) + word(rest, 6))
-        return (Presentation(gens, rels[:k] + (rel,) + rels[k:]),
+        sign = st.sampled_from([1, -1])
+        u, v = word(rest, 6), word(rest, 6)
+        # in half the draws with two other generators, u ends and v starts
+        # with a different one of them, and another relator uses the
+        # generator once: a definition read from u v, not v u (a
+        # conjugate), then differs, and so does that relator
+        if len(rest) > 1 and draw(st.booleans()):
+            a, b = draw(st.permutations(rest))[:2]
+            u, v = u + ((a, 1),), ((b, 1),) + v
+            rels += (word(rest, 4) + ((gen, draw(sign)),) + word(rest, 4),)
+        k = draw(st.integers(0, len(rels)))
+        rel = u + ((gen, draw(sign)),) + v
+        return ((gens, rels[:k] + (rel,) + rels[k:]),
                 TietzeMove(kind, gen=gen, index=k))
+    k = draw(st.integers(0, len(rels)))
     terms = draw(st.integers(0, 3)) if rels else 0
     cert = tuple((draw(st.integers(0, len(rels) - 1)),
                   draw(st.sampled_from([1, -1])), word(gens, 3))
                  for _ in range(terms))
     consequence = _certificate_product(rels, cert)
     if kind == "add-relator":
-        return p, TietzeMove(kind, word=consequence, certificate=cert)
-    return (Presentation(gens, rels[:k] + (consequence,) + rels[k:]),
+        return (gens, rels), TietzeMove(kind, word=consequence,
+                                        certificate=cert)
+    if gens and draw(st.booleans()):
+        j = draw(st.integers(0, len(consequence)))
+        c = draw(st.sampled_from(gens))
+        consequence = consequence[:j] + ((c, 1), (c, -1)) + consequence[j:]
+    return ((gens, rels[:k] + (consequence,) + rels[k:]),
             TietzeMove(kind, index=k, certificate=cert))
 
 
 @given(tietze_cases())
 @settings(max_examples=400, deadline=None)
 def test_valid_moves_keep_the_abelian_invariants(case):
-    p, move = case
+    raw, move = case
+    p = Presentation(*raw)
     q = apply_tietze(p, move)
     assert _reference_invariants_equal(p, q)
 
@@ -643,8 +690,8 @@ def tietze_cases_and_faults(draw):
     added relator may be conjugated, certificate and all, by a word in an
     undeclared generator z: its certificate still checks, and it reaches
     the check of its letters."""
-    p, move = draw(tietze_cases())
-    gens, rels = p
+    raw, move = draw(tietze_cases())
+    gens, rels = raw
     letter = st.tuples(st.sampled_from(gens + ("z",)), st.sampled_from([1, -1]))
     word = st.lists(letter, max_size=6).map(tuple)
     fault = draw(st.sampled_from(FAULTS[move.kind]))
@@ -666,21 +713,123 @@ def tietze_cases_and_faults(draw):
             word=inverse(c) + move.word + c,
             certificate=tuple((i, s, conj + c)
                               for i, s, conj in move.certificate))
-    return p, move
+    return raw, move
+
+
+# x1 is defined by u x1 v with u and v non-empty and used by the other
+# relator, so a definition from u v instead of v u (a conjugate) differs
+UV_CASE = ((("x0", "x1", "x2"), (parse_word("x1 x1 X0"),
+                                 parse_word("x0 x1 x2"))),
+           TietzeMove("remove-generator", gen="x1", index=1))
+# the same, with cancelling pairs on both sides of x1 and in the other
+# relator, which only the reduction at construction removes
+UNREDUCED_UV_CASE = ((("x0", "x1", "x2"), (parse_word("x1 x2 X2 x1 X0"),
+                                           parse_word("x0 x2 X2 x1 x0 X0 x2"))),
+                     TietzeMove("remove-generator", gen="x1", index=1))
 
 
 @given(tietze_cases_and_faults())
 @settings(max_examples=400, deadline=None)
-# x1 is defined by u x1 v with u and v non-empty and used by the other
-# relator, so a definition from u v instead of v u (a conjugate) differs
-@example((Presentation(("x0", "x1", "x2"), (parse_word("x1 x1 X0"),
-                                             parse_word("x0 x1 x2"))),
-          TietzeMove("remove-generator", gen="x1", index=1)))
+@example(UV_CASE)
+@example(UNREDUCED_UV_CASE)
 def test_apply_tietze_matches_the_validating_reference(case):
-    p, move = case
+    raw, move = case
+    p = Presentation(*raw)
     got = _outcome(apply_tietze, p, move)
     assert got == _outcome(_reference_apply_tietze, p, move)
     assert got[0] is Presentation or issubclass(got[0], ValueError)
+
+
+def _parent_apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
+    """apply_tietze as it was when a Presentation kept its relators as
+    given, so every move reduced the relators it carried over.
+
+    The move's certificate is the check, made against p: a relator added
+    or removed must be the free reduction of its certificate's product of
+    conjugates of the other relators, a generator added must be a fresh
+    name defined by a word over p's generators, and a generator removed
+    must have exactly one letter in its defining relator. Raises
+    TietzeError (and leaves p alone) when the certificate fails. Only what
+    is new gets Presentation's checks (ValueError): an added relator's
+    letters and an added generator's name. Every other relator is p's, or
+    reduced or substituted from p's letters, so it needs none.
+    """
+    kind, word, certificate, gen, index = move
+    generators, relators = p
+    if kind == "add-relator":
+        target = free_reduce(word)
+        got = _certificate_product(relators, certificate)
+        if got != target:
+            raise TietzeError(
+                f"certificate product {word_str(got)} != relator "
+                f"{word_str(target)}")
+        _check_declared(generators, target)
+        return Presentation._make((generators, relators + (target,)))
+    elif kind == "remove-relator":
+        if not 0 <= index < len(relators):
+            raise TietzeError(f"no relator {index} to remove")
+        rest = relators[:index] + relators[index + 1:]
+        got = _certificate_product(rest, certificate)
+        if got != free_reduce(relators[index]):
+            raise TietzeError(
+                f"removed relator is not certified by the others: "
+                f"{word_str(got)}")
+        return Presentation._make((generators, rest))
+    elif kind == "add-generator":
+        if gen in generators:
+            raise TietzeError(f"generator {gen!r} already present")
+        for g, _ in word:
+            if g not in generators:
+                raise TietzeError(f"defining word uses unknown {g!r}")
+        rel = free_reduce(((_check_gen(gen), 1),) + inverse(word))
+        return Presentation._make((generators + (gen,), relators + (rel,)))
+    else:  # remove-generator
+        if gen not in generators:
+            raise TietzeError(f"no generator {gen!r}")
+        if not 0 <= index < len(relators):
+            raise TietzeError(f"no relator {index}")
+        rel = free_reduce(relators[index])
+        hits = [i for i, (g, _) in enumerate(rel) if g == gen]
+        if len(hits) != 1:
+            raise TietzeError(
+                f"relator {index} has {len(hits)} letters of "
+                f"{gen!r}, need exactly 1")
+        i = hits[0]
+        _, e = rel[i]
+        # rel = u g^e v = 1  =>  g^e = u^-1 v^-1  =>  g = (v u)^-e, and v u
+        # holds no letter of g, so neither does the definition
+        vu = rel[i + 1:] + rel[:i]
+        definition = free_reduce(inverse(vu) if e == 1 else vu)
+        mapping = {g: ((g, 1),) for g in generators} | {gen: definition}
+        # Keep relators that reduce to epsilon: silently dropping them
+        # would shift the indices that later certificates refer to.  An
+        # empty certificate removes a trivial relator explicitly.
+        new_rels = tuple(substitute(r, mapping) if (gen, 1) in r
+                         or (gen, -1) in r else free_reduce(r)
+                         for r in relators[:index] + relators[index + 1:])
+        gens = tuple(g for g in generators if g != gen)
+        return Presentation._make((gens, new_rels))
+
+
+def _parent_outcome(raw, move):
+    """What the parent path gives on the relators as drawn, a result
+    normalised through Presentation(...)."""
+    got = _outcome(_parent_apply_tietze, Presentation._make(raw), move)
+    return (Presentation, Presentation(*got[1])) if got[0] is Presentation \
+        else got
+
+
+@given(tietze_cases_and_faults())
+@settings(max_examples=400, deadline=None)
+@example(UV_CASE)
+@example(UNREDUCED_UV_CASE)
+def test_apply_tietze_matches_the_parent_on_unreduced_relators(case):
+    """apply_tietze on Presentation(*raw), whose relators are reduced at
+    construction, against the parent path on the relators as drawn: the
+    same presentation, or the same error type with the same message."""
+    raw, move = case
+    assert (_outcome(apply_tietze, Presentation(*raw), move)
+            == _parent_outcome(raw, move))
 
 
 def _walk_word(rng, gens):
@@ -690,14 +839,17 @@ def _walk_word(rng, gens):
                  for _ in range(rng.randint(0, 3)))
 
 
-@given(presentations(), st.integers(0, 2 ** 32 - 1))
+@given(raw_presentations(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_apply_tietze_matches_the_validating_reference_on_walks(start, seed):
-    """A LIFO walk of 500 certified moves, unwound at the end. The walk's
-    first presentation and its last before unwinding have the same abelian
+def test_apply_tietze_matches_the_validating_reference_on_walks(raw, seed):
+    """A LIFO walk of 500 certified moves, unwound at the end, checked at
+    every move against the validating reference and against the parent
+    path, which walks from the relators as drawn. The walk's first
+    presentation and its last before unwinding have the same abelian
     invariants."""
     rng = random.Random(seed)
-    p, stack, fresh = start, [], 0
+    start = Presentation(*raw)
+    p, old, stack, fresh = start, Presentation._make(raw), [], 0
     for step in range(500 + 6):
         if step == 500:
             assert abelianization(p) == abelianization(start)
@@ -725,20 +877,21 @@ def test_apply_tietze_matches_the_validating_reference_on_walks(start, seed):
                               word=_walk_word(rng, gens))
             stack.append(("gen", f"g{fresh}"))
         want = _reference_apply_tietze(p, move)
+        old = _parent_apply_tietze(old, move)
         p = apply_tietze(p, move)
         assert type(p) is Presentation and p == want
-    assert p.generators == start.generators
-    # a generator removed reduces every other relator on its way
-    assert p.relators in (start.relators,
-                          tuple(map(free_reduce, start.relators)))
+        assert p == Presentation(*old)
+    assert p == start
+    # on the parent path a generator removed reduced every other relator
+    assert old.relators in (raw[1], start.relators)
 
 
 @pytest.mark.parametrize("kind", TietzeMove.KINDS)
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_each_move_kind_returns_a_presentation(kind, data):
-    p, move = data.draw(tietze_cases(kind))
-    assert type(apply_tietze(p, move)) is Presentation
+    raw, move = data.draw(tietze_cases(kind))
+    assert type(apply_tietze(Presentation(*raw), move)) is Presentation
 
 
 def test_apply_tietze_still_validates_what_a_move_adds():

@@ -72,6 +72,25 @@ def test_tampered_relator_9_fails_mazur_r9_and_mazur_certify(asset_copy,
     assert report.overall == FAIL
 
 
+def test_an_odd_crossing_sum_fails_mazur_linking_as_a_verdict(asset_copy):
+    # the ninth crossing passes under x3, on the knotted component, not
+    # under x7: five inter-component crossings are left, and their signs
+    # sum to -1
+    lnk = asset_copy / "mazur_link.lnk"
+    text = lnk.read_text()
+    ninth = "x: over=x7 in=x2 out=x1 sign=-"
+    assert text.count(ninth) == 1
+    lnk.write_text(text.replace(ninth, "x: over=x3 in=x2 out=x1 sign=-"))
+
+    lines = {c.check_id: c for c in verify_all(asset_copy).checks}
+    assert lines["MAZUR_LINKING"] == (
+        "MAZUR_LINKING", FAIL, "odd inter-component crossing sum -1")
+    # run strictly, the check returns its verdict and raises nothing
+    (result,) = run_checks([c for c in CHECKS if c.id == "MAZUR_LINKING"],
+                           RunContext(asset_copy), strict=True)
+    assert result == lines["MAZUR_LINKING"]
+
+
 def test_a_link_without_relator_9_fails_mazur_r9(asset_copy, capsys):
     # a valid diagram with three crossings: the trefoil
     (asset_copy / "mazur_link.lnk").write_text(

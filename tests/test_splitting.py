@@ -150,7 +150,7 @@ def test_family_demo_detects_a_collision(monkeypatch):
     assert family_demo(10) == 512
     (result,) = run_checks([c for c in CHECKS if c.id == "FAMILY_DEMO"],
                            RunContext())
-    assert result.status == FAIL
+    assert result == ("FAMILY_DEMO", FAIL, "512 of 1024 descriptions distinct")
 
 
 # ------------------------------------------------------------- spine split
