@@ -109,6 +109,9 @@ class Presentation(_Presentation):
         return super().__new__(cls, generators,
                                tuple(map(free_reduce, relators)))
 
+    def _replace(self, **changes) -> "Presentation":   # through __new__
+        return Presentation(**{**self._asdict(), **changes})
+
     def __str__(self) -> str:
         gens = " ".join(self.generators)
         rels = ", ".join(word_str(r) for r in self.relators)

@@ -84,6 +84,9 @@ class FactorMultiset(_FactorMultiset):
             raise ValueError(f"a label occurs twice in {counts!r}")
         return super().__new__(cls, tuple(sorted(counts)))
 
+    def _replace(self, **changes) -> "FactorMultiset":   # through __new__
+        return FactorMultiset(**{**self._asdict(), **changes})
+
     @classmethod
     def from_map(cls, counts: Mapping[str, float]) -> "FactorMultiset":
         return cls(counts.items())

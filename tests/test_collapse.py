@@ -15,7 +15,8 @@ from splitcert.collapse import (CollapseCertificate, CollapseVerdict,
                                 is_collapsible, loads_cert, replay)
 from splitcert.complexes import (Simplex, SimplicialComplex, build, cone,
                                  euler_characteristic)
-from splitcert.report import random_cone_base
+
+from draws import random_cone_base
 
 _vertex = st.sampled_from(["a", "b", "c", "d", "e"])
 _simplex = st.sets(_vertex, min_size=1, max_size=3).map(tuple)

@@ -108,6 +108,27 @@ def test_relators_are_stored_freely_reduced():
         "gens: a b\nrel: a\n")
 
 
+def test_presentation_replace_builds_through_new():
+    # NamedTuple's own _replace skips __new__ and stored "a A a a" as
+    # given, so the remove-relator move below, certified by "a a", failed
+    q = Presentation(("a",), (parse_word("a a"),))._replace(
+        relators=(parse_word("a A a a"),))
+    assert type(q) is Presentation
+    assert q.relators == (parse_word("a a"),)
+    cert = ((0, 1, ()),)
+    r = apply_tietze(q, TietzeMove("add-relator", word=parse_word("a a"),
+                                   certificate=cert))
+    back = apply_tietze(r, TietzeMove("remove-relator", index=0,
+                                      certificate=cert))
+    assert back.relators == (parse_word("a a"),)
+    assert q._replace() == q
+    assert q._replace(generators=("a", "b")).generators == ("a", "b")
+    with pytest.raises(ValueError, match="undeclared generator 'b'"):
+        q._replace(relators=(parse_word("b"),))
+    with pytest.raises(ValueError, match="duplicate generator"):
+        q._replace(generators=("a", "a"))
+
+
 def test_an_undeclared_letter_in_a_cancelling_pair_still_raises():
     # the letters are checked as given, before the relator is reduced
     with pytest.raises(ValueError,

@@ -1,13 +1,14 @@
 """The check registry and the named commands that are views over it.
 
-The golden files hold the default stdout of each command as it was before
-the registry existed; the views must reproduce it byte for byte.
+The golden files hold the default stdout of each command; the views must
+reproduce it byte for byte.
 """
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations, compress, permutations, product
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,15 @@ from splitcert import assets, groups, mazur, report
 from splitcert.cli import main
 from splitcert.collapse import (CollapseCertificate, CollapseVerdict,
                                 SearchBudget, greedy_collapse, is_collapsible)
-from splitcert.complexes import SimplicialComplex, build, cone, union
+from splitcert.complexes import SimplicialComplex, build, cone, faces, union
 from splitcert.report import (CHECKS, FAIL, INCOMPLETE, PASS, SKIP, Check,
                               CheckResult, RunContext, VerificationReport,
                               run_checks, verify_all)
 from splitcert.splitting import (OMEGA, FactorMultiset, SplitError,
-                                 multiset_of, verify_spine_split)
+                                 distinguishable, multiset_of,
+                                 verify_spine_split)
+
+from draws import random_cone_base
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -172,22 +176,73 @@ def test_each_complex_loads_once_and_a_failed_load_is_remembered(
 
 # ------------------------------------------------------------- CONE_SWEEP
 
+def _enumerated_cones():
+    return [cone(build(base, name="base"), "apex", name="rcone")
+            for base in report.cone_bases()]
+
+
+def _vertex_names(simplices):
+    return {v for s in simplices for v in s}
+
+
+def test_cone_bases_are_every_complex_on_at_most_4_vertices():
+    # close every subset of the faces of at most 3 vertices on v0..v3 under
+    # taking faces, and keep those whose vertices are v0..v(n-1) for an n
+    names = ["v0", "v1", "v2", "v3"]
+    candidates = [s for r in (1, 2, 3) for s in combinations(names, r)]
+    closed = set()
+    for bits in product((0, 1), repeat=len(candidates)):
+        closed.add(frozenset(f for s in compress(candidates, bits)
+                             for f in faces(s)))
+    complexes = set()
+    for K in closed:
+        n = len(_vertex_names(K))
+        if n and _vertex_names(K) == set(names[:n]):
+            complexes.add(K)
+    assert Counter(len(_vertex_names(K)) for K in complexes) == {
+        1: 1, 2: 2, 3: 9, 4: 113}
+    enumerated = [build(base).simplices for base in report.cone_bases()]
+    assert len(enumerated) == len(set(enumerated)) == 125
+    assert set(enumerated) == complexes
+
+
+def test_every_seed_91_base_on_at_most_4_vertices_is_enumerated():
+    # the differential check against the sampled sweep the enumeration
+    # replaces: of its 176 distinct seed-91 bases (on at most 5 vertices),
+    # the 67 on at most 4 vertices must all be enumerated
+    rng = random.Random(91)
+    drawn = {build(random_cone_base(rng)).simplices for _ in range(1000)}
+    small = {K for K in drawn if len(_vertex_names(K)) <= 4}
+    assert (len(drawn), len(small)) == (176, 67)
+    assert small <= {build(base).simplices for base in report.cone_bases()}
+
+
 def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
     original = report.is_collapsible
-    cones = []
+    enumerated = _enumerated_cones()
+    for index in (0, 60, 124):
+        cones = []
 
-    def last_step_dropped_on_the_6th_cone(K):
-        verdict = original(K)
-        cones.append(K)
-        if len(cones) == 6:
-            steps = verdict.certificate.steps[:-1]
-            verdict = verdict._replace(certificate=CollapseCertificate(steps))
-        return verdict
+        def last_step_dropped_on_one_cone(K):
+            verdict = original(K)
+            cones.append(K)
+            if len(cones) == index + 1:
+                steps = verdict.certificate.steps[:-1]
+                verdict = verdict._replace(
+                    certificate=CollapseCertificate(steps))
+            return verdict
 
-    # the sweep checks distinct cones only; the 6th is first drawn at 8
-    monkeypatch.setattr(report, "is_collapsible", last_step_dropped_on_the_6th_cone)
-    assert report._cone_sweep(RunContext()) == (
-        FAIL, "cone 8: certificate does not replay")
+        monkeypatch.setattr(report, "is_collapsible",
+                            last_step_dropped_on_one_cone)
+        status, detail = report._cone_sweep(RunContext())
+        # the sweep stops at the corrupted cone and names it
+        assert len(cones) == index + 1
+        assert cones[index].simplices == enumerated[index].simplices
+        faces_of = ", ".join(map(" ".join, cones[index].maximal_simplices()))
+        assert (status, detail) == (
+            FAIL, f"cone {index} ({faces_of}): certificate does not replay")
+    assert detail == ("cone 124 (apex v0 v1 v2, apex v0 v1 v3, apex v0 v2 v3, "
+                      "apex v1 v2 v3): certificate does not replay")
 
 
 def _old_random_cone_complex(rng):
@@ -201,51 +256,21 @@ def _old_random_cone_complex(rng):
     return cone(build(maximal, name="base"), "apex", name="rcone")
 
 
-def _seed_91_cones():
-    """The sweep's 1,000 draws, built as the sweep built them before it
-    keyed each draw by its maximal faces."""
-    rng = random.Random(91)
-    return [_old_random_cone_complex(rng) for _ in range(1000)]
-
-
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_random_cone_complex_draws_as_before(seed):
     rng, old_rng = random.Random(seed), random.Random(seed)
     for _ in range(20):
-        K = cone(build(report.random_cone_base(rng), name="base"), "apex",
+        K = cone(build(random_cone_base(rng), name="base"), "apex",
                  name="rcone")
         assert K.simplices == _old_random_cone_complex(old_rng).simplices
     assert rng.getstate() == old_rng.getstate()
 
 
-def test_cone_sweep_fails_on_a_corrupted_repeated_cone(monkeypatch):
-    # the tetrahedron is drawn 129 times; skipping its repeats must not
-    # skip the check of its first draw, index 5
-    counts = Counter(K.simplices for K in _seed_91_cones())
-    target = max((s for s in counts if max(map(len, s)) == 4),
-                 key=counts.__getitem__)
-    assert counts[target] == 129
-    original = report.is_collapsible
-
-    def last_step_dropped_on_target(K):
-        verdict = original(K)
-        if K.simplices == target:
-            steps = verdict.certificate.steps[:-1]
-            verdict = verdict._replace(certificate=CollapseCertificate(steps))
-        return verdict
-
-    monkeypatch.setattr(report, "is_collapsible", last_step_dropped_on_target)
-    assert report._cone_sweep(RunContext()) == (
-        FAIL, "cone 5: certificate does not replay")
-
-
 def test_cone_sweep_replays_each_distinct_cone_once(monkeypatch):
-    # exactly the simplex sets of the 1,000 draws, each once, in the order
-    # of its first draw
-    distinct = list(dict.fromkeys(K.simplices for K in _seed_91_cones()))
-    assert len(distinct) == 176
-    assert sum(max(map(len, s)) == 4 for s in distinct) == 114
+    # exactly the enumerated cones, each once, in enumeration order
+    want = [K.simplices for K in _enumerated_cones()]
+    assert len(set(want)) == len(want) == 125
     replayed = []
     original = report.replay
 
@@ -254,8 +279,10 @@ def test_cone_sweep_replays_each_distinct_cone_once(monkeypatch):
         return original(K, cert)
 
     monkeypatch.setattr(report, "replay", spy)
-    assert report._cone_sweep(RunContext())[0] == PASS
-    assert replayed == distinct
+    assert report._cone_sweep(RunContext()) == (
+        PASS, "125 cones over every complex on <= 4 vertices: chi "
+              "conserved, all certificates replay")
+    assert replayed == want
 
 
 def test_verify_all_never_copies_a_complex_per_collapse_step(monkeypatch):
@@ -274,23 +301,31 @@ def test_verify_all_never_copies_a_complex_per_collapse_step(monkeypatch):
 def test_cone_sweep_fails_on_a_verdict_other_than_yes(monkeypatch):
     monkeypatch.setattr(report, "is_collapsible",
                         lambda K: CollapseVerdict("no", None, 1))
-    assert report._cone_sweep(RunContext()) == (FAIL, "cone 0: verdict no")
+    assert report._cone_sweep(RunContext()) == (
+        FAIL, "cone 0 (apex v0): verdict no")
 
 
 def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
-    # the sweep replays is_collapsible's certificate; on seed 91 it is the
-    # greedy one on every cone
-    replayed = []
-    original = report.replay
+    # the sweep replays the very certificate is_collapsible returned; on
+    # these cones it is the greedy one
+    certified, replayed = [], []
+    original_search, original_replay = report.is_collapsible, report.replay
 
-    def spy(K, cert):
+    def search_spy(K):
+        verdict = original_search(K)
+        certified.append(verdict.certificate)
+        return verdict
+
+    def replay_spy(K, cert):
         replayed.append((K, cert))
-        return original(K, cert)
+        return original_replay(K, cert)
 
-    monkeypatch.setattr(report, "replay", spy)
+    monkeypatch.setattr(report, "is_collapsible", search_spy)
+    monkeypatch.setattr(report, "replay", replay_spy)
     assert report._cone_sweep(RunContext())[0] == PASS
-    assert len(replayed) == 176
-    assert sum(K.dim() == 3 for K, _ in replayed) > 100
+    assert len(replayed) == len(certified) == 125
+    assert all(cert is mine for (_, cert), mine in zip(replayed, certified))
+    assert sum(K.dim() == 3 for K, _ in replayed) == 50
     for K, cert in replayed:
         assert cert.steps == greedy_collapse(K)[0].steps
 
@@ -316,17 +351,47 @@ def test_tietze_invariance_fails_when_a_move_changes_the_group(monkeypatch):
 # ------------------------------------------------- DISTINGUISH_IRREFLEXIVE
 
 def test_irreflexive_check_passes_on_shuffled_sequences(monkeypatch):
+    # every distinct ordering of J1 J2 J2 J3 J3 J3, with each cycle, once
     built = []
 
     def spy(prefix, cycle):
-        built.append(prefix)
+        built.append((tuple(prefix), tuple(cycle)))
         return multiset_of(prefix, cycle)
 
     monkeypatch.setattr(report, "multiset_of", spy)
     assert report._irreflexive(RunContext()) == (
-        PASS, "1000 random multisets: never self-separated")
-    assert len(built) == 1000
-    assert any(prefix != sorted(prefix) for prefix in built)
+        PASS, "180 orderings of J1 J2^2 J3^3, omega J4 J5: never "
+              "self-separated")
+    orderings = set(permutations(["J1", "J2", "J2", "J3", "J3", "J3"]))
+    assert len(orderings) == 60
+    assert len(built) == len(set(built)) == 180
+    assert set(built) == {(prefix, cycle) for prefix in orderings
+                          for cycle in [(), ("J4", "J5"), ("J5", "J4")]}
+
+
+def test_irreflexive_check_compares_with_an_independent_build(monkeypatch):
+    # each multiset_of build is compared with a FactorMultiset.from_map of
+    # the counts, never with another multiset_of build
+    built, compared = [], []
+
+    def build_spy(prefix, cycle):
+        built.append(multiset_of(prefix, cycle))
+        return built[-1]
+
+    def compare_spy(m1, m2):
+        compared.append((m1, m2))
+        return distinguishable(m1, m2)
+
+    monkeypatch.setattr(report, "multiset_of", build_spy)
+    monkeypatch.setattr(report, "distinguishable", compare_spy)
+    assert report._irreflexive(RunContext())[0] == PASS
+    assert len(compared) == len(built) == 180
+    assert all(m1 is m for (m1, _), m in zip(compared, built))
+    assert not {id(m2) for _, m2 in compared} & {id(m) for m in built}
+    counts = {"J1": 1, "J2": 2, "J3": 3}
+    assert {m2 for _, m2 in compared} == {
+        FactorMultiset.from_map(counts),
+        FactorMultiset.from_map({**counts, "J4": OMEGA, "J5": OMEGA})}
 
 
 def test_irreflexive_check_fails_on_a_non_canonical_build(monkeypatch):
@@ -339,9 +404,25 @@ def test_irreflexive_check_fails_on_a_non_canonical_build(monkeypatch):
         return tuple.__new__(FactorMultiset, (tuple(counts.items()),))
 
     monkeypatch.setattr(report, "multiset_of", in_sequence_order)
-    status, detail = report._irreflexive(RunContext())
-    assert status == FAIL
-    assert detail.endswith("separated from itself")
+    # the orderings run in sorted order, so J1 J3 ... is the first whose
+    # labels come unsorted
+    assert report._irreflexive(RunContext()) == (
+        FAIL, "J1 J3 J2 J2 J3 J3 then () repeated: J1:1, J2:2, J3:3 "
+              "separated from itself")
+
+
+def test_irreflexive_check_fails_on_a_cycle_read_in_order(monkeypatch):
+    # a build that sorts the prefix but keeps the cycle's order passes on
+    # the empty cycle and on J4 J5, and fails on J5 J4
+    def cycle_unsorted(prefix, cycle):
+        m = multiset_of(prefix)
+        return tuple.__new__(FactorMultiset, (m.counts + tuple(
+            (label, OMEGA) for label in cycle),))
+
+    monkeypatch.setattr(report, "multiset_of", cycle_unsorted)
+    assert report._irreflexive(RunContext()) == (
+        FAIL, "J1 J2 J2 J3 J3 J3 then (J5 J4) repeated: J1:1, J2:2, J3:3, "
+              "J4:w, J5:w separated from itself")
 
 
 # ------------------------------------------------- how a check's end is read

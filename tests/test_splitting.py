@@ -123,6 +123,19 @@ def test_factor_multiset_rejects_a_repeated_label():
         FactorMultiset((("J1", 0),))
 
 
+def test_factor_multiset_replace_builds_through_new():
+    # NamedTuple's own _replace skips __new__, which checks and sorts
+    m = FactorMultiset.from_map({"J1": 1})._replace(
+        counts=(("J2", 1), ("J1", OMEGA)))
+    assert type(m) is FactorMultiset
+    assert m.counts == (("J1", OMEGA), ("J2", 1))
+    assert not distinguishable(m, multiset_of(["J2"], ["J1"]))
+    with pytest.raises(ValueError, match="positive integer"):
+        m._replace(counts=(("J1", 0),))
+    with pytest.raises(ValueError, match="occurs twice"):
+        m._replace(counts=(("J1", 1), ("J1", 2)))
+
+
 def test_family_demo_counts():
     assert family_demo(0) == 1
     assert family_demo(3) == 8
