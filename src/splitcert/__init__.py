@@ -25,7 +25,7 @@ from .groups import (AbelianInvariants, LinkDiagram, Presentation, TietzeError,
                      word_str)
 from .hyperbolic import (Isometry, build_triangle, certify_nontrivial,
                          certify_relators, evaluate, hyp_distance, is_identity,
-                         reflection, rotation, same_isometry, triangle_defect)
+                         rotation, same_isometry, triangle_defect)
 from .report import VerificationReport, verify_all
 from .splitting import (OMEGA, FactorMultiset, SplitCertificate, SplitError,
                         distinguishable, family_demo, multiset_of,

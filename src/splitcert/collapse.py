@@ -19,8 +19,8 @@ from itertools import compress
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .complexes import (Simplex, SimplicialComplex, content_lines,
-                        euler_characteristic, make_simplex)
+from .complexes import (Simplex, SimplicialComplex, euler_characteristic,
+                        make_simplex, simplex_lines)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -242,13 +242,7 @@ def _search(K: SimplicialComplex, max_nodes: int):
 # --- .cert file format: one free face per line, '#' comments --------------
 
 def loads_cert(text: str) -> CollapseCertificate:
-    steps = []
-    for lineno, line in content_lines(text):
-        try:
-            steps.append(make_simplex(line.split()))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return CollapseCertificate(tuple(steps))
+    return CollapseCertificate(tuple(simplex_lines(text)))
 
 
 def load_cert(path) -> CollapseCertificate:

@@ -157,14 +157,18 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def loads_scx(text: str, name: str = "K") -> SimplicialComplex:
-    maximal = []
+def simplex_lines(text: str) -> Iterator[Simplex]:
+    """The simplex on each content line, its vertex names separated by
+    whitespace; a bad line raises ValueError with its line number."""
     for lineno, line in content_lines(text):
         try:
-            maximal.append(make_simplex(line.split()))
+            yield make_simplex(line.split())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return build(maximal, name=name)
+
+
+def loads_scx(text: str, name: str = "K") -> SimplicialComplex:
+    return build(simplex_lines(text), name=name)
 
 
 def load_scx(path) -> SimplicialComplex:

@@ -1,16 +1,14 @@
-"""Isometries of the hyperbolic plane in the Poincare disk model.
+"""Orientation-preserving isometries of the hyperbolic plane in the
+Poincare disk model.
 
 A disk automorphism is an SU(1,1) matrix [[a, b], [conj(b), conj(a)]] with
 |a|^2 - |b|^2 = 1, so it is fixed by the pair (a, b) (Beardon, The Geometry
-of Discrete Groups, GTM 91). An isometry is that pair plus an orientation
-flag; orientation-reversing maps conjugate their argument first:
+of Discrete Groups, GTM 91):
 
-    f(z) = (a w + b) / (conj(b) w + conj(a)),   w = z or conj(z)
+    f(z) = (a z + b) / (conj(b) z + conj(a))
 
-With g applied first, compose(f, g) multiplies the matrices, conjugating
-g's entries first when f reverses, and has flag f.rev XOR g.rev. The
-inverse is (conj(a), -b), or (a, -conj(b)) for a reversing map. The pair is
-projective: (-a, -b) is the same map.
+With g applied first, compose(f, g) multiplies the matrices, and the
+inverse is (conj(a), -b). The pair is projective: (-a, -b) is the same map.
 
 f moves the origin by 2 asinh|b|, and any point p by the same formula read
 from f conjugated by the translation taking p to 0. So displacements come
@@ -48,32 +46,26 @@ def hyp_distance(p: complex, q: complex) -> float:
 
 
 class Isometry:
-    __slots__ = ("a", "b", "rev")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a: complex, b: complex, rev: bool = False):
-        self.a, self.b, self.rev = complex(a), complex(b), rev
+    def __init__(self, a: complex, b: complex):
+        self.a, self.b = complex(a), complex(b)
 
     def __call__(self, z: complex) -> complex:
-        w = z.conjugate() if self.rev else z
-        return (self.a * w + self.b) / (self.b.conjugate() * w
+        return (self.a * z + self.b) / (self.b.conjugate() * z
                                         + self.a.conjugate())
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (other acts first)."""
         a, b, oa, ob = self.a, self.b, other.a, other.b
-        if self.rev:
-            oa, ob = oa.conjugate(), ob.conjugate()
         return Isometry(a * oa + b * ob.conjugate(),
-                        a * ob + b * oa.conjugate(), self.rev != other.rev)
+                        a * ob + b * oa.conjugate())
 
     def inverse(self) -> "Isometry":
-        if self.rev:
-            return Isometry(self.a, -self.b.conjugate(), True)
         return Isometry(self.a.conjugate(), -self.b)
 
     def __repr__(self) -> str:
-        kind = "reversing" if self.rev else "preserving"
-        return f"Isometry({self.a:.6g}, {self.b:.6g}, {kind})"
+        return f"Isometry({self.a:.6g}, {self.b:.6g})"
 
 
 def identity() -> Isometry:
@@ -110,18 +102,6 @@ def rotation(center: complex, angle: float) -> Isometry:
     t = _translate_to_origin(center)
     spin = Isometry(cmath.exp(0.5j * angle), 0)
     return t.inverse().compose(spin).compose(t)
-
-
-def reflection(p: complex, q: complex) -> Isometry:
-    """Orientation-reversing isometry fixing the geodesic through p and q."""
-    p = check_disk_point(p)
-    q = check_disk_point(q)
-    if abs(p - q) < 1e-14:
-        raise ValueError("reflection needs two distinct points")
-    t = _translate_to_origin(p)
-    phi = cmath.phase(t(q))
-    u = Isometry(cmath.exp(-0.5j * phi), 0).compose(t)
-    return u.inverse().compose(Isometry(1, 0, rev=True)).compose(u)
 
 
 def measure_angle(at: complex, p: complex, q: complex) -> float:

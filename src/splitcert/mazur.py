@@ -14,11 +14,11 @@ step, the boundary group data that the hyperbolic certificate consumes:
   4. Reduced-word identities: x1 = beta^-2 alpha beta, x5 = beta^-2
      alpha^2 = beta^-2 gamma, verified verbatim by free reduction.
   5. Triangle-group representation on the (pi/7, pi/2, pi/5) triangle:
-     beta -> r_BC.r_AC and gamma -> r_AC.r_AB (products of reflections in
-     the side geodesics; rotations through 2pi/5 at C and 2pi/7 at A in
-     this placement). The relators gamma^7, beta^5, (beta gamma)^2 vanish
-     numerically, beta.gamma = r_BC.r_AB is the half-turn at B, and the
-     meridian word beta^-2 gamma visibly displaces A.
+     beta -> the rotation through 2pi/5 about C and gamma -> the rotation
+     through 2pi/7 about A, twice the triangle's angles there. The
+     relators gamma^7, beta^5, (beta gamma)^2 vanish numerically,
+     beta.gamma is the half-turn at B (so the angle at B is pi/2), and
+     the meridian word beta^-2 gamma visibly displaces A.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .groups import (Presentation, TietzeMove, apply_tietze, free_reduce,
 from .hyperbolic import (NONTRIVIAL_FLOOR, NontrivialityReport,
                          RelatorReport, build_triangle, certify_nontrivial,
                          certify_relators, evaluate, max_displacement,
-                         reflection, rotation, same_isometry)
+                         rotation, same_isometry)
 
 R9 = parse_word("x1 X7 X2 x7")          # x1 = x7^-1 x2 x7
 FILLING_RELATORS = (
@@ -134,13 +134,11 @@ class TriangleCertificate(NamedTuple):
 
 def triangle_certificate() -> TriangleCertificate:
     a, b, c = build_triangle(TRIANGLE_ANGLES)
-    # products of reflections in the sides: beta spins around C, gamma
-    # around A, and their product is forced to be the half-turn at B
-    # (r_BC r_AC . r_AC r_AB = r_BC r_AB)
-    r_ab, r_ac, r_bc = reflection(a, b), reflection(a, c), reflection(b, c)
+    # beta spins around C and gamma around A through twice the angles
+    # there; that their product is the half-turn at B is checked below
     assignment = {
-        "beta": r_bc.compose(r_ac),
-        "gamma": r_ac.compose(r_ab),
+        "beta": rotation(c, 2 * math.pi / 5),
+        "gamma": rotation(a, 2 * math.pi / 7),
     }
     report = certify_relators(assignment, TARGET_RELATORS)
     # proper powers of the elliptic generators must NOT be the identity

@@ -338,7 +338,10 @@ def _r9(ctx):
 
 
 def _linking(ctx):
-    total = crossing_sum(ctx.diagram("mazur_link"), 0, 1)
+    d = ctx.diagram("mazur_link")
+    if len(d.components) != 2:
+        return FAIL, f"component count {len(d.components)}, not 2"
+    total = crossing_sum(d, 0, 1)
     if total % 2:
         return FAIL, f"odd inter-component crossing sum {total}"
     return _verdict(abs(total) == 2, f"lk = {total // 2}")

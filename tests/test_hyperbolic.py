@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitcert import mazur
 from splitcert.groups import parse_word
 from splitcert.hyperbolic import (PROBES, Isometry, build_triangle,
                                   certify_nontrivial, certify_relators,
                                   evaluate, hyp_distance, identity,
                                   is_identity, max_displacement,
-                                  measure_angle, reflection, rotation,
-                                  same_isometry, triangle_defect)
+                                  measure_angle, rotation, same_isometry,
+                                  triangle_defect)
 
 # points comfortably inside the disk
 disk_points = st.complex_numbers(max_magnitude=0.8, allow_nan=False,
@@ -21,11 +22,10 @@ angles = st.floats(min_value=-6.0, max_value=6.0)
 
 
 def random_isometries():
+    """Rotations, and products of two rotations (which include the
+    translations and the parabolic maps)."""
     rot = st.builds(rotation, disk_points, angles)
-    pairs = st.tuples(disk_points, disk_points).filter(
-        lambda pq: abs(pq[0] - pq[1]) > 1e-3)
-    refl = pairs.map(lambda pq: reflection(*pq))
-    return st.one_of(rot, refl)
+    return st.one_of(rot, st.builds(Isometry.compose, rot, rot))
 
 
 # ---------------------------------------------------------------- distance
@@ -57,12 +57,12 @@ def test_triangle_inequality(p, q, r):
 def test_identity_and_projective_sign():
     assert is_identity(identity())
     assert is_identity(Isometry(-1, 0))  # same Moebius map
-    assert not is_identity(Isometry(1, 0, rev=True))
+    assert not is_identity(Isometry(1j, 0))  # z -> -z
 
 
 def test_isometry_is_an_su11_pair():
-    assert Isometry.__slots__ == ("a", "b", "rev")
-    f = reflection(0.1, 0.4 + 0.3j).compose(rotation(0.5 - 0.2j, 2.0))
+    assert Isometry.__slots__ == ("a", "b")
+    f = rotation(0.1, 0.9).compose(rotation(0.5 - 0.2j, 2.0))
     for g in (f, f.inverse(), rotation(0.7j, 1.0)):
         assert abs(g.a) ** 2 - abs(g.b) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -85,27 +85,6 @@ def test_rotations_preserve_distance(f, p, q):
         hyp_distance(p, q), abs=1e-9)
 
 
-def test_reflection_is_involution_and_reverses():
-    r = reflection(0.1, 0.4 + 0.3j)
-    assert r.rev
-    assert is_identity(r.compose(r))
-    assert hyp_distance(r(0.1), 0.1) < 1e-12
-    assert hyp_distance(r(0.4 + 0.3j), 0.4 + 0.3j) < 1e-12
-
-
-def test_reflection_preserves_distance_but_reverses_orientation():
-    r = reflection(0j, 0.5)
-    # this reflection is complex conjugation
-    assert r(0.3j) == pytest.approx(-0.3j, abs=1e-12)
-    assert hyp_distance(r(0.2 + 0.1j), r(-0.4j)) == pytest.approx(
-        hyp_distance(0.2 + 0.1j, -0.4j), abs=1e-9)
-
-
-def test_reflection_needs_distinct_points():
-    with pytest.raises(ValueError, match="distinct"):
-        reflection(0.1j, 0.1j)
-
-
 @given(random_isometries(), random_isometries(), disk_points)
 @settings(max_examples=80)
 def test_compose_applies_right_factor_first(f, g, z):
@@ -124,7 +103,7 @@ def test_same_isometry_half_turns_coincide():
     assert same_isometry(rotation(b, math.pi), rotation(b, -math.pi))
     assert not same_isometry(rotation(b, 2 * math.pi / 5),
                              rotation(b, -2 * math.pi / 5))
-    assert not same_isometry(reflection(0j, 0.5), identity())
+    assert not same_isometry(rotation(b, math.pi), identity())
 
 
 # ---------------------------------------------------------------- triangles
@@ -203,7 +182,9 @@ def test_triangle_area_by_numeric_integration():
 # ----------------------------------------------------------- word evaluation
 
 def _sample_assignment():
-    return {"u": rotation(0.2 + 0.1j, 1.2), "v": reflection(0.1j, 0.5)}
+    # a rotation and a translation along the geodesic through 0 and 0.5j
+    return {"u": rotation(0.2 + 0.1j, 1.2),
+            "v": Isometry(math.cosh(0.5), 1j * math.sinh(0.5))}
 
 
 def test_evaluate_empty_word_is_identity():
@@ -313,26 +294,47 @@ def _reference_evaluate(assignment, w):
     return acc
 
 
-_generator_specs = st.one_of(
-    st.tuples(st.just("rotation"), disk_points, angles),
-    st.tuples(disk_points, disk_points).filter(
-        lambda pq: abs(pq[0] - pq[1]) > 1e-3).map(
-        lambda pq: ("reflection", *pq)))
-
-
-@given(st.lists(_generator_specs, min_size=1, max_size=4), st.data())
+@given(st.lists(st.tuples(disk_points, angles), min_size=1, max_size=4),
+       st.data())
 @settings(max_examples=200, deadline=None)
 def test_evaluate_agrees_with_the_four_entry_reference(specs, data):
-    new, old = {}, {}
-    for i, (kind, x, y) in enumerate(specs):
-        build, reference = ((rotation, _reference_rotation)
-                            if kind == "rotation"
-                            else (reflection, _reference_reflection))
-        new[f"g{i}"], old[f"g{i}"] = build(x, y), reference(x, y)
+    new = {f"g{i}": rotation(*spec) for i, spec in enumerate(specs)}
+    old = {f"g{i}": _reference_rotation(*spec)
+           for i, spec in enumerate(specs)}
     w = data.draw(st.lists(st.tuples(st.sampled_from(sorted(new)),
                                      st.sampled_from((1, -1))),
                            max_size=30))
     f, g = evaluate(new, w), _reference_evaluate(old, w)
-    assert f.rev == g.rev
     for p in PROBES:
         assert abs(f(p) - g(p)) < 1e-9
+
+
+@given(disk_points, st.floats(min_value=-4.0, max_value=4.0), angles)
+@settings(max_examples=200, deadline=None)
+def test_rotation_is_a_product_of_two_reflections(p, phi, theta):
+    """Reflecting in a geodesic through p and then in the one through p at
+    angle theta from it rotates about p through 2 theta (Beardon, GTM 91,
+    section 7)."""
+    back = _reference_translation(p).inverse()
+    q1 = back(0.5 * cmath.exp(1j * phi))
+    q2 = back(0.5 * cmath.exp(1j * (phi + theta)))
+    ref = _reference_reflection(p, q2).compose(_reference_reflection(p, q1))
+    assert not ref.rev
+    f = rotation(p, 2 * theta)
+    for z in PROBES + (p, q1, 0.7 * cmath.exp(1j * phi)):
+        assert abs(f(z) - ref(z)) < 1e-9
+
+
+def test_triangle_generators_are_the_reflection_products():
+    """beta and gamma act like r_BC r_AC and r_AC r_AB, the products of
+    reflections in the sides of the bundled (pi/7, pi/2, pi/5) triangle."""
+    cert = mazur.triangle_certificate()
+    a, b, c = cert.vertices
+    r_ab, r_ac, r_bc = (_reference_reflection(a, b),
+                        _reference_reflection(a, c),
+                        _reference_reflection(b, c))
+    for gen, ref in (("beta", r_bc.compose(r_ac)),
+                     ("gamma", r_ac.compose(r_ab))):
+        f = cert.assignment[gen]
+        for z in PROBES + cert.vertices + (-0.5j, 0.6 - 0.2j):
+            assert abs(f(z) - ref(z)) < 1e-12

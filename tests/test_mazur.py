@@ -91,6 +91,19 @@ def test_an_odd_crossing_sum_fails_mazur_linking_as_a_verdict(asset_copy):
     assert result == lines["MAZUR_LINKING"]
 
 
+def test_a_one_component_link_fails_mazur_linking_as_a_verdict(asset_copy):
+    # the same nine arcs and crossings, all listed on one component
+    lnk = asset_copy / "mazur_link.lnk"
+    text = lnk.read_text()
+    comps = "comp: x1 x2 x3 x4 x5 x6\ncomp: x7 x8 x9\n"
+    assert text.count(comps) == 1
+    lnk.write_text(text.replace(comps, "comp: x1 x2 x3 x4 x5 x6 x7 x8 x9\n"))
+
+    (result,) = run_checks([c for c in CHECKS if c.id == "MAZUR_LINKING"],
+                           RunContext(asset_copy), strict=True)
+    assert result == ("MAZUR_LINKING", FAIL, "component count 1, not 2")
+
+
 def test_a_link_without_relator_9_fails_mazur_r9(asset_copy, capsys):
     # a valid diagram with three crossings: the trefoil
     (asset_copy / "mazur_link.lnk").write_text(

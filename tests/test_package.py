@@ -13,10 +13,9 @@ PUBLIC = (
     "evaluate", "family_demo", "free_faces", "free_reduce", "greedy_collapse",
     "hyp_distance", "impose_relator", "intersection", "is_collapsible",
     "is_identity", "linking_number", "load_cert", "load_fp", "load_lnk",
-    "load_scx", "multiset_of", "parse_word", "reflection", "replay",
-    "rotation", "same_isometry", "smith_invariants", "substitute",
-    "triangle_defect", "union", "verify_all", "verify_spine_split",
-    "wirtinger", "word_str",
+    "load_scx", "multiset_of", "parse_word", "replay", "rotation",
+    "same_isometry", "smith_invariants", "substitute", "triangle_defect",
+    "union", "verify_all", "verify_spine_split", "wirtinger", "word_str",
 )
 
 
