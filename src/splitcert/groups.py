@@ -272,35 +272,38 @@ class LinkDiagram(NamedTuple):
 
 
 def validate_diagram(d: LinkDiagram) -> None:
-    """Raise ValueError unless d is a combinatorially sound diagram."""
+    """Raise ValueError unless d is a combinatorially sound diagram: each
+    component is one strand, traced through the crossings from in to out."""
     arcset = set(d.arcs)
     if len(arcset) != len(d.arcs):
         raise ValueError("duplicate arc names")
     for a in d.arcs:
         _check_gen(a)
     flat = [a for comp in d.components for a in comp]
-    if sorted(flat) != sorted(d.arcs):
+    if sorted(flat) != sorted(d.arcs) or not all(d.components):
         raise ValueError("components do not partition the arcs")
-    outs: dict[str, int] = {a: 0 for a in d.arcs}
-    ins: dict[str, int] = {a: 0 for a in d.arcs}
+    strand: dict[str, str] = {}   # under_in -> under_out
     for over, under_in, under_out, _ in d.crossings:
         for a in (over, under_in, under_out):
             if a not in arcset:
                 raise ValueError(f"crossing references unknown arc {a!r}")
-        outs[under_out] += 1
-        ins[under_in] += 1
+        if under_in in strand:
+            raise ValueError(f"arc {under_in!r} must end under exactly one "
+                             "crossing, not two")
+        strand[under_in] = under_out
     for comp in d.components:
-        touched = any(outs[a] or ins[a] for a in comp)
-        if not touched:
-            if len(comp) != 1:
+        # the strand from comp[0] is back after len(comp) arcs, all in comp
+        a, members = comp[0], set(comp)
+        if a not in strand and len(comp) == 1:
+            continue   # a closed arc that passes under no crossing
+        for step in range(1, len(comp) + 1):
+            a = strand.get(a)
+            if a not in members or (a == comp[0]) != (step == len(comp)):
                 raise ValueError(
-                    f"component {comp} has several arcs but no crossings")
-            continue
-        for a in comp:
-            if outs[a] != 1 or ins[a] != 1:
-                raise ValueError(
-                    f"arc {a!r} must end under exactly one crossing on each "
-                    f"side (out={outs[a]}, in={ins[a]})")
+                    f"component {comp} has several arcs but no crossings"
+                    if not members & strand.keys() else
+                    f"component {comp} is not one strand through the "
+                    "crossings")
 
 
 def wirtinger(d: LinkDiagram) -> Presentation:
@@ -465,6 +468,9 @@ def loads_lnk(text: str) -> LinkDiagram:
                 m = _CROSSING_FIELD.match(tok)
                 if not m:
                     raise ValueError(f"line {lineno}: bad crossing field {tok!r}")
+                if m.group(1) in fields:
+                    raise ValueError(
+                        f"line {lineno}: repeated field {m.group(1)!r}")
                 fields[m.group(1)] = m.group(2)
             missing = {"over", "in", "out", "sign"} - fields.keys()
             if missing:

@@ -5,14 +5,13 @@ them all against the bundled assets (or an override directory) and renders
 a byte-stable report: one line per check id, then an overall verdict. The
 named commands (`dunce check`, `jester verify-split`, `mazur certify`) run
 only the checks of their group and print from the same RunContext.
-The Tietze walk uses a fixed seed so two consecutive runs emit identical
-bytes; the cone and multiset checks enumerate their whole range instead.
+The Tietze, cone and multiset checks enumerate their whole range, so two
+runs emit identical bytes.
 """
 from __future__ import annotations
 
 import math
-import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Callable, NamedTuple, Optional
 
 from . import assets, mazur
@@ -55,51 +54,38 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-# ----------------------------------------------------- randomized helpers
-
-def _random_word(rng: random.Random, gens):
-    return tuple((rng.choice(gens), rng.choice((1, -1)))
-                 for _ in range(rng.randint(0, 3)))
-
+# ------------------------------------------------------------ Tietze moves
 
 TIETZE_WALK_START = Presentation(
     ("a", "b"), (parse_word("a b A B"), parse_word("a a a")))
 
 
-def random_tietze_walk(rng: random.Random, steps: int) -> Presentation:
-    """Run a LIFO walk of `steps` certified Tietze moves from
-    TIETZE_WALK_START; apply_tietze checks each move's certificate against
-    the presentation it is applied to. Returns the last presentation."""
-    p = TIETZE_WALK_START
-    stack: list[tuple] = []   # ("rel", certificate) | ("gen", name)
-    fresh = 0
-    for _ in range(steps):
-        deep = len(stack) >= 6
-        if deep or (stack and rng.random() < 0.45):
-            kind, payload = stack.pop()
-            if kind == "rel":
-                move = TietzeMove("remove-relator",
-                                  index=len(p.relators) - 1,
-                                  certificate=payload)
-            else:
-                move = TietzeMove("remove-generator", gen=payload,
-                                  index=len(p.relators) - 1)
-        elif rng.random() < 0.5:
-            cert = tuple((rng.randrange(len(p.relators)),
-                          rng.choice((1, -1)),
-                          _random_word(rng, p.generators))
-                         for _ in range(rng.randint(1, 3)))
-            word = _certificate_product(p.relators, cert)
-            move = TietzeMove("add-relator", word=word, certificate=cert)
-            stack.append(("rel", cert))
-        else:
-            fresh += 1
-            name = f"g{fresh}"
-            move = TietzeMove("add-generator", gen=name,
-                              word=_random_word(rng, p.generators))
-            stack.append(("gen", name))
-        p = apply_tietze(p, move)
-    return p
+def tietze_round_trips():
+    """(label, moves) for each round trip of certified moves from
+    TIETZE_WALK_START back to it: each relator, to either sign, conjugated
+    by each reduced word of length <= 1, added and removed; and for each
+    reduced word w of length <= 2, g = w added and removed around relator
+    1 conjugated by g, which removing g turns into relator 1 by w."""
+    letters = [(g, e) for g in TIETZE_WALK_START.generators for e in (1, -1)]
+    short = [(), *((x,) for x in letters)]
+    words = short + [(x, y) for x, y in product(letters, repeat=2)
+                     if x != (y[0], -y[1])]
+
+    def conjugate(index, sign, conj):   # add it, then remove it
+        cert = ((index, sign, conj),)
+        word = _certificate_product(TIETZE_WALK_START.relators, cert)
+        return (TietzeMove("add-relator", word=word, certificate=cert),
+                TietzeMove("remove-relator", index=2, certificate=cert))
+
+    for index, sign, conj in product((0, 1), (1, -1), short):
+        yield (f"relator {index}^{sign:+d} by {word_str(conj)}",
+               conjugate(index, sign, conj))
+    for w in words:
+        yield (f"g = {word_str(w)}",
+               (TietzeMove("add-generator", gen="g", word=w),
+                conjugate(1, 1, (("g", 1),))[0],
+                TietzeMove("remove-generator", gen="g", index=2),
+                conjugate(1, 1, w)[1]))
 
 
 # ------------------------------------------------------------- the context
@@ -383,11 +369,18 @@ def _abelian_oracles(ctx):
 
 
 def _tietze_invariance(ctx):
-    first = abelianization(TIETZE_WALK_START)
-    last = abelianization(random_tietze_walk(random.Random(4711), 500))
-    if first != last:
-        return FAIL, f"invariants changed: {first} -> {last}"
-    return PASS, "500 certified moves, invariants stable"
+    want, moves = abelianization(TIETZE_WALK_START), 0
+    for trips, (label, trip) in enumerate(tietze_round_trips(), 1):
+        p = TIETZE_WALK_START
+        for moves, move in enumerate(trip, moves + 1):
+            p = apply_tietze(p, move)
+            if (got := abelianization(p)) != want:
+                return FAIL, (f"move {moves} ({label}, {move.kind}): "
+                              f"invariants changed: {want} -> {got}")
+        if p != TIETZE_WALK_START:
+            return FAIL, f"round trip {label} ends at {p}"
+    return PASS, (f"{moves} certified moves in {trips} round trips, "
+                  "invariants stable")
 
 
 def _family(ctx):

@@ -22,12 +22,11 @@ from splitcert.groups import (Crossing, LinkDiagram, Presentation,
 from splitcert.hyperbolic import (rotation, same_isometry, triangle_defect)
 from splitcert.mazur import (derivation_chain, target_presentation,
                              triangle_certificate)
-from splitcert.report import (PASS, TIETZE_WALK_START, random_tietze_walk,
-                              verify_all)
+from splitcert.report import PASS, TIETZE_WALK_START, verify_all
 from splitcert.splitting import (CONCLUSION, distinguishable, family_demo,
                                  verify_spine_split)
 
-from draws import random_cone_base, random_multiset
+from draws import random_cone_base, random_multiset, random_tietze_walk
 
 MERIDIAN_DISPLACEMENT = 3.3286485001451394  # frozen high-precision oracle
 

@@ -253,6 +253,54 @@ def test_validate_diagram_rejects_unbalanced_arcs():
         validate_diagram(d)
 
 
+def torus_link(n):
+    """T(2, n): crossing i passes arc i under arc i+1 into arc i+2, so one
+    strand for odd n, two for even."""
+    names = [f"x{i}" for i in range(n)]
+    crossings = [Crossing(names[(i + 1) % n], names[i], names[(i + 2) % n], 1)
+                 for i in reversed(range(n))]
+    comps = ((tuple(names[(2 * i) % n] for i in range(n)),) if n % 2
+             else (tuple(names[0::2]), tuple(names[1::2])))
+    return LinkDiagram(tuple(names), tuple(crossings), comps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 200])
+def test_validate_diagram_accepts_torus_links(n):
+    d = torus_link(n)
+    validate_diagram(d)
+    assert len(d.components) == 2 - n % 2
+    # a component line may list its strand's arcs in any order
+    validate_diagram(d._replace(components=tuple(
+        tuple(sorted(c)) for c in d.components)))
+
+
+T24 = torus_link(4)   # strands x0 x2 and x1 x3
+
+
+@pytest.mark.parametrize("d,message", [
+    # both strands listed as one component
+    (T24._replace(components=(("x0", "x1", "x2", "x3"),)),
+     "component ('x0', 'x1', 'x2', 'x3') is not one strand through the "
+     "crossings"),
+    # one arc of each strand swapped
+    (T24._replace(components=(("x0", "x1"), ("x2", "x3"))),
+     "component ('x0', 'x1') is not one strand through the crossings"),
+    # a one-arc component whose arc runs on under a crossing
+    (T24._replace(components=(("x0",), ("x1", "x2", "x3"))),
+     "component ('x0',) is not one strand through the crossings"),
+    # x3 ends under no crossing
+    (T24._replace(crossings=T24.crossings[1:]),
+     "component ('x1', 'x3') is not one strand through the crossings"),
+    (T24._replace(components=(("x0", "x2"), ("x1", "x3"), ())),
+     "components do not partition the arcs"),
+])
+def test_validate_diagram_rejects_a_component_that_is_not_a_strand(
+        d, message):
+    with pytest.raises(ValueError) as exc:
+        validate_diagram(d)
+    assert str(exc.value) == message
+
+
 def test_crossing_sign_must_be_plus_or_minus_one():
     with pytest.raises(ValueError, match="crossing sign must be"):
         Crossing(over="a", under_in="b", under_out="b", sign=2)
@@ -989,3 +1037,5 @@ def test_lnk_errors():
         loads_lnk("arc: a\nx: over=a in=a sign=+\ncomp: a\n")
     with pytest.raises(ValueError, match="sign"):
         loads_lnk("arc: a\nx: over=a in=a out=a sign=2\ncomp: a\n")
+    with pytest.raises(ValueError, match="^line 2: repeated field 'sign'$"):
+        loads_lnk("arc: a\nx: over=a in=a out=a sign=+ sign=-\ncomp: a\n")

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from splitcert import mazur
+from splitcert.assets import load_diagram
 from splitcert.cli import main
 from splitcert.groups import abelianization, parse_word, word_str
 from splitcert.hyperbolic import (certify_nontrivial, evaluate, rotation,
@@ -92,16 +93,45 @@ def test_an_odd_crossing_sum_fails_mazur_linking_as_a_verdict(asset_copy):
 
 
 def test_a_one_component_link_fails_mazur_linking_as_a_verdict(asset_copy):
-    # the same nine arcs and crossings, all listed on one component
-    lnk = asset_copy / "mazur_link.lnk"
-    text = lnk.read_text()
-    comps = "comp: x1 x2 x3 x4 x5 x6\ncomp: x7 x8 x9\n"
-    assert text.count(comps) == 1
-    lnk.write_text(text.replace(comps, "comp: x1 x2 x3 x4 x5 x6 x7 x8 x9\n"))
+    # a valid one-component diagram: the trefoil
+    (asset_copy / "mazur_link.lnk").write_text(
+        "arc: a b c\n"
+        "x: over=c in=a out=b sign=+\n"
+        "x: over=a in=b out=c sign=+\n"
+        "x: over=b in=c out=a sign=+\n"
+        "comp: a b c\n")
 
     (result,) = run_checks([c for c in CHECKS if c.id == "MAZUR_LINKING"],
                            RunContext(asset_copy), strict=True)
     assert result == ("MAZUR_LINKING", FAIL, "component count 1, not 2")
+
+
+@pytest.mark.parametrize("comps,message", [
+    # both strands listed as one component
+    ("comp: x1 x2 x3 x4 x5 x6 x7 x8 x9\n",
+     "component ('x1', 'x2', 'x3', 'x4', 'x5', 'x6', 'x7', 'x8', 'x9') "
+     "is not one strand through the crossings"),
+    # x6 and x7 swapped between the strands
+    ("comp: x1 x2 x3 x4 x5 x7\ncomp: x6 x8 x9\n",
+     "component ('x1', 'x2', 'x3', 'x4', 'x5', 'x7') is not one strand "
+     "through the crossings"),
+])
+def test_a_component_that_is_not_a_strand_is_rejected_at_load(
+        asset_copy, capsys, comps, message):
+    lnk = asset_copy / "mazur_link.lnk"
+    text = lnk.read_text()
+    strands = "comp: x1 x2 x3 x4 x5 x6\ncomp: x7 x8 x9\n"
+    assert text.count(strands) == 1
+    lnk.write_text(text.replace(strands, comps))
+
+    with pytest.raises(ValueError) as exc:
+        load_diagram("mazur_link", asset_copy)
+    assert str(exc.value) == message
+    assert main(["mazur", "certify", "--assets", str(asset_copy)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    lines = {c.check_id: c for c in verify_all(asset_copy).checks}
+    assert lines["MAZUR_LINKING"] == (
+        "MAZUR_LINKING", FAIL, f"asset unavailable: {message}")
 
 
 def test_a_link_without_relator_9_fails_mazur_r9(asset_copy, capsys):

@@ -27,6 +27,7 @@ from splitcert.splitting import (OMEGA, FactorMultiset, SplitError,
                                  distinguishable, multiset_of,
                                  verify_spine_split)
 
+import draws
 from draws import random_cone_base
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -336,16 +337,88 @@ def test_tietze_invariance_fails_when_a_move_changes_the_group(monkeypatch):
     original = report.apply_tietze
     calls = []
 
-    def imposes_a_on_the_first_move(p, move):
+    def imposes_a_on_the_last_move(p, move):
         calls.append(move)
-        if len(calls) == 1:
+        if len(calls) == 108:
             p = groups.impose_relator(p, (("a", 1),))
         return original(p, move)
 
-    monkeypatch.setattr(report, "apply_tietze", imposes_a_on_the_first_move)
+    monkeypatch.setattr(report, "apply_tietze", imposes_a_on_the_last_move)
     assert report._tietze_invariance(RunContext()) == (
-        FAIL, "invariants changed: Z/3 + Z -> Z")
-    assert len(calls) == 500
+        FAIL, "move 108 (g = B B, remove-relator): "
+              "invariants changed: Z/3 + Z -> Z")
+    assert len(calls) == 108
+
+
+def test_tietze_invariance_fails_when_a_round_trip_does_not_return(
+        monkeypatch):
+    # a remove-relator that does nothing leaves a second copy of relator
+    # 0, which the abelianization cannot see; only the end check can
+    original = report.apply_tietze
+    calls = []
+
+    def keeps_the_first_relator(p, move):
+        calls.append(move)
+        if len(calls) == 2:
+            return p
+        return original(p, move)
+
+    monkeypatch.setattr(report, "apply_tietze", keeps_the_first_relator)
+    assert report._tietze_invariance(RunContext()) == (
+        FAIL, "round trip relator 0^+1 by 1 ends at "
+              "< a b | a b A B, a a a, a b A B >")
+
+
+def test_tietze_invariance_runs_every_move_kind(monkeypatch):
+    # the substitute branch: removing a generator that another relator uses
+    original = report.apply_tietze
+    kinds, defined, substituted = Counter(), [], []
+
+    def spy(p, move):
+        kinds[move.kind] += 1
+        if move.kind == "add-generator":
+            defined.append(move.word)
+        if move.kind == "remove-generator":
+            others = p.relators[:move.index] + p.relators[move.index + 1:]
+            if any(g == move.gen for r in others for g, _ in r):
+                substituted.append(move)
+        return original(p, move)
+
+    monkeypatch.setattr(report, "apply_tietze", spy)
+    assert report._tietze_invariance(RunContext())[0] == PASS
+    assert kinds == {"add-relator": 37, "remove-relator": 37,
+                     "add-generator": 17, "remove-generator": 17}
+    assert len(substituted) == 17
+    # g is defined by each reduced word of length <= 2 over a and b, once
+    assert len(set(defined)) == 17
+    assert all(groups.free_reduce(w) == w for w in defined)
+    assert sorted(map(len, defined)) == [0] + [1] * 4 + [2] * 12
+
+
+def test_tietze_invariance_catches_an_uninverted_negative_image(monkeypatch):
+    # remove-generator maps g^-1 to g's definition, not to its inverse; the
+    # seeded walk never removes a generator that another relator still
+    # uses, so only the enumeration sees the fault
+    original = groups.apply_tietze
+
+    def faulty(p, move):
+        if move.kind == "remove-generator":
+            # g^-1 turned into g outside the defining relator: the move
+            # then maps both to the definition
+            p = groups.Presentation(p.generators, tuple(
+                r if i == move.index else
+                tuple((g, 1) if g == move.gen else (g, e) for g, e in r)
+                for i, r in enumerate(p.relators)))
+        return original(p, move)
+
+    monkeypatch.setattr(report, "apply_tietze", faulty)
+    monkeypatch.setattr(draws, "apply_tietze", faulty)
+    assert report._tietze_invariance(RunContext()) == (
+        FAIL, "move 47 (g = a, remove-generator): "
+              "invariants changed: Z/3 + Z -> Z")
+    end = draws.random_tietze_walk(random.Random(4711), 500)
+    assert (groups.abelianization(end)
+            == groups.abelianization(report.TIETZE_WALK_START))
 
 
 # ------------------------------------------------- DISTINGUISH_IRREFLEXIVE
