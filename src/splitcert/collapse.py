@@ -6,11 +6,13 @@ any higher coface would contribute several codimension-1 cofaces). Removing
 the pair (face, coface) is an elementary collapse; a complex is collapsible
 when some sequence of collapses ends at a single vertex.
 
-greedy_collapse, replay and the search all walk one _CollapseState: a live
-flag and a live coface count per position of the complex's SimplexIndex. A
-collapse of (A, C) changes the counts of the facets of A and C only, so a
-run of collapses costs O(|K|·d); greedy adds its own heap of candidate free
-faces, and the search undoes collapses on the way back up.
+greedy_collapse, replay and the search all walk the arrays of a
+_CollapseState: a live flag and a live coface count per position of the
+complex's SimplexIndex. A collapse of (A, C) changes the counts of the
+facets of A and C only, so a run of collapses costs O(|K|·d). Greedy (with
+its own heap of candidate free faces) and replay take each step inline over
+the arrays, as a method call costs more than the step; the search keeps
+the state's collapse, since it undoes each one with restore on the way back.
 """
 from __future__ import annotations
 
@@ -80,7 +82,9 @@ def free_faces(K: SimplicialComplex) -> list[Simplex]:
 class _CollapseState:
     """A complex under collapses: live[i] is 1 while simplex i is present
     and count[i] is its number of live cofaces. The live set stays closed,
-    so a removed simplex has count 0 and one live simplex is a vertex."""
+    so a removed simplex has count 0 and one live simplex is a vertex.
+    greedy_collapse and replay step inline over live and count; the search
+    calls collapse and restore."""
 
     def __init__(self, K: SimplicialComplex):
         self.index = K.index()
@@ -115,19 +119,28 @@ def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
     names the step. An empty certificate replays to K unchanged.
     """
     state = _CollapseState(K)
-    order, ids, count = state.index.order, state.index.ids, state.count
+    order, ids, facets, cofaces = (state.index.order, state.index.ids,
+                                   state.index.facets, state.index.cofaces)
+    live, count = state.live, state.count
     trace: list[tuple[Simplex, Simplex]] = []
     for i, face in enumerate(cert.steps):
         f = ids.get(face)
-        if f is None or not state.live[f]:
+        if f is None or not live[f]:
             return ReplayResult(None, tuple(trace), False,
                                 f"step {i} ({' '.join(face)}): absent simplex")
         if count[f] != 1:
             return ReplayResult(None, tuple(trace), False,
                                 f"step {i} ({' '.join(face)}): "
                                 f"not free ({count[f]} cofaces)")
-        trace.append((face, order[state.collapse(f)]))
-    final = SimplicialComplex(frozenset(compress(order, state.live)), K.name)
+        # inline _CollapseState.collapse: the call costs more than the step
+        for c in cofaces[f]:
+            if live[c]:
+                break
+        live[f] = live[c] = 0
+        for g in facets[f] + facets[c]:
+            count[g] -= 1
+        trace.append((face, order[c]))
+    final = SimplicialComplex(frozenset(compress(order, live)), K.name)
     return ReplayResult(final, tuple(trace), len(final) == 1)
 
 
@@ -151,7 +164,9 @@ def greedy_collapse(
     Deterministic; the residual may be anything from a point to K itself.
     """
     state = _CollapseState(K)
-    order, facets, count = state.index.order, state.index.facets, state.count
+    order, facets, cofaces = (state.index.order, state.index.facets,
+                              state.index.cofaces)
+    live, count = state.live, state.count
     # candidate free faces (sorted, so a heap), checked when popped: counts
     # only fall, so one that is gone or has lost its coface stays unfree
     heap = [i for i, n in enumerate(count) if n == 1]
@@ -159,16 +174,18 @@ def greedy_collapse(
     while heap:
         face = heapq.heappop(heap)
         if count[face] == 1:
-            coface = state.collapse(face)
+            # inline _CollapseState.collapse: the call costs more than the step
+            for coface in cofaces[face]:
+                if live[coface]:
+                    break
+            live[face] = live[coface] = 0
             steps.append(order[face])
-            for f in facets[face]:
-                if count[f] == 1:
-                    heapq.heappush(heap, f)
-            for f in facets[coface]:
+            for f in facets[face] + facets[coface]:
+                count[f] -= 1
                 if count[f] == 1:
                     heapq.heappush(heap, f)
     return (CollapseCertificate(tuple(steps)),
-            SimplicialComplex(frozenset(compress(order, state.live)), K.name))
+            SimplicialComplex(frozenset(compress(order, live)), K.name))
 
 
 def is_collapsible(K: SimplicialComplex,

@@ -698,8 +698,9 @@ def test_core_matches_the_tuple_keyed_core(K, max_nodes, rng):
 
 
 @pytest.mark.parametrize("K", [*(grid_disk(n) for n in range(1, 7)),
-                               path(200), cone(path(30), "zz"),
-                               cone(grid_disk(3), "apex")],
+                               path(200), path(1000), cone(path(30), "zz"),
+                               cone(grid_disk(3), "apex"),
+                               cone(grid_disk(5), "apex")],
                          ids=lambda K: K.name)
 def test_core_matches_the_tuple_keyed_core_on_grids_and_paths(K):
     _assert_core_matches_the_old_one(K, {1, 50, 10 ** 6}, random.Random(7))
