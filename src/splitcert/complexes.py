@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 Simplex = tuple[str, ...]
 
-_TOKEN = re.compile(r"^[A-Za-z0-9_]+$")
+_TOKEN = re.compile(r"[A-Za-z0-9_]+")
 
 
 def make_simplex(vertices: Iterable[str]) -> Simplex:
@@ -26,7 +26,7 @@ def make_simplex(vertices: Iterable[str]) -> Simplex:
     if len(set(verts)) != len(verts):
         raise ValueError(f"repeated vertex in simplex {verts}")
     for v in verts:
-        if not _TOKEN.match(v):
+        if not _TOKEN.fullmatch(v):
             raise ValueError(f"bad vertex name {v!r}")
     return verts
 

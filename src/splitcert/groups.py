@@ -18,7 +18,7 @@ from .complexes import content_lines
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 
-_GEN = re.compile(r"^[a-z][A-Za-z0-9_]*$")
+_GEN = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 EPSILON: Word = ()
 
@@ -28,7 +28,7 @@ class TietzeError(ValueError):
 
 
 def _check_gen(token: str) -> str:
-    if not _GEN.match(token):
+    if not _GEN.fullmatch(token):
         raise ValueError(f"bad generator token {token!r}")
     return token
 
@@ -59,13 +59,15 @@ def inverse(w: Word) -> Word:
 
 def free_reduce(w: Iterable[Letter]) -> Word:
     stack: list[Letter] = []
-    top = None   # stack[-1], kept to save a lookup per letter
+    tg, te = None, 0   # the fields of stack[-1], kept in locals
     for letter in w:
-        if top and top[0] == letter[0] and top[1] == -letter[1]:
+        g, e = letter
+        if g == tg and e == -te:
             stack.pop()
-            top = stack[-1] if stack else None
+            tg, te = stack[-1] if stack else (None, 0)
         else:
-            stack.append(top := letter)
+            stack.append(letter)
+            tg, te = g, e
     return tuple(stack)
 
 
@@ -171,8 +173,10 @@ def _certificate_product(relators: tuple[Word, ...],
                               f"presentation has {len(relators)}")
         if sign not in (1, -1):
             raise TietzeError(f"certificate sign must be +-1, got {sign}")
-        r = relators[index] if sign == 1 else inverse(relators[index])
-        letters += (*inverse(conj), *r, *conj)
+        r = relators[index]   # the term is (r conj)^-1 conj for sign -1
+        for g, e in reversed(conj if sign == 1 else r + conj):
+            letters.append((g, -e))
+        letters += r + conj if sign == 1 else conj
     return free_reduce(letters)
 
 
@@ -187,13 +191,14 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
     TietzeError (and leaves p alone) when the certificate fails. Only what
     is new gets Presentation's checks (ValueError): an added relator's
     letters and an added generator's name. A relator carried over is p's,
-    freely reduced already; only the words a move makes are reduced.
+    freely reduced already; only the words a move makes are reduced, and a
+    word equal to its certificate's product, reduced already, is not.
     """
     kind, word, certificate, gen, index = move
     generators, relators = p
     if kind == "add-relator":
-        target = free_reduce(word)
         got = _certificate_product(relators, certificate)
+        target = word if got == word else free_reduce(word)
         if got != target:
             raise TietzeError(
                 f"certificate product {word_str(got)} != relator "
@@ -235,16 +240,18 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
         # holds no letter of g, so neither does the definition
         vu = rel[i + 1:] + rel[:i]
         definition = free_reduce(inverse(vu) if e == 1 else vu)
-        images = {(gen, 1): definition, (gen, -1): inverse(definition)}
+        pos, neg = (gen, 1), (gen, -1)
+        images = {pos: definition, neg: inverse(definition)}
         # Keep relators that reduce to epsilon: silently dropping them
         # would shift the indices that later certificates refer to.  An
         # empty certificate removes a trivial relator explicitly.
         new_rels = tuple(free_reduce([x for letter in r
                                       for x in images.get(letter, (letter,))])
-                         if (gen, 1) in r or (gen, -1) in r else r
+                         if pos in r or neg in r else r
                          for r in relators[:index] + relators[index + 1:])
-        gens = tuple(g for g in generators if g != gen)
-        return Presentation._make((gens, new_rels))
+        k = generators.index(gen)
+        return Presentation._make((generators[:k] + generators[k + 1:],
+                                   new_rels))
 
 
 # ----------------------------------------------------------- link diagrams
@@ -307,12 +314,13 @@ def validate_diagram(d: LinkDiagram) -> None:
 
 
 def wirtinger(d: LinkDiagram) -> Presentation:
-    """One generator per arc; per crossing the relator
-    under_out . over^sign . under_in^-1 . over^-sign."""
+    """One generator per arc; per crossing the freely reduced relator
+    under_out . over^sign . under_in^-1 . over^-sign. validate_diagram checks
+    what Presentation() would: distinct generator names, crossings on arcs."""
     validate_diagram(d)
-    return Presentation(tuple(d.arcs), tuple(
-        ((under_out, 1), (over, sign), (under_in, -1), (over, -sign))
-        for over, under_in, under_out, sign in d.crossings))
+    return Presentation._make((tuple(d.arcs), tuple(free_reduce((
+        (under_out, 1), (over, sign), (under_in, -1), (over, -sign)))
+        for over, under_in, under_out, sign in d.crossings)))
 
 
 def crossing_sum(d: LinkDiagram, comp_a: int, comp_b: int) -> int:

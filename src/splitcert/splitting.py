@@ -102,14 +102,15 @@ class FactorMultiset(_FactorMultiset):
 def multiset_of(prefix, cycle=()) -> FactorMultiset:
     """Label counts of an eventually periodic summand sequence: a finite
     prefix, then a cycle repeated forever (empty for a finite sum). Prefix
-    labels count their occurrences; cycle labels count omega."""
+    labels count their occurrences; cycle labels count omega. Each label is
+    counted once, >= 1 or OMEGA, so the sorted counts are canonical and are
+    built without FactorMultiset's checks; sorted labels sort in one pass."""
     counts: dict[str, float] = {}
     for label in prefix:
         counts[label] = counts.get(label, 0) + 1
     for label in cycle:
         counts[label] = OMEGA
-    # each label once, counted >= 1 or OMEGA: canonical once sorted
-    return FactorMultiset._make((tuple(sorted(counts.items())),))
+    return tuple.__new__(FactorMultiset, (tuple(sorted(counts.items())),))
 
 
 def distinguishable(m1: FactorMultiset, m2: FactorMultiset) -> bool:
@@ -128,8 +129,9 @@ def family_demo(k: int) -> int:
     distinguishable."""
     if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= 20:
         raise ValueError(f"k must be an integer in [0, 20], got {k!r}")
-    labels = [f"J{i}" for i in range(1, k + 1)]
-    # multisets are canonical, so equal maps have equal counts tuples
+    # sorted, so each subset reaches multiset_of sorted; multisets are
+    # canonical, so equal maps have equal counts tuples
+    labels = sorted(f"J{i}" for i in range(1, k + 1))
     distinct = {multiset_of((), itertools.compress(labels, bits)).counts
                 for bits in itertools.product((0, 1), repeat=k)}
     return len(distinct)

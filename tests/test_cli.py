@@ -428,6 +428,8 @@ def test_group_tietze_add_gen_needs_gen_equals_word(capsys, tmp_path):
     (("--add-rel", "a a a a", "--by", "0:+:a:a"),
      "certificate term '0:+:a:a' is not INDEX:SIGN:CONJUGATOR"),
     (("--add-rel", "a a a a", "--by", "0:x:a"), "bad certificate sign 'x'"),
+    # a trailing newline is no part of a name: the .fp printed would not load
+    (("--add-gen", "g\n=a"), "bad generator token 'g\\n'"),
 ])
 def test_group_tietze_validates_what_a_move_adds(moves, message, capsys,
                                                  tmp_path):

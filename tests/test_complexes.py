@@ -20,6 +20,8 @@ def test_make_simplex_sorts_and_validates():
         make_simplex(["a", "a"])
     with pytest.raises(ValueError, match="bad vertex name"):
         make_simplex(["a b"])
+    with pytest.raises(ValueError, match=r"bad vertex name 'a\\n'"):
+        make_simplex(["a\n"])
 
 
 def test_faces_of_triangle():

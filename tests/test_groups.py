@@ -35,6 +35,9 @@ def test_parse_word_notation():
 def test_parse_word_rejects_bad_tokens():
     with pytest.raises(ValueError, match="bad generator token"):
         parse_word("a 1b")
+    # the whole token must match: "$" alone lets a trailing newline through
+    with pytest.raises(ValueError, match=r"bad generator token 'g\\n'"):
+        _check_gen("g\n")
 
 
 def test_free_reduce_basic():
@@ -319,6 +322,29 @@ def test_wirtinger_hopf():
 def test_wirtinger_trefoil_abelianizes_to_Z():
     inv = abelianization(wirtinger(trefoil()))
     assert inv.free_rank == 1 and inv.factors == ()
+
+
+CURL = LinkDiagram(("a",), (Crossing("a", "a", "a", 1),), (("a",),))
+
+
+def test_wirtinger_reduces_a_curl():
+    assert str(wirtinger(CURL)) == "< a | 1 >"
+
+
+def _mirror(d):
+    return d._replace(crossings=tuple(Crossing(o, i, u, -s)
+                                      for o, i, u, s in d.crossings))
+
+
+@pytest.mark.parametrize("d", [
+    hopf_link(), trefoil(), _mirror(trefoil()), CURL, _mirror(CURL),
+    *map(torus_link, (2, 3, 4, 7, 10)), _mirror(torus_link(5))])
+def test_wirtinger_matches_the_validating_construction(d):
+    # wirtinger skips Presentation's checks; through them it is the same
+    words = tuple(((out, 1), (over, sign), (under, -1), (over, -sign))
+                  for over, under, out, sign in d.crossings)
+    p = wirtinger(d)
+    assert type(p) is Presentation and p == Presentation(d.arcs, words)
 
 
 def test_linking_number_hopf():
