@@ -1,13 +1,17 @@
 """Access to the bundled asset files (.scx complexes, .cert certificates,
 .lnk link diagram). All loaders accept an override directory so tests can
-point at modified copies."""
+point at modified copies. Only `load_diagram` needs `groups`, and it
+imports it when called."""
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .collapse import CollapseCertificate, load_cert
 from .complexes import SimplicialComplex, load_scx
-from .groups import LinkDiagram, load_lnk
+
+if TYPE_CHECKING:
+    from .groups import LinkDiagram
 
 COMPLEXES = ("dunce_hat", "jester_hat", "jester_A", "jester_B", "jester_C")
 CERTIFICATES = ("jester_C", "jester_A", "jester_B")
@@ -30,4 +34,5 @@ def load_certificate(name: str, assets_dir=None) -> CollapseCertificate:
 
 
 def load_diagram(name: str, assets_dir=None) -> LinkDiagram:
+    from .groups import load_lnk
     return load_lnk(_path(f"{name}.lnk", assets_dir))

@@ -10,6 +10,9 @@ import argparse
 import sys
 
 from . import __version__
+
+# every module is imported here on purpose: the benchmark's tracer
+# (perfbench/tracing.py) imports splitcert.cli to load each function it wraps
 from .collapse import (DEFAULT_BUDGET, SearchBudget, dumps_cert, free_faces,
                        greedy_collapse, is_collapsible, load_cert, replay)
 from .complexes import euler_characteristic, load_scx

@@ -1,4 +1,15 @@
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import splitcert
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+MODULES = ("assets", "cli", "collapse", "complexes", "groups", "hyperbolic",
+           "mazur", "report", "splitting")
 
 # the package's public surface; adding or removing a name is a deliberate
 # change to this tuple
@@ -23,3 +34,57 @@ def test_public_names_are_exactly_the_pinned_ones():
     assert PUBLIC == tuple(sorted(PUBLIC))
     assert tuple(sorted(splitcert.__all__)) == PUBLIC
     assert all(hasattr(splitcert, name) for name in PUBLIC)
+
+
+def test_each_public_name_is_the_object_its_module_defines():
+    for name in set(PUBLIC) - {"__version__"}:
+        module = importlib.import_module(
+            f"splitcert.{splitcert._MODULE_OF[name]}")
+        value = getattr(splitcert, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__
+
+
+def test_a_public_name_follows_its_module(monkeypatch):
+    # the benchmark's tracer replaces functions in their modules only, and
+    # puts them back after; the package must neither miss nor keep a wrapper
+    import splitcert.collapse as collapse
+    original = splitcert.replay
+    monkeypatch.setattr(collapse, "replay", lambda *args: None)
+    assert splitcert.replay is collapse.replay
+    monkeypatch.undo()
+    assert splitcert.replay is original
+
+
+def test_modules_names_every_submodule():
+    files = Path(SRC, "splitcert").glob("*.py")
+    assert MODULES == tuple(sorted(f.stem for f in files if f.stem != "__init__"))
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(splitcert))
+
+
+def test_unknown_attribute_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        splitcert.no_such_name
+    assert not hasattr(splitcert, "no_such_name")
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    # the package alone resolves its names on first use
+    ("import splitcert", ()),
+    # the collapse certificates need no group, hyperbolic or report code
+    ("from splitcert import assets, collapse, complexes",
+     ("assets", "collapse", "complexes")),
+    # the benchmark's tracer relies on the CLI loading every module
+    ("import splitcert.cli", MODULES),
+])
+def test_import_loads_only_what_it_uses(statement, loaded):
+    # a fresh interpreter; -S keeps site hooks out of sys.modules
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); {statement}; "
+            "print(*sorted(m for m in sys.modules if m.startswith('splitcert.')))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [f"splitcert.{m}" for m in loaded]
