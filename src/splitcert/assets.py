@@ -4,7 +4,7 @@ point at modified copies. Only `load_diagram` needs `groups`, and it
 imports it when called."""
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import TYPE_CHECKING
 
 from .collapse import CollapseCertificate, load_cert
@@ -17,12 +17,12 @@ COMPLEXES = ("dunce_hat", "jester_hat", "jester_A", "jester_B", "jester_C")
 CERTIFICATES = ("jester_C", "jester_A", "jester_B")
 DIAGRAMS = ("mazur_link",)
 
-BUNDLED = Path(__file__).with_name("assets")
+BUNDLED = os.path.join(os.path.dirname(__file__), "assets")
 
 
-def _path(name: str, assets_dir) -> Path:
+def _path(name: str, assets_dir) -> str:
     # an empty assets_dir is the working directory, not the bundled one
-    return Path(BUNDLED if assets_dir is None else assets_dir) / name
+    return os.path.join(BUNDLED if assets_dir is None else assets_dir, name)
 
 
 def load_complex(name: str, assets_dir=None) -> SimplicialComplex:

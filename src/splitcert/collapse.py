@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import compress
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .complexes import (Simplex, SimplicialComplex, euler_characteristic,
@@ -263,7 +262,8 @@ def loads_cert(text: str) -> CollapseCertificate:
 
 
 def load_cert(path) -> CollapseCertificate:
-    return loads_cert(Path(path).read_text())
+    with open(path) as f:
+        return loads_cert(f.read())
 
 
 def dumps_cert(cert: CollapseCertificate) -> str:

@@ -8,9 +8,9 @@ the first query, in O(|K|·d) (d is the largest simplex size).
 """
 from __future__ import annotations
 
+import os
 import re
 from itertools import combinations
-from pathlib import Path
 from typing import Iterable, Iterator
 
 Simplex = tuple[str, ...]
@@ -172,5 +172,6 @@ def loads_scx(text: str, name: str = "K") -> SimplicialComplex:
 
 
 def load_scx(path) -> SimplicialComplex:
-    p = Path(path)
-    return loads_scx(p.read_text(), name=p.stem)
+    with open(path) as f:
+        text = f.read()
+    return loads_scx(text, name=os.path.splitext(os.path.basename(path))[0])

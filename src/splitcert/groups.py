@@ -5,15 +5,16 @@ Words are tuples of (generator, exponent) letters with exponent +1 or -1.
 In text form a generator token starts with a lowercase letter and its
 inverse is written by uppercasing the first letter: "a B c" is a.b^-1.c,
 "x1 X7" is x1.x7^-1.
+
+Only the text loaders share code with the complexes (the asset files'
+line format), and they import it when called, so group code runs without
+compiling the complex, collapse or asset code.
 """
 from __future__ import annotations
 
 import re
 from math import gcd
-from pathlib import Path
 from typing import Container, Hashable, Iterable, Mapping, NamedTuple, Sequence
-
-from .complexes import content_lines
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -131,12 +132,12 @@ def impose_relator(p: Presentation, w: Word) -> Presentation:
     return Presentation(p.generators, p.relators + (w,))
 
 
-class _TietzeMove(NamedTuple):
+class _TietzeMove(NamedTuple):   # TietzeMove.__new__ holds the defaults
     kind: str
-    word: Word = EPSILON
-    certificate: tuple[tuple[int, int, Word], ...] = ()
-    gen: str = ""
-    index: int = -1
+    word: Word
+    certificate: tuple[tuple[int, int, Word], ...]
+    gen: str
+    index: int
 
 
 class TietzeMove(_TietzeMove):
@@ -156,11 +157,12 @@ class TietzeMove(_TietzeMove):
     KINDS = ("add-relator", "remove-relator", "add-generator",
              "remove-generator")
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in cls.KINDS:
-            raise ValueError(f"unknown Tietze move kind {self.kind!r}")
-        return self
+    def __new__(cls, kind: str, word: Word = EPSILON,
+                certificate: tuple[tuple[int, int, Word], ...] = (),
+                gen: str = "", index: int = -1):
+        if kind not in cls.KINDS:
+            raise ValueError(f"unknown Tietze move kind {kind!r}")
+        return tuple.__new__(cls, (kind, word, certificate, gen, index))
 
 
 def _certificate_product(relators: tuple[Word, ...],
@@ -269,7 +271,7 @@ class Crossing(_Crossing):
     def __new__(cls, over: str, under_in: str, under_out: str, sign: int):
         if sign not in (1, -1):
             raise ValueError(f"crossing sign must be +-1, got {sign}")
-        return super().__new__(cls, over, under_in, under_out, sign)
+        return tuple.__new__(cls, (over, under_in, under_out, sign))
 
 
 class LinkDiagram(NamedTuple):
@@ -434,6 +436,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 # ------------------------------------------------------------ file formats
 
 def loads_fp(text: str) -> Presentation:
+    from .complexes import content_lines
     gens: tuple[str, ...] | None = None
     rels: list[Word] = []
     for lineno, line in content_lines(text):
@@ -451,7 +454,8 @@ def loads_fp(text: str) -> Presentation:
 
 
 def load_fp(path) -> Presentation:
-    return loads_fp(Path(path).read_text())
+    with open(path) as f:
+        return loads_fp(f.read())
 
 
 def dumps_fp(p: Presentation) -> str:
@@ -464,6 +468,7 @@ _CROSSING_FIELD = re.compile(r"^(over|in|out|sign)=(\S+)$")
 
 
 def loads_lnk(text: str) -> LinkDiagram:
+    from .complexes import content_lines
     arcs: list[str] = []
     crossings: list[Crossing] = []
     comps: list[tuple[str, ...]] = []
@@ -499,4 +504,5 @@ def loads_lnk(text: str) -> LinkDiagram:
 
 
 def load_lnk(path) -> LinkDiagram:
-    return loads_lnk(Path(path).read_text())
+    with open(path) as f:
+        return loads_lnk(f.read())

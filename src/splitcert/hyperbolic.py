@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .groups import Word
+if TYPE_CHECKING:
+    from .groups import Word
 
 DEFAULT_TOL = 1e-9
 # a map that moves a point by more than this is certified nontrivial

@@ -19,13 +19,16 @@ step, the boundary group data that the hyperbolic certificate consumes:
      relators gamma^7, beta^5, (beta gamma)^2 vanish numerically,
      beta.gamma is the half-turn at B (so the angle at B is pi/2), and
      the meridian word beta^-2 gamma visibly displaces A.
+
+The module needs groups and hyperbolic only; link_presentation imports
+assets when called, so the pipeline run on a presentation already at hand
+never compiles the asset, collapse or complex code.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from . import assets
 from .groups import (Presentation, TietzeMove, apply_tietze, free_reduce,
                      impose_relator, parse_word, substitute, wirtinger,
                      word_str)
@@ -52,6 +55,7 @@ TARGET_RELATORS = (
 
 def link_presentation(assets_dir=None) -> Presentation:
     """Wirtinger presentation of the bundled link diagram."""
+    from . import assets
     return wirtinger(assets.load_diagram("mazur_link", assets_dir))
 
 

@@ -9,21 +9,26 @@ of that conclusion is a citation carried by the token, not a computation.
 Factor multisets count indecomposable factors with values in N u {omega};
 two infinite-sum descriptions are distinguishable exactly when some label
 occurs a different number of times.
+
+Only verify_spine_split replays certificates, and it imports the collapse
+and complex code when called; the factor multisets need neither.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .collapse import CollapseCertificate, replay
-from .complexes import SimplicialComplex, intersection, union
+if TYPE_CHECKING:
+    from .collapse import CollapseCertificate
+    from .complexes import SimplicialComplex
+
+    Evidence = tuple[CollapseCertificate, CollapseCertificate,
+                     CollapseCertificate]
 
 OMEGA = math.inf
 
 CONCLUSION = "splits-into-closed-balls"
-
-Evidence = tuple[CollapseCertificate, CollapseCertificate, CollapseCertificate]
 
 
 class SplitError(ValueError):
@@ -45,6 +50,8 @@ def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
     refutes nothing, so the SplitError names the failed step, what is left
     or a missing (None) certificate, never a verdict. Callers without
     certificates take them from is_collapsible."""
+    from .collapse import replay
+    from .complexes import intersection, union
     if union(A, B).simplices != spine.simplices:
         raise SplitError(
             f"{A.name} union {B.name} is not {spine.name}")

@@ -210,8 +210,45 @@ def test_tietze_remove_generator_keeps_trivial_relators():
 
 
 def test_tietze_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown Tietze move"):
+    with pytest.raises(ValueError,
+                       match="unknown Tietze move kind 'swap-generators'"):
         TietzeMove("swap-generators")
+    with pytest.raises(ValueError, match="unknown Tietze move kind 'x'"):
+        TietzeMove(kind="x", gen="b")
+
+
+def test_tietze_move_is_the_plain_tuple_of_its_fields():
+    # TietzeMove builds its tuple itself, not through NamedTuple's __new__
+    word, cert = parse_word("a b"), ((0, 1, parse_word("a")),)
+    full = ("add-relator", word, cert, "g", 3)
+    assert TietzeMove._fields == ("kind", "word", "certificate", "gen",
+                                  "index")
+    for move in (TietzeMove(*full),
+                 TietzeMove(index=3, gen="g", certificate=cert, word=word,
+                            kind="add-relator"),
+                 TietzeMove("add-relator", word, cert, index=3, gen="g")):
+        assert type(move) is TietzeMove
+        assert move == full
+        assert (move.gen, move.index, move.certificate) == ("g", 3, cert)
+    assert TietzeMove("remove-relator") == ("remove-relator", (), (), "", -1)
+    assert TietzeMove("remove-generator", gen="b") == (
+        "remove-generator", (), (), "b", -1)
+    with pytest.raises(TypeError):
+        TietzeMove()
+    with pytest.raises(TypeError):
+        TietzeMove(*full, None)
+    with pytest.raises(TypeError):
+        TietzeMove("add-relator", sign=1)
+
+
+def test_tietze_move_make_and_replace_keep_the_field_order():
+    move = TietzeMove("add-generator", parse_word("a"), gen="b")
+    made = TietzeMove._make(tuple(move))
+    assert type(made) is TietzeMove and made == move
+    moved = move._replace(index=2, gen="c")
+    assert type(moved) is TietzeMove
+    assert moved == ("add-generator", parse_word("a"), (), "c", 2)
+    assert move._replace() == move
 
 
 # ---------------------------------------------------------- link diagrams
@@ -305,10 +342,25 @@ def test_validate_diagram_rejects_a_component_that_is_not_a_strand(
 
 
 def test_crossing_sign_must_be_plus_or_minus_one():
-    with pytest.raises(ValueError, match="crossing sign must be"):
+    with pytest.raises(ValueError, match="crossing sign must be .*got 2"):
         Crossing(over="a", under_in="b", under_out="b", sign=2)
-    with pytest.raises(ValueError, match="crossing sign must be"):
+    with pytest.raises(ValueError, match="crossing sign must be .*got 0"):
         Crossing("a", "b", "b", 0)
+
+
+def test_crossing_is_the_plain_tuple_of_its_fields():
+    assert Crossing._fields == ("over", "under_in", "under_out", "sign")
+    for c in (Crossing("a", "b", "c", -1),
+              Crossing(sign=-1, under_out="c", under_in="b", over="a"),
+              Crossing("a", "b", under_out="c", sign=-1)):
+        assert type(c) is Crossing and c == ("a", "b", "c", -1)
+        assert (c.over, c.under_in, c.under_out, c.sign) == ("a", "b", "c", -1)
+    with pytest.raises(TypeError):
+        Crossing("a", "b", "c")
+    made = Crossing._make(("a", "b", "c", 1))
+    assert type(made) is Crossing and made == Crossing("a", "b", "c", 1)
+    flipped = made._replace(sign=-1, over="d")
+    assert type(flipped) is Crossing and flipped == ("d", "b", "c", -1)
 
 
 def test_wirtinger_hopf():

@@ -71,6 +71,21 @@ def test_unknown_attribute_raises_attribute_error_naming_it():
     assert not hasattr(splitcert, "no_such_name")
 
 
+LOADED = ("print(*sorted(m for m in sys.modules "
+          "if m.startswith('splitcert.')), sep=',')")
+
+
+def _fresh(*statements: str) -> list[list[str]]:
+    """Run the statements in a fresh interpreter (-S keeps site hooks out
+    of sys.modules); one list of loaded splitcert modules per LOADED."""
+    code = "; ".join((f"import sys; sys.path.insert(0, {SRC!r})", *statements))
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return [[m.removeprefix("splitcert.") for m in line.split(",") if m]
+            for line in out.stdout.splitlines()]
+
+
 @pytest.mark.parametrize("statement, loaded", [
     # the package alone resolves its names on first use
     ("import splitcert", ()),
@@ -79,12 +94,28 @@ def test_unknown_attribute_raises_attribute_error_naming_it():
      ("assets", "collapse", "complexes")),
     # the benchmark's tracer relies on the CLI loading every module
     ("import splitcert.cli", MODULES),
+    # the group side needs no asset, collapse, complex or report code
+    ("from splitcert import groups, hyperbolic, mazur, splitting",
+     ("groups", "hyperbolic", "mazur", "splitting")),
+    ("import splitcert.hyperbolic", ("hyperbolic",)),
 ])
 def test_import_loads_only_what_it_uses(statement, loaded):
-    # a fresh interpreter; -S keeps site hooks out of sys.modules
-    code = (f"import sys; sys.path.insert(0, {SRC!r}); {statement}; "
-            "print(*sorted(m for m in sys.modules if m.startswith('splitcert.')))")
-    out = subprocess.run([sys.executable, "-S", "-c", code],
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == [f"splitcert.{m}" for m in loaded]
+    assert _fresh(statement, LOADED) == [list(loaded)]
+
+
+@pytest.mark.parametrize("statement, call, loaded", [
+    ("from splitcert.mazur import link_presentation",
+     "assert len(link_presentation().generators) == 9",
+     ("groups", "hyperbolic", "mazur")),
+    ("from splitcert.splitting import verify_spine_split",
+     "from splitcert.assets import load_certificate as c, load_complex as k; "
+     "verify_spine_split(k('jester_hat'), k('jester_A'), k('jester_B'), "
+     "(c('jester_A'), c('jester_B'), c('jester_C')))",
+     ("splitting",)),
+], ids=["link_presentation", "verify_spine_split"])
+def test_a_function_imports_what_it_calls(statement, call, loaded):
+    # the module alone loads; the call then finds the code it imports
+    # itself, so a name left behind at module level fails here
+    before, after = _fresh(statement, LOADED, call, LOADED)
+    assert before == list(loaded)
+    assert {"assets", "collapse", "complexes"} <= set(after)
