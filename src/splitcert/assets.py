@@ -5,11 +5,11 @@ imports it when called."""
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
 
 from .collapse import CollapseCertificate, load_cert
 from .complexes import SimplicialComplex, load_scx
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .groups import LinkDiagram
 

@@ -17,8 +17,8 @@ the state's collapse, since it undoes each one with restore on the way back.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from itertools import compress
-from typing import NamedTuple, Optional
 
 from .complexes import (Simplex, SimplicialComplex, euler_characteristic,
                         make_simplex, simplex_lines)
@@ -26,11 +26,7 @@ from .complexes import (Simplex, SimplicialComplex, euler_characteristic,
 DEFAULT_BUDGET = 10 ** 6
 
 
-class _SearchBudget(NamedTuple):
-    max_nodes: int = DEFAULT_BUDGET
-
-
-class SearchBudget(_SearchBudget):
+class SearchBudget(namedtuple("SearchBudget", "max_nodes")):
     __slots__ = ()
 
     def __new__(cls, max_nodes: int = DEFAULT_BUDGET):
@@ -41,35 +37,34 @@ class SearchBudget(_SearchBudget):
         return super().__new__(cls, max_nodes)
 
 
-class CollapseCertificate(NamedTuple):
+class CollapseCertificate(namedtuple("CollapseCertificate", "steps")):
     """Ordered free faces witnessing a collapse; the coface of each step is
     recomputed at replay time (a free face determines its collapse)."""
-    steps: tuple[Simplex, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
-class ReplayResult(NamedTuple):
-    final: Optional[SimplicialComplex]
-    trace: tuple[tuple[Simplex, Simplex], ...]   # the (face, coface) pairs
-    collapsed_to_point: bool
-    failure: Optional[str] = None   # 'step I (FACE): REASON'
+class ReplayResult(namedtuple("ReplayResult",
+                              "final trace collapsed_to_point failure",
+                              defaults=(None,))):
+    """trace: the (face, coface) pairs; failure: 'step I (FACE): REASON'."""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.final is not None
 
     @property
-    def point(self) -> Optional[str]:
+    def point(self) -> str | None:
         """The vertex a replay that collapsed to a point ended at."""
         return self.final.vertices()[0] if self.collapsed_to_point else None
 
 
-class CollapseVerdict(NamedTuple):
-    kind: str  # "yes" | "no" | "unknown"
-    certificate: Optional[CollapseCertificate] = None
-    nodes: int = 0
+# kind is "yes", "no" or "unknown"; a "yes" carries its CollapseCertificate
+CollapseVerdict = namedtuple("CollapseVerdict", "kind certificate nodes",
+                             defaults=(None, 0))
 
 
 def free_faces(K: SimplicialComplex) -> list[Simplex]:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator
 
 Simplex = tuple[str, ...]
 

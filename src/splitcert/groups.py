@@ -13,8 +13,9 @@ compiling the complex, collapse or asset code.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Container, Hashable, Iterable, Mapping, Sequence
 from math import gcd
-from typing import Container, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
@@ -91,12 +92,7 @@ def _check_declared(generators: Container[str], relator: Word) -> None:
             raise ValueError(f"relator uses undeclared generator {g!r}")
 
 
-class _Presentation(NamedTuple):
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-
-
-class Presentation(_Presentation):
+class Presentation(namedtuple("Presentation", "generators relators")):
     """Relators are stored freely reduced, after their letters are checked."""
     __slots__ = ()
 
@@ -132,15 +128,7 @@ def impose_relator(p: Presentation, w: Word) -> Presentation:
     return Presentation(p.generators, p.relators + (w,))
 
 
-class _TietzeMove(NamedTuple):   # TietzeMove.__new__ holds the defaults
-    kind: str
-    word: Word
-    certificate: tuple[tuple[int, int, Word], ...]
-    gen: str
-    index: int
-
-
-class TietzeMove(_TietzeMove):
+class TietzeMove(namedtuple("TietzeMove", "kind word certificate gen index")):
     """One of the four isomorphism-preserving presentation moves.
 
     kind "add-relator": word + certificate, a tuple of (index, sign,
@@ -258,14 +246,7 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
 
 # ----------------------------------------------------------- link diagrams
 
-class _Crossing(NamedTuple):
-    over: str
-    under_in: str
-    under_out: str
-    sign: int
-
-
-class Crossing(_Crossing):
+class Crossing(namedtuple("Crossing", "over under_in under_out sign")):
     __slots__ = ()
 
     def __new__(cls, over: str, under_in: str, under_out: str, sign: int):
@@ -274,10 +255,8 @@ class Crossing(_Crossing):
         return tuple.__new__(cls, (over, under_in, under_out, sign))
 
 
-class LinkDiagram(NamedTuple):
-    arcs: tuple[str, ...]
-    crossings: tuple[Crossing, ...]
-    components: tuple[tuple[str, ...], ...]
+# arc names, Crossings, and each component's arcs
+LinkDiagram = namedtuple("LinkDiagram", "arcs crossings components")
 
 
 def validate_diagram(d: LinkDiagram) -> None:
@@ -413,10 +392,9 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
     return diag
 
 
-class AbelianInvariants(NamedTuple):
+class AbelianInvariants(namedtuple("AbelianInvariants", "factors free_rank")):
     """Invariant factors (the entries > 1) plus the free rank."""
-    factors: tuple[int, ...]
-    free_rank: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.factors] + ["Z"] * self.free_rank

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Mapping
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .groups import Word
 
@@ -161,8 +163,8 @@ def evaluate(assignment: Mapping[str, Isometry], w: Word) -> Isometry:
     return acc
 
 
-class RelatorReport(NamedTuple):
-    max_residual: float
+class RelatorReport(namedtuple("RelatorReport", "max_residual")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -176,8 +178,9 @@ def certify_relators(assignment: Mapping[str, Isometry],
                               for r in relators), default=0.0))
 
 
-class NontrivialityReport(NamedTuple):
-    word_displacement: float
+class NontrivialityReport(namedtuple("NontrivialityReport",
+                                     "word_displacement")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

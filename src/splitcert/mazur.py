@@ -27,15 +27,14 @@ never compiles the asset, collapse or complex code.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .groups import (Presentation, TietzeMove, apply_tietze, free_reduce,
                      impose_relator, parse_word, substitute, wirtinger,
                      word_str)
-from .hyperbolic import (NONTRIVIAL_FLOOR, NontrivialityReport,
-                         RelatorReport, build_triangle, certify_nontrivial,
-                         certify_relators, evaluate, max_displacement,
-                         rotation, same_isometry)
+from .hyperbolic import (NONTRIVIAL_FLOOR, build_triangle,
+                         certify_nontrivial, certify_relators, evaluate,
+                         max_displacement, rotation, same_isometry)
 
 R9 = parse_word("x1 X7 X2 x7")          # x1 = x7^-1 x2 x7
 FILLING_RELATORS = (
@@ -77,11 +76,10 @@ def target_presentation() -> Presentation:
     return Presentation(("beta", "gamma"), TARGET_RELATORS)
 
 
-class DerivationChain(NamedTuple):
+class DerivationChain(namedtuple("DerivationChain",
+                                 "x1_word x5_word x5_gamma_word")):
     """The three verbatim reduced-word identities."""
-    x1_word: tuple
-    x5_word: tuple
-    x5_gamma_word: tuple
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -116,13 +114,10 @@ def derivation_chain() -> DerivationChain:
     return DerivationChain(x1, x5, x5_gamma)
 
 
-class TriangleCertificate(NamedTuple):
-    vertices: tuple[complex, complex, complex]
-    assignment: dict
-    relator_report: RelatorReport
-    order_displacements: tuple[float, ...]
-    rotation_b_matches: bool
-    meridian: NontrivialityReport
+class TriangleCertificate(namedtuple(
+        "TriangleCertificate", "vertices assignment relator_report "
+        "order_displacements rotation_b_matches meridian")):
+    __slots__ = ()
 
     @property
     def representation_ok(self) -> bool:

@@ -11,8 +11,8 @@ runs emit identical bytes.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import combinations, permutations, product
-from typing import Callable, NamedTuple, Optional
 
 from . import assets, mazur
 from .collapse import free_faces, is_collapsible, replay
@@ -29,14 +29,11 @@ from .splitting import (OMEGA, FactorMultiset, SplitError, distinguishable,
 PASS, FAIL, SKIP, INCOMPLETE = "PASS", "FAIL", "SKIP", "INCOMPLETE"
 
 
-class CheckResult(NamedTuple):
-    check_id: str
-    status: str
-    detail: str
+CheckResult = namedtuple("CheckResult", "check_id status detail")
 
 
-class VerificationReport(NamedTuple):
-    checks: tuple[CheckResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "checks")):
+    __slots__ = ()
 
     @property
     def overall(self) -> str:
@@ -159,10 +156,8 @@ class RunContext:
 
 # ----------------------------------------------------------- the registry
 
-class Check(NamedTuple):
-    id: str
-    group: Optional[str]   # the named command whose verdict this decides
-    fn: Callable[[RunContext], tuple[str, str]]
+# group: the named command whose verdict this decides, or None
+Check = namedtuple("Check", "id group fn")
 
 
 def run_checks(checks, ctx: RunContext,

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Mapping
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .collapse import CollapseCertificate
     from .complexes import SimplicialComplex
@@ -35,11 +37,10 @@ class SplitError(ValueError):
     """verify_spine_split failure; the message names the culprit."""
 
 
-class SplitCertificate(NamedTuple):
-    spine: str
-    parts: tuple[str, str]
-    evidence: Evidence
-    conclusion: str = CONCLUSION
+# the names of the spine and of its parts (A, B), and the Evidence replayed
+SplitCertificate = namedtuple("SplitCertificate",
+                              "spine parts evidence conclusion",
+                              defaults=(CONCLUSION,))
 
 
 def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
@@ -71,11 +72,7 @@ def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
 
 # ------------------------------------------------------- factor multisets
 
-class _FactorMultiset(NamedTuple):
-    counts: tuple[tuple[str, float], ...]
-
-
-class FactorMultiset(_FactorMultiset):
+class FactorMultiset(namedtuple("FactorMultiset", "counts")):
     """Map label -> count in N u {omega}; missing labels count 0. Canonical:
     each label once, sorted, so equal multisets have equal counts tuples."""
     __slots__ = ()

@@ -623,16 +623,18 @@ def test_console_script_version():
 
 
 def test_import_does_not_load_dataclasses():
-    # the records are NamedTuples, so start-up never imports dataclasses
-    # (and its inspect, ast and dis), the bundled assets are plain files
-    # next to the package, read without importlib.resources, and every
-    # check enumerates its range, so nothing imports random; -S keeps site
-    # hooks out of the count
+    # the records are collections.namedtuple classes and annotations are
+    # never evaluated (PEP 563), so start-up imports neither dataclasses
+    # (and its inspect, ast and dis) nor typing; the bundled assets are
+    # plain files next to the package, read without importlib.resources,
+    # and every check enumerates its range, so nothing imports random; -S
+    # keeps site hooks out of the count
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import splitcert.cli; "
             "print('dataclasses' in sys.modules, "
-            "'importlib.resources' in sys.modules, 'random' in sys.modules)")
+            "'importlib.resources' in sys.modules, 'random' in sys.modules, "
+            "'typing' in sys.modules)")
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False False False\n"
+    assert out.stdout == "False False False False\n"

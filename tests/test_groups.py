@@ -112,7 +112,7 @@ def test_relators_are_stored_freely_reduced():
 
 
 def test_presentation_replace_builds_through_new():
-    # NamedTuple's own _replace skips __new__ and stored "a A a a" as
+    # the namedtuple's own _replace skips __new__ and stored "a A a a" as
     # given, so the remove-relator move below, certified by "a a", failed
     q = Presentation(("a",), (parse_word("a a"),))._replace(
         relators=(parse_word("a A a a"),))
@@ -218,7 +218,8 @@ def test_tietze_unknown_kind_rejected():
 
 
 def test_tietze_move_is_the_plain_tuple_of_its_fields():
-    # TietzeMove builds its tuple itself, not through NamedTuple's __new__
+    # TietzeMove builds its tuple itself, not through the namedtuple's
+    # generated __new__
     word, cert = parse_word("a b"), ((0, 1, parse_word("a")),)
     full = ("add-relator", word, cert, "g", 3)
     assert TietzeMove._fields == ("kind", "word", "certificate", "gen",

@@ -119,3 +119,58 @@ def test_a_function_imports_what_it_calls(statement, call, loaded):
     before, after = _fresh(statement, LOADED, call, LOADED)
     assert before == list(loaded)
     assert {"assets", "collapse", "complexes"} <= set(after)
+
+
+# every record of the package: its fields, and what it holds when built
+# from its required fields alone (the rest are defaults, or what its own
+# __new__ makes of them)
+RECORDS = [
+    ("collapse", "SearchBudget", ("max_nodes",), (), (10 ** 6,)),
+    ("collapse", "CollapseCertificate", ("steps",), ((),), ((),)),
+    ("collapse", "ReplayResult",
+     ("final", "trace", "collapsed_to_point", "failure"),
+     (None, (), False), (None, (), False, None)),
+    ("collapse", "CollapseVerdict", ("kind", "certificate", "nodes"),
+     ("no",), ("no", None, 0)),
+    ("groups", "Presentation", ("generators", "relators"),
+     (("a",), ((("a", 1), ("a", 1), ("a", -1)),)), (("a",), ((("a", 1),),))),
+    ("groups", "TietzeMove", ("kind", "word", "certificate", "gen", "index"),
+     ("add-generator",), ("add-generator", (), (), "", -1)),
+    ("groups", "Crossing", ("over", "under_in", "under_out", "sign"),
+     ("a", "b", "c", -1), ("a", "b", "c", -1)),
+    ("groups", "LinkDiagram", ("arcs", "crossings", "components"),
+     ((), (), ()), ((), (), ())),
+    ("groups", "AbelianInvariants", ("factors", "free_rank"),
+     ((2,), 1), ((2,), 1)),
+    ("hyperbolic", "RelatorReport", ("max_residual",), (0.5,), (0.5,)),
+    ("hyperbolic", "NontrivialityReport", ("word_displacement",),
+     (0.5,), (0.5,)),
+    ("mazur", "DerivationChain", ("x1_word", "x5_word", "x5_gamma_word"),
+     ((), (), ()), ((), (), ())),
+    ("mazur", "TriangleCertificate",
+     ("vertices", "assignment", "relator_report", "order_displacements",
+      "rotation_b_matches", "meridian"),
+     (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)),
+    ("report", "CheckResult", ("check_id", "status", "detail"),
+     ("X", "PASS", "d"), ("X", "PASS", "d")),
+    ("report", "VerificationReport", ("checks",), ((),), ((),)),
+    ("report", "Check", ("id", "group", "fn"), ("X", None, len),
+     ("X", None, len)),
+    ("splitting", "SplitCertificate",
+     ("spine", "parts", "evidence", "conclusion"), ("K", ("A", "B"), ()),
+     ("K", ("A", "B"), (), "splits-into-closed-balls")),
+    ("splitting", "FactorMultiset", ("counts",), ((("b", 1), ("a", 2)),),
+     ((("a", 2), ("b", 1)),)),
+]
+
+
+@pytest.mark.parametrize("module, name, fields, required, held", RECORDS,
+                         ids=[r[1] for r in RECORDS])
+def test_records_keep_their_fields_defaults_and_slots(module, name, fields,
+                                                      required, held):
+    record = getattr(importlib.import_module(f"splitcert.{module}"), name)
+    assert record._fields == fields
+    value = record(*required)
+    assert type(value) is record
+    assert value == held
+    assert not hasattr(value, "__dict__")

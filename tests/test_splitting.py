@@ -124,7 +124,7 @@ def test_factor_multiset_rejects_a_repeated_label():
 
 
 def test_factor_multiset_replace_builds_through_new():
-    # NamedTuple's own _replace skips __new__, which checks and sorts
+    # the namedtuple's own _replace skips __new__, which checks and sorts
     m = FactorMultiset.from_map({"J1": 1})._replace(
         counts=(("J2", 1), ("J1", OMEGA)))
     assert type(m) is FactorMultiset
