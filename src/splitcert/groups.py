@@ -246,59 +246,61 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
 
 # ----------------------------------------------------------- link diagrams
 
-class Crossing(namedtuple("Crossing", "over under_in under_out sign")):
+Crossing = namedtuple("Crossing", "over under_in under_out sign")
+
+
+class LinkDiagram(namedtuple("LinkDiagram", "arcs crossings components")):
+    """Arc names, Crossings, and each component's arcs, checked when built:
+    the arcs are distinct generator names, every crossing names arcs only
+    and has sign +1 or -1, and each component is one strand, traced through
+    the crossings from in to out. Planarity is not checked."""
     __slots__ = ()
 
-    def __new__(cls, over: str, under_in: str, under_out: str, sign: int):
-        if sign not in (1, -1):
-            raise ValueError(f"crossing sign must be +-1, got {sign}")
-        return tuple.__new__(cls, (over, under_in, under_out, sign))
+    def __new__(cls, arcs: tuple[str, ...], crossings: tuple[Crossing, ...],
+                components: tuple[tuple[str, ...], ...]):
+        arcset = set(arcs)
+        if len(arcset) != len(arcs):
+            raise ValueError("duplicate arc names")
+        for a in arcs:
+            _check_gen(a)
+        flat = [a for comp in components for a in comp]
+        if sorted(flat) != sorted(arcs) or not all(components):
+            raise ValueError("components do not partition the arcs")
+        strand: dict[str, str] = {}   # under_in -> under_out
+        for over, under_in, under_out, sign in crossings:
+            if isinstance(sign, bool) or sign not in (1, -1):
+                raise ValueError(f"crossing sign must be +-1, got {sign}")
+            for a in (over, under_in, under_out):
+                if a not in arcset:
+                    raise ValueError(f"crossing references unknown arc {a!r}")
+            if under_in in strand:
+                raise ValueError(f"arc {under_in!r} must end under exactly "
+                                 "one crossing, not two")
+            strand[under_in] = under_out
+        for comp in components:
+            # comp[0]'s strand returns after len(comp) arcs, all in comp
+            a, members = comp[0], set(comp)
+            if a not in strand and len(comp) == 1:
+                continue   # a closed arc that passes under no crossing
+            for step in range(1, len(comp) + 1):
+                a = strand.get(a)
+                if a not in members or (a == comp[0]) != (step == len(comp)):
+                    raise ValueError(
+                        f"component {comp} has several arcs but no crossings"
+                        if not members & strand.keys() else
+                        f"component {comp} is not one strand through the "
+                        "crossings")
+        return super().__new__(cls, arcs, crossings, components)
 
-
-# arc names, Crossings, and each component's arcs
-LinkDiagram = namedtuple("LinkDiagram", "arcs crossings components")
-
-
-def validate_diagram(d: LinkDiagram) -> None:
-    """Raise ValueError unless d is a combinatorially sound diagram: each
-    component is one strand, traced through the crossings from in to out."""
-    arcset = set(d.arcs)
-    if len(arcset) != len(d.arcs):
-        raise ValueError("duplicate arc names")
-    for a in d.arcs:
-        _check_gen(a)
-    flat = [a for comp in d.components for a in comp]
-    if sorted(flat) != sorted(d.arcs) or not all(d.components):
-        raise ValueError("components do not partition the arcs")
-    strand: dict[str, str] = {}   # under_in -> under_out
-    for over, under_in, under_out, _ in d.crossings:
-        for a in (over, under_in, under_out):
-            if a not in arcset:
-                raise ValueError(f"crossing references unknown arc {a!r}")
-        if under_in in strand:
-            raise ValueError(f"arc {under_in!r} must end under exactly one "
-                             "crossing, not two")
-        strand[under_in] = under_out
-    for comp in d.components:
-        # the strand from comp[0] is back after len(comp) arcs, all in comp
-        a, members = comp[0], set(comp)
-        if a not in strand and len(comp) == 1:
-            continue   # a closed arc that passes under no crossing
-        for step in range(1, len(comp) + 1):
-            a = strand.get(a)
-            if a not in members or (a == comp[0]) != (step == len(comp)):
-                raise ValueError(
-                    f"component {comp} has several arcs but no crossings"
-                    if not members & strand.keys() else
-                    f"component {comp} is not one strand through the "
-                    "crossings")
+    def _replace(self, **changes) -> "LinkDiagram":   # through __new__
+        return LinkDiagram(**{**self._asdict(), **changes})
 
 
 def wirtinger(d: LinkDiagram) -> Presentation:
     """One generator per arc; per crossing the freely reduced relator
-    under_out . over^sign . under_in^-1 . over^-sign. validate_diagram checks
-    what Presentation() would: distinct generator names, crossings on arcs."""
-    validate_diagram(d)
+    under_out . over^sign . under_in^-1 . over^-sign. It trusts d, as
+    apply_tietze trusts a Presentation: a LinkDiagram has checked what
+    Presentation() would, distinct generator names and crossings on arcs."""
     return Presentation._make((tuple(d.arcs), tuple(free_reduce((
         (under_out, 1), (over, sign), (under_in, -1), (over, -sign)))
         for over, under_in, under_out, sign in d.crossings)))
@@ -317,8 +319,9 @@ def crossing_sum(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
 
 
 def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
-    """Half of crossing_sum. Assumes a realizable diagram; for the bundled
-    assets this is the meridian-pairing sanity value."""
+    """Half of crossing_sum. A LinkDiagram's check covers its strands, not
+    its planarity, so a diagram that no link realizes can reach here; for
+    the bundled assets this is the meridian-pairing sanity value."""
     total = crossing_sum(d, comp_a, comp_b)
     if total % 2:
         raise ValueError("odd inter-component crossing sum; diagram broken")
@@ -476,9 +479,7 @@ def loads_lnk(text: str) -> LinkDiagram:
             comps.append(tuple(line[5:].split()))
         else:
             raise ValueError(f"line {lineno}: expected arc:/x:/comp:, got {line!r}")
-    d = LinkDiagram(tuple(arcs), tuple(crossings), tuple(comps))
-    validate_diagram(d)
-    return d
+    return LinkDiagram(tuple(arcs), tuple(crossings), tuple(comps))
 
 
 def load_lnk(path) -> LinkDiagram:

@@ -9,8 +9,9 @@ step, the boundary group data that the hyperbolic certificate consumes:
      group quotients (they kill the meridian pairing; the abelianization
      collapses to 0, as it must for a homology-sphere boundary), so they
      use impose_relator, not Tietze moves.
-  3. Tietze-move renaming: adjoin beta = x7, lambda = x2, alpha = beta
-     lambda, gamma = alpha^2 via certified add-generator moves.
+  3. Renaming: beta = x7, lambda = x2, alpha = beta lambda, gamma =
+     alpha^2. The names live in the derivation chain's words only; the
+     surgered presentation keeps its 9 arc generators.
   4. Reduced-word identities: x1 = beta^-2 alpha beta, x5 = beta^-2
      alpha^2 = beta^-2 gamma, verified verbatim by free reduction.
   5. Triangle-group representation on the (pi/7, pi/2, pi/5) triangle:
@@ -29,9 +30,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .groups import (Presentation, TietzeMove, apply_tietze, free_reduce,
-                     impose_relator, parse_word, substitute, wirtinger,
-                     word_str)
+from .groups import (Presentation, free_reduce, impose_relator, parse_word,
+                     substitute, wirtinger, word_str)
 from .hyperbolic import (NONTRIVIAL_FLOOR, build_triangle,
                          certify_nontrivial, certify_relators, evaluate,
                          max_displacement, rotation, same_isometry)
@@ -60,14 +60,10 @@ def link_presentation(assets_dir=None) -> Presentation:
 
 def boundary_presentation(link: Presentation) -> Presentation:
     """The surgered (boundary) group: the link group modulo the two filling
-    relators, with beta/lambda/alpha/gamma adjoined by Tietze moves."""
+    relators."""
     p = link
     for r in FILLING_RELATORS:
         p = impose_relator(p, r)
-    for gen, word in (("beta", "x7"), ("lambda", "x2"),
-                      ("alpha", "beta lambda"), ("gamma", "alpha alpha")):
-        p = apply_tietze(p, TietzeMove("add-generator", gen=gen,
-                                       word=parse_word(word)))
     return p
 
 

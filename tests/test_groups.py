@@ -15,7 +15,7 @@ from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
                               apply_tietze, dumps_fp, free_reduce,
                               impose_relator, inverse, linking_number,
                               loads_fp, loads_lnk, parse_word,
-                              smith_invariants, substitute, validate_diagram,
+                              smith_invariants, substitute,
                               wirtinger, word_str)
 
 words = st.lists(
@@ -272,26 +272,26 @@ def trefoil():
 
 
 def test_validate_diagram_accepts_good_diagrams():
-    validate_diagram(hopf_link())
-    validate_diagram(trefoil())
-    # crossingless unknot
-    validate_diagram(LinkDiagram(("u",), (), (("u",),)))
+    # a LinkDiagram checks itself when it is built
+    for d in (hopf_link(), trefoil(),
+              LinkDiagram(("u",), (), (("u",),))):   # crossingless unknot
+        assert type(d) is LinkDiagram
 
 
 def test_validate_diagram_rejects_bad_partition():
-    d = LinkDiagram(("a", "b"), (), (("a",),))
     with pytest.raises(ValueError, match="partition"):
-        validate_diagram(d)
+        LinkDiagram(("a", "b"), (), (("a",),))
 
 
 def test_validate_diagram_rejects_unbalanced_arcs():
-    d = LinkDiagram(
-        arcs=("a", "b"),
-        crossings=(Crossing(over="a", under_in="b", under_out="b", sign=1),
-                   Crossing(over="a", under_in="b", under_out="b", sign=1)),
-        components=(("a",), ("b",)))
     with pytest.raises(ValueError, match="exactly one"):
-        validate_diagram(d)
+        LinkDiagram(
+            arcs=("a", "b"),
+            crossings=(Crossing(over="a", under_in="b", under_out="b",
+                                sign=1),
+                       Crossing(over="a", under_in="b", under_out="b",
+                                sign=1)),
+            components=(("a",), ("b",)))
 
 
 def torus_link(n):
@@ -308,45 +308,63 @@ def torus_link(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 200])
 def test_validate_diagram_accepts_torus_links(n):
     d = torus_link(n)
-    validate_diagram(d)
     assert len(d.components) == 2 - n % 2
     # a component line may list its strand's arcs in any order
-    validate_diagram(d._replace(components=tuple(
-        tuple(sorted(c)) for c in d.components)))
+    d._replace(components=tuple(tuple(sorted(c)) for c in d.components))
 
 
 T24 = torus_link(4)   # strands x0 x2 and x1 x3
 
 
+# d: the fields that differ from T24's
 @pytest.mark.parametrize("d,message", [
     # both strands listed as one component
-    (T24._replace(components=(("x0", "x1", "x2", "x3"),)),
+    ({"components": (("x0", "x1", "x2", "x3"),)},
      "component ('x0', 'x1', 'x2', 'x3') is not one strand through the "
      "crossings"),
     # one arc of each strand swapped
-    (T24._replace(components=(("x0", "x1"), ("x2", "x3"))),
+    ({"components": (("x0", "x1"), ("x2", "x3"))},
      "component ('x0', 'x1') is not one strand through the crossings"),
     # a one-arc component whose arc runs on under a crossing
-    (T24._replace(components=(("x0",), ("x1", "x2", "x3"))),
+    ({"components": (("x0",), ("x1", "x2", "x3"))},
      "component ('x0',) is not one strand through the crossings"),
     # x3 ends under no crossing
-    (T24._replace(crossings=T24.crossings[1:]),
+    ({"crossings": T24.crossings[1:]},
      "component ('x1', 'x3') is not one strand through the crossings"),
-    (T24._replace(components=(("x0", "x2"), ("x1", "x3"), ())),
+    ({"components": (("x0", "x2"), ("x1", "x3"), ())},
      "components do not partition the arcs"),
 ])
 def test_validate_diagram_rejects_a_component_that_is_not_a_strand(
         d, message):
     with pytest.raises(ValueError) as exc:
-        validate_diagram(d)
+        LinkDiagram(**{**T24._asdict(), **d})
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        T24._replace(**d)
     assert str(exc.value) == message
 
 
+def test_link_diagram_replace_builds_through_new():
+    # the namedtuple's own _replace skips __new__, so it would build a
+    # diagram that no check has seen
+    d = hopf_link()._replace(arcs=("b", "a"))
+    assert type(d) is LinkDiagram and d.arcs == ("b", "a")
+    assert hopf_link()._replace() == hopf_link()
+    with pytest.raises(ValueError, match="duplicate arc names"):
+        hopf_link()._replace(arcs=("a", "a"))
+    with pytest.raises(ValueError, match="unknown arc 'c'"):
+        hopf_link()._replace(crossings=(Crossing("c", "a", "a", 1),))
+
+
 def test_crossing_sign_must_be_plus_or_minus_one():
-    with pytest.raises(ValueError, match="crossing sign must be .*got 2"):
-        Crossing(over="a", under_in="b", under_out="b", sign=2)
-    with pytest.raises(ValueError, match="crossing sign must be .*got 0"):
-        Crossing("a", "b", "b", 0)
+    # True == 1, but a bool is not a sign; wirtinger would emit it as the
+    # exponent True
+    for sign in (2, 0, True):
+        crossing = Crossing(over="a", under_in="b", under_out="b", sign=sign)
+        with pytest.raises(ValueError) as exc:
+            LinkDiagram(("a", "b"), (crossing, Crossing("b", "a", "a", 1)),
+                        (("a",), ("b",)))
+        assert str(exc.value) == f"crossing sign must be +-1, got {sign}"
 
 
 def test_crossing_is_the_plain_tuple_of_its_fields():

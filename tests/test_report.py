@@ -141,8 +141,16 @@ def test_triangle_certificate_built_once_per_run(monkeypatch):
 
 
 def test_wirtinger_runs_once_per_run(monkeypatch):
-    calls = []
+    calls, checks = [], []
     original = groups.wirtinger
+    check = groups.LinkDiagram.__new__
+
+    def counted_check(cls, *args, **kwargs):
+        checks.append(args)
+        return check(cls, *args, **kwargs)
+
+    # a diagram checks itself in __new__; _make would skip the check
+    monkeypatch.setattr(groups.LinkDiagram, "__new__", counted_check)
 
     def counted(diagram):
         calls.append(diagram)
@@ -154,7 +162,7 @@ def test_wirtinger_runs_once_per_run(monkeypatch):
                 and getattr(module, "wirtinger", None) is original):
             monkeypatch.setattr(module, "wirtinger", counted)
     assert verify_all().overall == PASS
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(checks) == 1
 
 
 def test_each_complex_loads_once_and_a_failed_load_is_remembered(
