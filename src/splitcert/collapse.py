@@ -6,13 +6,15 @@ any higher coface would contribute several codimension-1 cofaces). Removing
 the pair (face, coface) is an elementary collapse; a complex is collapsible
 when some sequence of collapses ends at a single vertex.
 
-greedy_collapse, replay and the search all walk the arrays of a
-_CollapseState: a live flag and a live coface count per position of the
-complex's SimplexIndex. A collapse of (A, C) changes the counts of the
-facets of A and C only, so a run of collapses costs O(|K|·d). Greedy (with
-its own heap of candidate free faces) and replay take each step inline over
-the arrays, as a method call costs more than the step; the search keeps
-the state's collapse, since it undoes each one with restore on the way back.
+greedy_collapse, replay and the search each read the complex's SimplexIndex
+and walk two arrays of their own over its positions: live[i] is 1 while
+simplex i is present and count[i] is its number of live cofaces. The live
+set stays closed, so a removed simplex has count 0 and one live simplex is
+a vertex. A collapse of (A, C) clears both flags and changes the counts of
+the facets of A and C only, so a run of collapses costs O(|K|·d). Each walk
+writes that step out (greedy also pushes new free faces on its heap, and
+the search undoes each step on its way back up), as a call costs more than
+the step.
 """
 from __future__ import annotations
 
@@ -73,49 +75,16 @@ def free_faces(K: SimplicialComplex) -> list[Simplex]:
     return [s for s, n in zip(index.order, index.counts) if n == 1]
 
 
-class _CollapseState:
-    """A complex under collapses: live[i] is 1 while simplex i is present
-    and count[i] is its number of live cofaces. The live set stays closed,
-    so a removed simplex has count 0 and one live simplex is a vertex.
-    greedy_collapse and replay step inline over live and count; the search
-    calls collapse and restore."""
-
-    def __init__(self, K: SimplicialComplex):
-        self.index = K.index()
-        self.live = bytearray(b"\1") * len(self.index.order)
-        self.count = list(self.index.counts)
-
-    def collapse(self, face: int) -> int:
-        """Remove a free face and its live coface; returns the coface."""
-        live, count, facets = self.live, self.count, self.index.facets
-        for coface in self.index.cofaces[face]:
-            if live[coface]:
-                break
-        live[face] = live[coface] = 0
-        for f in facets[face]:
-            count[f] -= 1
-        for f in facets[coface]:
-            count[f] -= 1
-        return coface
-
-    def restore(self, face: int, coface: int) -> None:
-        """Put back a pair that collapse took out: its exact inverse."""
-        for s in (face, coface):
-            self.live[s] = 1
-            for f in self.index.facets[s]:
-                self.count[f] += 1
-
-
 def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
     """Apply certificate steps in order; trace holds the collapsed pairs.
 
     On the first failing step the trace stops, final is None and failure
     names the step. An empty certificate replays to K unchanged.
     """
-    state = _CollapseState(K)
-    order, ids, facets, cofaces = (state.index.order, state.index.ids,
-                                   state.index.facets, state.index.cofaces)
-    live, count = state.live, state.count
+    index = K.index()
+    order, ids, facets, cofaces = (index.order, index.ids, index.facets,
+                                   index.cofaces)
+    live, count = bytearray(b"\1") * len(order), list(index.counts)
     trace: list[tuple[Simplex, Simplex]] = []
     for i, face in enumerate(cert.steps):
         f = ids.get(face)
@@ -126,7 +95,6 @@ def replay(K: SimplicialComplex, cert: CollapseCertificate) -> ReplayResult:
             return ReplayResult(None, tuple(trace), False,
                                 f"step {i} ({' '.join(face)}): "
                                 f"not free ({count[f]} cofaces)")
-        # inline _CollapseState.collapse: the call costs more than the step
         for c in cofaces[f]:
             if live[c]:
                 break
@@ -157,10 +125,9 @@ def greedy_collapse(
 
     Deterministic; the residual may be anything from a point to K itself.
     """
-    state = _CollapseState(K)
-    order, facets, cofaces = (state.index.order, state.index.facets,
-                              state.index.cofaces)
-    live, count = state.live, state.count
+    index = K.index()
+    order, facets, cofaces = index.order, index.facets, index.cofaces
+    live, count = bytearray(b"\1") * len(order), list(index.counts)
     # candidate free faces (sorted, so a heap), checked when popped: counts
     # only fall, so one that is gone or has lost its coface stays unfree
     heap = [i for i, n in enumerate(count) if n == 1]
@@ -168,7 +135,6 @@ def greedy_collapse(
     while heap:
         face = heapq.heappop(heap)
         if count[face] == 1:
-            # inline _CollapseState.collapse: the call costs more than the step
             for coface in cofaces[face]:
                 if live[coface]:
                     break
@@ -223,12 +189,13 @@ def is_collapsible(K: SimplicialComplex,
 def _search(K: SimplicialComplex, max_nodes: int):
     """Depth-first search on an explicit stack. Returns the faces leading
     from K to a point (None if there is none or the budget ran out) and the
-    number of nodes visited. One _CollapseState walks the tree: collapse
-    steps down to a child, restore steps back up from an exhausted node or
+    number of nodes visited. One live/count pair walks the tree: a collapse
+    steps down to a child, its undo steps back up from an exhausted node or
     from a child already in the memo, whose key is bytes(live): the node's
     exact live flags, not a hash of them."""
-    state = _CollapseState(K)
-    live, count = state.live, state.count
+    index = K.index()
+    order, facets, cofaces = index.order, index.facets, index.cofaces
+    live, count = bytearray(b"\1") * len(order), list(index.counts)
     seen: set[bytes] = set()   # the nodes visited
     # per node: its free faces in tie-break order, the pair taken out of it
     stack: list[list] = []
@@ -245,9 +212,18 @@ def _search(K: SimplicialComplex, max_nodes: int):
             stack.pop()
             if not stack:
                 return None, len(seen)
-            state.restore(*stack[-1][1])
-        stack[-1][1] = face, state.collapse(face)
-    return tuple(state.index.order[pair[0]] for _, pair in stack), len(seen)
+            f, c = stack[-1][1]   # put back the pair taken out of it
+            live[f] = live[c] = 1
+            for g in facets[f] + facets[c]:
+                count[g] += 1
+        for coface in cofaces[face]:
+            if live[coface]:
+                break
+        live[face] = live[coface] = 0
+        for g in facets[face] + facets[coface]:
+            count[g] -= 1
+        stack[-1][1] = face, coface
+    return tuple(order[pair[0]] for _, pair in stack), len(seen)
 
 
 # --- .cert file format: one free face per line, '#' comments --------------

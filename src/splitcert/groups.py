@@ -87,9 +87,11 @@ def substitute(w: Word, mapping: Mapping[str, Word]) -> Word:
 # ------------------------------------------------------------ presentations
 
 def _check_declared(generators: Container[str], relator: Word) -> None:
-    for g, _ in relator:
+    for g, e in relator:
         if g not in generators:
             raise ValueError(f"relator uses undeclared generator {g!r}")
+        if type(e) is not int or e not in (1, -1):
+            raise ValueError(f"relator exponent must be +-1, got {e!r}")
 
 
 class Presentation(namedtuple("Presentation", "generators relators")):
@@ -208,9 +210,11 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
     elif kind == "add-generator":
         if gen in generators:
             raise TietzeError(f"generator {gen!r} already present")
-        for g, _ in word:
+        for g, e in word:
             if g not in generators:
                 raise TietzeError(f"defining word uses unknown {g!r}")
+            if type(e) is not int or e not in (1, -1):
+                raise TietzeError(f"word exponent must be +-1, got {e!r}")
         rel = free_reduce(((_check_gen(gen), 1),) + inverse(word))
         return Presentation._make((generators + (gen,), relators + (rel,)))
     else:  # remove-generator
@@ -268,7 +272,7 @@ class LinkDiagram(namedtuple("LinkDiagram", "arcs crossings components")):
             raise ValueError("components do not partition the arcs")
         strand: dict[str, str] = {}   # under_in -> under_out
         for over, under_in, under_out, sign in crossings:
-            if isinstance(sign, bool) or sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"crossing sign must be +-1, got {sign}")
             for a in (over, under_in, under_out):
                 if a not in arcset:

@@ -125,7 +125,8 @@ def test_budget_is_an_option_of_complex_search_only(action, triangle_file,
 
 @pytest.mark.parametrize("argv", [["verify-all"], ["mazur", "certify"]])
 def test_tol_is_not_an_option(argv, capsys):
-    # every numerical check compares against the fixed DEFAULT_TOL
+    # every numerical check compares against a fixed bound: DEFAULT_TOL,
+    # or 1e-3 for MERIDIAN_DISPLACEMENT
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--tol", "1"])
     assert exc.value.code == 2

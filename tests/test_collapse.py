@@ -555,35 +555,6 @@ def test_search_called_directly_matches_reference(K, max_nodes):
     assert collapse._search(K, max_nodes) == _reference_search(K, max_nodes)
 
 
-@given(two_or_three_complexes, st.data())
-@settings(max_examples=150, deadline=None)
-def test_restore_undoes_collapse(K, data):
-    # the id state, driven by the same faces as the tuple-keyed state it
-    # replaced, holds the same live set and counts at every step
-    state, old = collapse._CollapseState(K), _OldCollapseState(K)
-    order, cofaces = K.index().order, K.index().cofaces
-    taken = []
-    for _ in range(data.draw(st.integers(0, len(K)))):
-        free = [i for i, n in enumerate(state.count) if n == 1]
-        assert [order[i] for i in free] == sorted(
-            s for s in old.live if old.count[s] == 1)
-        if not free:
-            break
-        face = data.draw(st.sampled_from(free))
-        coface = state.collapse(face)
-        assert order[coface] == old.collapse(order[face])
-        taken.append((face, coface))
-        assert {order[i] for i, on in enumerate(state.live) if on} == old.live
-        for i, n in enumerate(state.count):
-            assert n == old.count[order[i]] == sum(
-                state.live[c] for c in cofaces[i])
-    for face, coface in reversed(taken):
-        state.restore(face, coface)
-    fresh = collapse._CollapseState(K)
-    assert (state.live, state.count) == (fresh.live, fresh.count)
-    assert state.live == bytearray([1]) * len(K)
-
-
 def test_replay_and_elementary_collapse_use_no_heap(monkeypatch):
     class NoHeap:
         def __getattr__(self, name):

@@ -142,6 +142,23 @@ def test_an_undeclared_letter_in_a_cancelling_pair_still_raises():
         Presentation(("a",), (parse_word("a c C A"),))
 
 
+@pytest.mark.parametrize("e", [2, 0, -2, 1.0, True])
+def test_a_letter_exponent_must_be_plus_or_minus_one(e):
+    # ("a", 2) abelianized to Z/2, but dumps_fp wrote it as "A"
+    message = rf"exponent must be \+-1, got {re.escape(repr(e))}$"
+    with pytest.raises(ValueError, match="^relator " + message):
+        Presentation(("a",), ((("a", e),),))
+    # add-relator: a conjugator's letters, inverse first, reach the word
+    p = Presentation(("a",), (parse_word("a"),))
+    cert = ((0, 1, (("a", e),)),)
+    word = _certificate_product(p.relators, cert)
+    with pytest.raises(ValueError, match="^relator exponent must be"):
+        apply_tietze(p, TietzeMove("add-relator", word=word, certificate=cert))
+    with pytest.raises(TietzeError, match="^word " + message):
+        apply_tietze(p, TietzeMove("add-generator", gen="b",
+                                   word=(("a", e),)))
+
+
 def test_impose_relator_changes_the_group():
     p = Presentation(("a",), ())
     q = impose_relator(p, parse_word("a a a"))
@@ -357,9 +374,9 @@ def test_link_diagram_replace_builds_through_new():
 
 
 def test_crossing_sign_must_be_plus_or_minus_one():
-    # True == 1, but a bool is not a sign; wirtinger would emit it as the
-    # exponent True
-    for sign in (2, 0, True):
+    # True == 1.0 == 1, but neither a bool nor a float is a sign: wirtinger
+    # would emit it as an exponent, and linking_number would sum it
+    for sign in (2, 0, True, 1.0, -1.0):
         crossing = Crossing(over="a", under_in="b", under_out="b", sign=sign)
         with pytest.raises(ValueError) as exc:
             LinkDiagram(("a", "b"), (crossing, Crossing("b", "a", "a", 1)),
