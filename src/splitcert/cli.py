@@ -16,8 +16,8 @@ from . import __version__
 from .collapse import (DEFAULT_BUDGET, SearchBudget, dumps_cert, free_faces,
                        greedy_collapse, is_collapsible, load_cert, replay)
 from .complexes import euler_characteristic, load_scx
-from .groups import (TietzeError, TietzeMove, _check_gen, abelianization,
-                     apply_tietze, dumps_fp, free_reduce, load_fp, load_lnk,
+from .groups import (TietzeError, TietzeMove, abelianization, apply_tietze,
+                     check_gen, dumps_fp, free_reduce, load_fp, load_lnk,
                      parse_word, substitute, wirtinger, word_str)
 from .report import RunContext, run_group, verify_all
 from .splitting import OMEGA, FactorMultiset, distinguishable
@@ -147,7 +147,7 @@ def _parse_gen_word(text: str):
     gen, sep, word = text.partition("=")
     if not sep:
         raise ValueError(f"{text!r} is not GEN=WORD")
-    return _check_gen(gen), parse_word(word)
+    return check_gen(gen), parse_word(word)
 
 
 def _parse_certificate(text: str):

@@ -29,7 +29,7 @@ class TietzeError(ValueError):
     """A Tietze move whose certificate does not verify."""
 
 
-def _check_gen(token: str) -> str:
+def check_gen(token: str) -> str:
     if not _GEN.fullmatch(token):
         raise ValueError(f"bad generator token {token!r}")
     return token
@@ -42,9 +42,9 @@ def parse_word(text: str) -> Word:
     letters = []
     for tok in text.split():
         if tok[0].isupper():
-            letters.append((_check_gen(tok[0].lower() + tok[1:]), -1))
+            letters.append((check_gen(tok[0].lower() + tok[1:]), -1))
         else:
-            letters.append((_check_gen(tok), +1))
+            letters.append((check_gen(tok), +1))
     return tuple(letters)
 
 
@@ -101,7 +101,7 @@ class Presentation(namedtuple("Presentation", "generators relators")):
     def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
         seen = set()
         for g in generators:
-            _check_gen(g)
+            check_gen(g)
             if g in seen:
                 raise ValueError(f"duplicate generator {g!r}")
             seen.add(g)
@@ -155,8 +155,8 @@ class TietzeMove(namedtuple("TietzeMove", "kind word certificate gen index")):
         return tuple.__new__(cls, (kind, word, certificate, gen, index))
 
 
-def _certificate_product(relators: tuple[Word, ...],
-                         certificate: Iterable[tuple[int, int, Word]]) -> Word:
+def certificate_product(relators: tuple[Word, ...],
+                        certificate: Iterable[tuple[int, int, Word]]) -> Word:
     """Product of the terms conj^-1 r^sign conj, freely reduced once."""
     letters: list[Letter] = []
     for index, sign, conj in certificate:
@@ -189,7 +189,7 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
     kind, word, certificate, gen, index = move
     generators, relators = p
     if kind == "add-relator":
-        got = _certificate_product(relators, certificate)
+        got = certificate_product(relators, certificate)
         target = word if got == word else free_reduce(word)
         if got != target:
             raise TietzeError(
@@ -201,7 +201,7 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
         if not 0 <= index < len(relators):
             raise TietzeError(f"no relator {index} to remove")
         rest = relators[:index] + relators[index + 1:]
-        got = _certificate_product(rest, certificate)
+        got = certificate_product(rest, certificate)
         if got != relators[index]:
             raise TietzeError(
                 f"removed relator is not certified by the others: "
@@ -215,7 +215,7 @@ def apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
                 raise TietzeError(f"defining word uses unknown {g!r}")
             if type(e) is not int or e not in (1, -1):
                 raise TietzeError(f"word exponent must be +-1, got {e!r}")
-        rel = free_reduce(((_check_gen(gen), 1),) + inverse(word))
+        rel = free_reduce(((check_gen(gen), 1),) + inverse(word))
         return Presentation._make((generators + (gen,), relators + (rel,)))
     else:  # remove-generator
         if gen not in generators:
@@ -266,7 +266,7 @@ class LinkDiagram(namedtuple("LinkDiagram", "arcs crossings components")):
         if len(arcset) != len(arcs):
             raise ValueError("duplicate arc names")
         for a in arcs:
-            _check_gen(a)
+            check_gen(a)
         flat = [a for comp in components for a in comp]
         if sorted(flat) != sorted(arcs) or not all(components):
             raise ValueError("components do not partition the arcs")
@@ -311,9 +311,11 @@ def wirtinger(d: LinkDiagram) -> Presentation:
 
 
 def crossing_sum(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
-    """The signed count of crossings between two components."""
+    """The signed count of crossings between two distinct components."""
     ca = set(d.components[comp_a])
     cb = set(d.components[comp_b])
+    if ca == cb:   # components partition the arcs: equal sets are one
+        raise ValueError(f"a crossing sum of component {comp_a} with itself")
     total = 0
     # the under arcs (in and out) lie on one component; read under_in
     for over, under, _, sign in d.crossings:
@@ -425,16 +427,20 @@ def loads_fp(text: str) -> Presentation:
     gens: tuple[str, ...] | None = None
     rels: list[Word] = []
     for lineno, line in content_lines(text):
-        if line.startswith("gens:"):
-            if gens is not None:
-                raise ValueError(f"line {lineno}: second gens: line")
-            gens = tuple(line[5:].split())
-        elif line.startswith("rel:"):
-            rels.append(parse_word(line[4:]))
-        else:
-            raise ValueError(f"line {lineno}: expected gens:/rel:, got {line!r}")
+        try:
+            if line.startswith("gens:"):
+                if gens is not None:
+                    raise ValueError("second gens: line")
+                gens = tuple(map(check_gen, line[5:].split()))
+            elif line.startswith("rel:"):
+                rels.append(parse_word(line[4:]))
+            else:
+                raise ValueError(f"expected gens:/rel:, got {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if gens is None:
         raise ValueError("missing gens: line")
+    # Presentation checks the names used, as gens: may follow the rel: lines
     return Presentation(gens, tuple(rels))
 
 

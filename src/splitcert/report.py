@@ -18,8 +18,8 @@ from . import assets, mazur
 from .collapse import free_faces, is_collapsible, replay
 from .complexes import (SimplicialComplex, build, cone, euler_characteristic,
                         intersection, union)
-from .groups import (Presentation, TietzeMove, _certificate_product,
-                     abelianization, apply_tietze, crossing_sum, parse_word,
+from .groups import (Presentation, TietzeMove, abelianization, apply_tietze,
+                     certificate_product, crossing_sum, parse_word,
                      wirtinger, word_str)
 from .hyperbolic import (DEFAULT_TOL, NONTRIVIAL_FLOOR, build_triangle,
                          triangle_defect)
@@ -70,7 +70,7 @@ def tietze_round_trips():
 
     def conjugate(index, sign, conj):   # add it, then remove it
         cert = ((index, sign, conj),)
-        word = _certificate_product(TIETZE_WALK_START.relators, cert)
+        word = certificate_product(TIETZE_WALK_START.relators, cert)
         return (TietzeMove("add-relator", word=word, certificate=cert),
                 TietzeMove("remove-relator", index=2, certificate=cert))
 

@@ -7,8 +7,8 @@ acceptance criteria 3, 6 and 7 sweep them.
 """
 import random
 
-from splitcert.groups import (Presentation, TietzeMove, _certificate_product,
-                              apply_tietze)
+from splitcert.groups import (Presentation, TietzeMove, apply_tietze,
+                              certificate_product)
 from splitcert.report import TIETZE_WALK_START
 from splitcert.splitting import OMEGA, FactorMultiset
 
@@ -58,7 +58,7 @@ def random_tietze_walk(rng: random.Random, steps: int) -> Presentation:
                           rng.choice((1, -1)),
                           _random_word(rng, p.generators))
                          for _ in range(rng.randint(1, 3)))
-            word = _certificate_product(p.relators, cert)
+            word = certificate_product(p.relators, cert)
             move = TietzeMove("add-relator", word=word, certificate=cert)
             stack.append(("rel", cert))
         else:

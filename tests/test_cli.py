@@ -1,9 +1,11 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import splitcert
 from splitcert.cli import main
 from splitcert.groups import loads_lnk
 
@@ -326,6 +328,14 @@ def test_group_abelianize(capsys, tmp_path):
     assert out == "Z + Z\n"
 
 
+def test_group_abelianize_bad_token_names_its_line(capsys, tmp_path):
+    f = tmp_path / "p.fp"
+    f.write_text("gens: a\nrel: a\nrel: a 1b\n")
+    code, out, err = run(capsys, "group", "abelianize", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: bad generator token '1b'\n"
+
+
 def test_group_abelianize_needs_no_coefficient_blow_up(capsys, tmp_path):
     # one relator per row of a 7x7 relation matrix with entries up to 12
     matrix = [[2, -1, -5, -2, 2, 1, 0], [0, 0, -1, 0, 6, -1, 12],
@@ -617,10 +627,13 @@ def test_unknown_subcommand_is_exit_2():
 
 
 def test_console_script_version():
+    # one version number: the package's, which pyproject.toml declares
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    [declared] = re.findall(r'(?m)^version = "(.+)"$', pyproject.read_text())
     out = subprocess.run([sys.executable, "-m", "splitcert.cli", "--version"],
                          capture_output=True, text=True)
     assert out.returncode == 0
-    assert out.stdout.strip() == "0.1.0"
+    assert out.stdout == f"{splitcert.__version__}\n" == f"{declared}\n"
 
 
 def test_import_does_not_load_dataclasses():

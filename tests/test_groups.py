@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
                               Presentation, TietzeError, TietzeMove,
-                              _certificate_product, _check_declared,
-                              _check_gen, abelianization,
-                              apply_tietze, dumps_fp, free_reduce,
+                              _check_declared, abelianization,
+                              apply_tietze, certificate_product, check_gen,
+                              dumps_fp, free_reduce,
                               impose_relator, inverse, linking_number,
                               loads_fp, loads_lnk, parse_word,
                               smith_invariants, substitute,
@@ -37,7 +37,7 @@ def test_parse_word_rejects_bad_tokens():
         parse_word("a 1b")
     # the whole token must match: "$" alone lets a trailing newline through
     with pytest.raises(ValueError, match=r"bad generator token 'g\\n'"):
-        _check_gen("g\n")
+        check_gen("g\n")
 
 
 def test_free_reduce_basic():
@@ -151,7 +151,7 @@ def test_a_letter_exponent_must_be_plus_or_minus_one(e):
     # add-relator: a conjugator's letters, inverse first, reach the word
     p = Presentation(("a",), (parse_word("a"),))
     cert = ((0, 1, (("a", e),)),)
-    word = _certificate_product(p.relators, cert)
+    word = certificate_product(p.relators, cert)
     with pytest.raises(ValueError, match="^relator exponent must be"):
         apply_tietze(p, TietzeMove("add-relator", word=word, certificate=cert))
     with pytest.raises(TietzeError, match="^word " + message):
@@ -449,6 +449,14 @@ def test_linking_number_requires_even_sum():
         linking_number(d, 0, 1)
 
 
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 1), (1, -1)])
+def test_linking_number_needs_two_distinct_components(a, b):
+    # the same component twice is a misuse, not a linking number of 0
+    with pytest.raises(ValueError, match="^a crossing sum of component "
+                                         f"{a} with itself$"):
+        linking_number(hopf_link(), a, b)
+
+
 # ---------------------------------------------------------- abelianization
 
 def test_smith_invariants_known_matrices():
@@ -637,7 +645,7 @@ def test_abelianization_matches_the_dense_reference(p):
 # ------------------------------------------------ the certificate product
 
 def _reference_certificate_product(relators, certificate):
-    """The product as _certificate_product built it before it reduced once:
+    """The product as certificate_product built it before it reduced once:
     the running product freely reduced again after every term."""
     prod = ()
     for index, sign, conj in certificate:
@@ -666,9 +674,9 @@ def test_certificate_product_matches_the_term_by_term_reference(p, data):
         want = _reference_certificate_product(p.relators, cert)
     except TietzeError as exc:
         with pytest.raises(TietzeError, match=f"^{re.escape(str(exc))}$"):
-            _certificate_product(p.relators, cert)
+            certificate_product(p.relators, cert)
     else:
-        assert _certificate_product(p.relators, cert) == want
+        assert certificate_product(p.relators, cert) == want
 
 
 # ------------------------------------------------- valid moves on random input
@@ -723,7 +731,7 @@ def tietze_cases(draw, kind=None):
     cert = tuple((draw(st.integers(0, len(rels) - 1)),
                   draw(st.sampled_from([1, -1])), word(gens, 3))
                  for _ in range(terms))
-    consequence = _certificate_product(rels, cert)
+    consequence = certificate_product(rels, cert)
     if kind == "add-relator":
         return (gens, rels), TietzeMove(kind, word=consequence,
                                         certificate=cert)
@@ -840,7 +848,7 @@ def _outcome(fn, *args):
 def test_free_reduce_matches_the_reference(w):
     want = _reference_free_reduce(w)
     assert free_reduce(w) == want
-    got = free_reduce(list(w))   # _certificate_product hands it a list
+    got = free_reduce(list(w))   # certificate_product hands it a list
     assert type(got) is tuple and got == want
 
 
@@ -941,7 +949,7 @@ def _parent_apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
     generators, relators = p
     if kind == "add-relator":
         target = free_reduce(word)
-        got = _certificate_product(relators, certificate)
+        got = certificate_product(relators, certificate)
         if got != target:
             raise TietzeError(
                 f"certificate product {word_str(got)} != relator "
@@ -952,7 +960,7 @@ def _parent_apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
         if not 0 <= index < len(relators):
             raise TietzeError(f"no relator {index} to remove")
         rest = relators[:index] + relators[index + 1:]
-        got = _certificate_product(rest, certificate)
+        got = certificate_product(rest, certificate)
         if got != free_reduce(relators[index]):
             raise TietzeError(
                 f"removed relator is not certified by the others: "
@@ -964,7 +972,7 @@ def _parent_apply_tietze(p: Presentation, move: TietzeMove) -> Presentation:
         for g, _ in word:
             if g not in generators:
                 raise TietzeError(f"defining word uses unknown {g!r}")
-        rel = free_reduce(((_check_gen(gen), 1),) + inverse(word))
+        rel = free_reduce(((check_gen(gen), 1),) + inverse(word))
         return Presentation._make((generators + (gen,), relators + (rel,)))
     else:  # remove-generator
         if gen not in generators:
@@ -1142,6 +1150,20 @@ def test_fp_errors():
         loads_fp("gens: a\nnonsense\n")
     with pytest.raises(ValueError, match="second gens"):
         loads_fp("gens: a\ngens: b\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gens: a\nrel: a\nrel: a 1b\n", "line 3: bad generator token '1b'"),
+    ("gens: a\n\n# comment\nrel: a B!\n", "line 4: bad generator token 'b!'"),
+    ("rel: a\ngens: a _b\n", "line 2: bad generator token '_b'"),
+    # the generators are known once every line is read
+    ("rel: b\ngens: a\n", "relator uses undeclared generator 'b'"),
+    ("gens: a b a\n", "duplicate generator 'a'"),
+])
+def test_fp_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        loads_fp(text)
+    assert str(exc.value) == message
 
 
 def test_lnk_errors():

@@ -11,58 +11,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 MODULES = ("assets", "cli", "collapse", "complexes", "groups", "hyperbolic",
            "mazur", "report", "splitting")
 
-# the package's public surface; adding or removing a name is a deliberate
-# change to this tuple
-PUBLIC = (
-    "AbelianInvariants", "CollapseCertificate", "CollapseVerdict",
-    "FactorMultiset", "Isometry", "LinkDiagram", "OMEGA", "Presentation",
-    "ReplayResult", "SearchBudget", "SimplicialComplex", "SplitCertificate",
-    "SplitError", "TietzeError", "TietzeMove",
-    "VerificationReport", "__version__", "abelianization", "apply_tietze",
-    "build", "build_triangle", "certify_nontrivial", "certify_relators",
-    "cone", "distinguishable", "elementary_collapse", "euler_characteristic",
-    "evaluate", "family_demo", "free_faces", "free_reduce", "greedy_collapse",
-    "hyp_distance", "impose_relator", "intersection", "is_collapsible",
-    "is_identity", "linking_number", "load_cert", "load_fp", "load_lnk",
-    "load_scx", "multiset_of", "parse_word", "replay", "rotation",
-    "same_isometry", "smith_invariants", "substitute", "triangle_defect",
-    "union", "verify_all", "verify_spine_split", "wirtinger", "word_str",
-)
-
-
-def test_public_names_are_exactly_the_pinned_ones():
-    assert PUBLIC == tuple(sorted(PUBLIC))
-    assert tuple(sorted(splitcert.__all__)) == PUBLIC
-    assert all(hasattr(splitcert, name) for name in PUBLIC)
-
-
-def test_each_public_name_is_the_object_its_module_defines():
-    for name in set(PUBLIC) - {"__version__"}:
-        module = importlib.import_module(
-            f"splitcert.{splitcert._MODULE_OF[name]}")
-        value = getattr(splitcert, name)
-        assert value is getattr(module, name), name
-        assert getattr(value, "__module__", module.__name__) == module.__name__
-
-
-def test_a_public_name_follows_its_module(monkeypatch):
-    # the benchmark's tracer replaces functions in their modules only, and
-    # puts them back after; the package must neither miss nor keep a wrapper
-    import splitcert.collapse as collapse
-    original = splitcert.replay
-    monkeypatch.setattr(collapse, "replay", lambda *args: None)
-    assert splitcert.replay is collapse.replay
-    monkeypatch.undo()
-    assert splitcert.replay is original
-
 
 def test_modules_names_every_submodule():
     files = Path(SRC, "splitcert").glob("*.py")
     assert MODULES == tuple(sorted(f.stem for f in files if f.stem != "__init__"))
-
-
-def test_dir_lists_every_public_name():
-    assert set(PUBLIC) <= set(dir(splitcert))
 
 
 def test_unknown_attribute_raises_attribute_error_naming_it():
@@ -77,7 +29,8 @@ LOADED = ("print(*sorted(m for m in sys.modules "
 
 def _fresh(*statements: str) -> list[list[str]]:
     """Run the statements in a fresh interpreter (-S keeps site hooks out
-    of sys.modules); one list of loaded splitcert modules per LOADED."""
+    of sys.modules); one list per printed line, such as the loaded
+    splitcert modules that LOADED prints."""
     code = "; ".join((f"import sys; sys.path.insert(0, {SRC!r})", *statements))
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True)
@@ -86,8 +39,21 @@ def _fresh(*statements: str) -> list[list[str]]:
             for line in out.stdout.splitlines()]
 
 
+# what the import system sets in a package's namespace
+IMPORT_SYSTEM = ("__builtins__", "__cached__", "__doc__", "__file__",
+                 "__loader__", "__name__", "__package__", "__path__",
+                 "__spec__")
+
+
+def test_the_package_defines_no_name_but_its_version():
+    # each name is imported from the module that defines it
+    [names] = _fresh("import splitcert",
+                     "print(*sorted(vars(splitcert)), sep=',')")
+    assert set(names) - set(IMPORT_SYSTEM) == {"__version__"}
+
+
 @pytest.mark.parametrize("statement, loaded", [
-    # the package alone resolves its names on first use
+    # the package alone imports no module
     ("import splitcert", ()),
     # the collapse certificates need no group, hyperbolic or report code
     ("from splitcert import assets, collapse, complexes",
