@@ -342,6 +342,9 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
     Rows are lists or sparse {column: entry} dicts.  The pivot is a +-1
     entry whenever there is one, else a least |entry|; Euclidean row and
     column operations clear its column and row, and then both are dropped.
+    Row operations leave a unit pivot alone in its column, and column
+    operations would clear the rest of its row, so a unit pivot retires
+    its row and column at once and records 1.
     """
     live: dict[int, dict] = {}
     cols: dict[Hashable, set[int]] = {}
@@ -379,7 +382,13 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
             if not row:
                 del live[i]
             todo.append(i)
-        if len(cols[c]) == 1:   # column ops then touch row r alone
+        if p == 1 or p == -1:   # column c now holds row r alone
+            for j in pivot:
+                if j != c:
+                    cols[j].discard(r)
+            del live[r], cols[c]
+            diag.append(1)
+        elif len(cols[c]) == 1:   # column ops then touch row r alone
             for j in [j for j in pivot if j != c]:
                 pivot[j] %= p
                 if not pivot[j]:
@@ -464,31 +473,33 @@ def loads_lnk(text: str) -> LinkDiagram:
     crossings: list[Crossing] = []
     comps: list[tuple[str, ...]] = []
     for lineno, line in content_lines(text):
-        if line.startswith("arc:"):
-            arcs.extend(line[4:].split())
-        elif line.startswith("x:"):
-            fields = {}
-            for tok in line[2:].split():
-                m = _CROSSING_FIELD.match(tok)
-                if not m:
-                    raise ValueError(f"line {lineno}: bad crossing field {tok!r}")
-                if m.group(1) in fields:
-                    raise ValueError(
-                        f"line {lineno}: repeated field {m.group(1)!r}")
-                fields[m.group(1)] = m.group(2)
-            missing = {"over", "in", "out", "sign"} - fields.keys()
-            if missing:
-                raise ValueError(f"line {lineno}: missing {sorted(missing)}")
-            if fields["sign"] not in ("+", "-"):
-                raise ValueError(f"line {lineno}: sign must be + or -")
-            crossings.append(Crossing(over=fields["over"],
-                                      under_in=fields["in"],
-                                      under_out=fields["out"],
-                                      sign=1 if fields["sign"] == "+" else -1))
-        elif line.startswith("comp:"):
-            comps.append(tuple(line[5:].split()))
-        else:
-            raise ValueError(f"line {lineno}: expected arc:/x:/comp:, got {line!r}")
+        try:
+            if line.startswith("arc:"):
+                arcs.extend(map(check_gen, line[4:].split()))
+            elif line.startswith("x:"):
+                fields = {}
+                for tok in line[2:].split():
+                    m = _CROSSING_FIELD.match(tok)
+                    if not m:
+                        raise ValueError(f"bad crossing field {tok!r}")
+                    if m.group(1) in fields:
+                        raise ValueError(f"repeated field {m.group(1)!r}")
+                    fields[m.group(1)] = m.group(2)
+                missing = {"over", "in", "out", "sign"} - fields.keys()
+                if missing:
+                    raise ValueError(f"missing {sorted(missing)}")
+                if fields["sign"] not in ("+", "-"):
+                    raise ValueError("sign must be + or -")
+                crossings.append(Crossing(
+                    over=fields["over"], under_in=fields["in"],
+                    under_out=fields["out"],
+                    sign=1 if fields["sign"] == "+" else -1))
+            elif line.startswith("comp:"):
+                comps.append(tuple(line[5:].split()))
+            else:
+                raise ValueError(f"expected arc:/x:/comp:, got {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return LinkDiagram(tuple(arcs), tuple(crossings), tuple(comps))
 
 

@@ -133,9 +133,11 @@ def family_demo(k: int) -> int:
     distinguishable."""
     if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= 20:
         raise ValueError(f"k must be an integer in [0, 20], got {k!r}")
-    # sorted, so each subset reaches multiset_of sorted; multisets are
-    # canonical, so equal maps have equal counts tuples
+    # each subset once, as the sorted combinations of each size from sorted
+    # labels, so it reaches multiset_of sorted; multisets are canonical, so
+    # equal maps have equal counts tuples
     labels = sorted(f"J{i}" for i in range(1, k + 1))
-    distinct = {multiset_of((), itertools.compress(labels, bits)).counts
-                for bits in itertools.product((0, 1), repeat=k)}
+    distinct = {multiset_of((), subset).counts
+                for size in range(k + 1)
+                for subset in itertools.combinations(labels, size)}
     return len(distinct)

@@ -271,6 +271,7 @@ def test_wirtinger_output(capsys):
      "component ('a', 'b') has several arcs but no crossings"),
     ("arc: a\nloop: a\ncomp: a\n",
      "line 2: expected arc:/x:/comp:, got 'loop: a'"),
+    ("arc: a\narc: 1b\ncomp: a 1b\n", "line 2: bad generator token '1b'"),
 ])
 def test_wirtinger_rejects_a_bad_diagram(text, message, capsys, tmp_path):
     with pytest.raises(ValueError) as exc:

@@ -611,6 +611,32 @@ def test_smith_matches_determinantal_divisors(m):
         assert _minor_gcd(m, len(diag) + 1) == 0
 
 
+def _torus_rows(n):
+    """The Wirtinger relation rows of T(2, n) as dense lists: crossing i
+    gives {out: 1, in: -1} with in = i and out = i + 2 (mod n), one cycle
+    of arcs for odd n and two for even n."""
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[(i + 2) % n] += 1
+        row[i] -= 1
+        rows.append(row)
+    return rows
+
+
+def _with_examples(examples):
+    def decorate(test):
+        for m in examples:
+            test = example(m)(test)
+        return test
+    return decorate
+
+
+@_with_examples([_torus_rows(n) for n in range(2, 41)] + [
+    # a unit pivot first, then non-unit pivots on what is left
+    [[1, 3, 5], [2, 8, 10], [0, 4, 12]],
+    [[-1, 2, 0], [0, 2, 0], [0, 0, 4]],
+])
 @given(matrices(5))
 @settings(max_examples=300, deadline=None)
 def test_smith_matches_the_dense_reference(m):
@@ -1175,3 +1201,6 @@ def test_lnk_errors():
         loads_lnk("arc: a\nx: over=a in=a out=a sign=2\ncomp: a\n")
     with pytest.raises(ValueError, match="^line 2: repeated field 'sign'$"):
         loads_lnk("arc: a\nx: over=a in=a out=a sign=+ sign=-\ncomp: a\n")
+    # an arc name is checked as its line is read
+    with pytest.raises(ValueError, match="^line 2: bad generator token '1b'$"):
+        loads_lnk("arc: a\narc: 1b\ncomp: a 1b\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -141,6 +142,30 @@ def test_family_demo_counts():
     assert family_demo(3) == 8
     assert family_demo(10) == 1024
     assert family_demo(11) == 2048  # beyond the k = 10 that verify-all runs
+
+
+def _reference_family_counts(k):
+    """The counts tuples of the 2^k subset descriptions, enumerated as
+    0/1 vectors over the sorted labels."""
+    labels = sorted(f"J{i}" for i in range(1, k + 1))
+    return {multiset_of((), itertools.compress(labels, bits)).counts
+            for bits in itertools.product((0, 1), repeat=k)}
+
+
+def test_family_demo_builds_the_reference_multisets(monkeypatch):
+    seen = []
+
+    def recording(prefix, cycle=()):
+        m = multiset_of(prefix, cycle)
+        seen.append(m.counts)
+        return m
+
+    monkeypatch.setattr(splitting, "multiset_of", recording)
+    for k in range(11):
+        seen.clear()
+        assert family_demo(k) == 2 ** k
+        assert len(seen) == 2 ** k   # each subset once
+        assert set(seen) == _reference_family_counts(k)
 
 
 def test_family_demo_bounds():
