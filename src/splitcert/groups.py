@@ -302,12 +302,18 @@ class LinkDiagram(namedtuple("LinkDiagram", "arcs crossings components")):
 
 def wirtinger(d: LinkDiagram) -> Presentation:
     """One generator per arc; per crossing the freely reduced relator
-    under_out . over^sign . under_in^-1 . over^-sign. It trusts d, as
-    apply_tietze trusts a Presentation: a LinkDiagram has checked what
+    under_out . over^sign . under_in^-1 . over^-sign. Two of its letters
+    are adjacent on one generator only when the over arc is under_in or
+    under_out, so only those relators go through free_reduce. It trusts d,
+    as apply_tietze trusts a Presentation: a LinkDiagram has checked what
     Presentation() would, distinct generator names and crossings on arcs."""
-    return Presentation._make((tuple(d.arcs), tuple(free_reduce((
-        (under_out, 1), (over, sign), (under_in, -1), (over, -sign)))
-        for over, under_in, under_out, sign in d.crossings)))
+    relators = []
+    for over, under_in, under_out, sign in d.crossings:
+        w = ((under_out, 1), (over, sign), (under_in, -1), (over, -sign))
+        if over == under_in or over == under_out:
+            w = free_reduce(w)
+        relators.append(w)
+    return Presentation._make((tuple(d.arcs), tuple(relators)))
 
 
 def crossing_sum(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
@@ -339,22 +345,55 @@ def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
 def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, with d1 | d2 | ... .
 
-    Rows are lists or sparse {column: entry} dicts.  The pivot is a +-1
-    entry whenever there is one, else a least |entry|; Euclidean row and
-    column operations clear its column and row, and then both are dropped.
-    Row operations leave a unit pivot alone in its column, and column
-    operations would clear the rest of its row, so a unit pivot retires
-    its row and column at once and records 1.
+    Rows are lists or sparse {column: entry} dicts.  A pre-pass takes the
+    identification rows, those whose two nonzero entries are +1 and -1, as
+    every Wirtinger relator's row is.  The row x_a - x_b is the column
+    operation col_b += col_a followed by a unit pivot on a, so it joins the
+    column classes of a and b and records 1; if they are one class already,
+    the row closes a cycle and is zero.  The other rows are rewritten onto
+    the class roots.  Then the pivot is a +-1 entry whenever there is one,
+    else a least |entry|; Euclidean row and column operations clear its
+    column and row, and then both are dropped.  Row operations leave a unit
+    pivot alone in its column, and column operations would clear the rest
+    of its row, so a unit pivot retires its row and column at once and
+    records 1.
     """
+    parent: dict[Hashable, Hashable] = {}   # the roots of classes are absent
+
+    def find(j):
+        while j in parent:
+            up = parent[j]
+            if up in parent:   # path halving
+                up = parent[j] = parent[up]
+            j = up
+        return j
+
+    diag = []
+    other = []
+    for r in rows:
+        row = {j: v for j, v in (r.items() if isinstance(r, dict)
+                                 else enumerate(r)) if v}
+        if len(row) == 2:
+            (a, u), (b, w) = row.items()
+            if u * w == -1:   # an identification row
+                a, b = find(a), find(b)
+                if a != b:   # else it closes a cycle
+                    parent[a] = b
+                    diag.append(1)
+                continue
+        if row:
+            other.append(row)
     live: dict[int, dict] = {}
     cols: dict[Hashable, set[int]] = {}
-    for i, r in enumerate(rows):
-        if row := {j: v for j, v in (r.items() if isinstance(r, dict)
-                                     else enumerate(r)) if v}:
+    for i, r in enumerate(other):
+        row = {}
+        for j, v in r.items():
+            j = find(j)
+            row[j] = row.get(j, 0) + v
+        if row := {j: v for j, v in row.items() if v}:
             live[i] = row
             for j in row:
                 cols.setdefault(j, set()).add(i)
-    diag = []
     todo = list(live)   # rows not searched for a unit since they changed
     while live:
         c = None

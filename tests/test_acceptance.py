@@ -256,9 +256,9 @@ def test_scale_cone_over_grid_8_search_says_yes_and_replays():
 
 def test_scale_torus_link_2_1000_abelianizes_to_z2():
     # T(2,1000): 1,000 arcs, two components; each Wirtinger row is
-    # e_out - e_in, so every pivot is a unit and the sparse elimination
-    # is near-linear (a few ms); the budget catches a return to dense or
-    # rescanning elimination, which takes seconds to minutes here.
+    # e_out - e_in, so the Smith form's union-find pre-pass takes every
+    # row and is near-linear (a few ms); the budget catches a return to
+    # dense or rescanning elimination, which takes seconds to minutes here.
     n = 1000
     arcs = tuple(f"x{i}" for i in range(n))
     crossings = [Crossing(arcs[(i + 1) % n], arcs[i], arcs[(i + 2) % n], 1)

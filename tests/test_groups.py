@@ -424,8 +424,18 @@ def _mirror(d):
                                       for o, i, u, s in d.crossings))
 
 
+# Two letters of a relator cancel only when the over arc is under_out or
+# under_in. CURL's over arc is both; in these two 2-arc diagrams each
+# crossing's over arc is one of them (a -> b and b -> a):
+OVER_OUT = LinkDiagram(("a", "b"), (Crossing("b", "a", "b", 1),
+                                    Crossing("a", "b", "a", 1)), (("a", "b"),))
+OVER_IN = LinkDiagram(("a", "b"), (Crossing("a", "a", "b", 1),
+                                   Crossing("b", "b", "a", 1)), (("a", "b"),))
+
+
 @pytest.mark.parametrize("d", [
     hopf_link(), trefoil(), _mirror(trefoil()), CURL, _mirror(CURL),
+    OVER_OUT, _mirror(OVER_OUT), OVER_IN, _mirror(OVER_IN),
     *map(torus_link, (2, 3, 4, 7, 10)), _mirror(torus_link(5))])
 def test_wirtinger_matches_the_validating_construction(d):
     # wirtinger skips Presentation's checks; through them it is the same
@@ -632,18 +642,57 @@ def _with_examples(examples):
     return decorate
 
 
+@st.composite
+def joining_matrices(draw):
+    """Mostly identification rows x_a - x_b, in either orientation, so that
+    rows repeat and close cycles; some multiples k(x_a - x_b), which are
+    zero once a ~ b; and some general rows."""
+    nc = draw(st.integers(2, 6))
+    m = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.integers(0, 4))
+        if kind < 4:
+            a, b = draw(st.lists(st.integers(0, nc - 1), min_size=2,
+                                 max_size=2, unique=True))
+            k = draw(st.sampled_from([-3, -2, 2, 3])) if kind == 3 else 1
+            row = [0] * nc
+            row[a], row[b] = k, -k
+        else:
+            row = draw(st.lists(st.integers(-4, 4), min_size=nc,
+                                max_size=nc))
+        m.append(row)
+    return m
+
+
 @_with_examples([_torus_rows(n) for n in range(2, 41)] + [
     # a unit pivot first, then non-unit pivots on what is left
     [[1, 3, 5], [2, 8, 10], [0, 4, 12]],
     [[-1, 2, 0], [0, 2, 0], [0, 0, 4]],
+    # identification rows: a cycle, and a row repeated and reversed
+    [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],
+    [[1, -1], [1, -1], [-1, 1]],
+    # {a: 2, b: -2} is zero once a ~ b, and {a: 3, c: 3} moves onto b
+    [[1, -1, 0], [2, -2, 0], [3, 0, 3]],
+    # after the joins, a unit pivot and then a non-unit one
+    [[0, 1, -1, 0], [1, 0, 1, 0], [2, 0, 3, 4], [0, 0, 0, 6]],
 ])
-@given(matrices(5))
-@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(5), joining_matrices()))
+@settings(max_examples=500, deadline=None)
 def test_smith_matches_the_dense_reference(m):
     want = _reference_smith_invariants(m)
     assert smith_invariants(m) == want
     sparse = [{j: v for j, v in enumerate(r) if v} for r in m]
     assert smith_invariants(sparse) == want
+
+
+@pytest.mark.parametrize("n", [2000, 3001])
+def test_a_long_torus_link_abelianizes_without_recursion(n):
+    # the pre-pass follows parent chains of about n / 2 links here: a
+    # recursive find would pass Python's recursion limit
+    assert abelianization(wirtinger(torus_link(n))) == AbelianInvariants(
+        (), gcd(2, n))
+    assert abelianization(wirtinger(_mirror(torus_link(n)))) == (
+        AbelianInvariants((), gcd(2, n)))
 
 
 @st.composite
