@@ -345,18 +345,21 @@ def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
 def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, with d1 | d2 | ... .
 
-    Rows are lists or sparse {column: entry} dicts.  A pre-pass takes the
-    identification rows, those whose two nonzero entries are +1 and -1, as
-    every Wirtinger relator's row is.  The row x_a - x_b is the column
-    operation col_b += col_a followed by a unit pivot on a, so it joins the
-    column classes of a and b and records 1; if they are one class already,
-    the row closes a cycle and is zero.  The other rows are rewritten onto
-    the class roots.  Then the pivot is a +-1 entry whenever there is one,
-    else a least |entry|; Euclidean row and column operations clear its
-    column and row, and then both are dropped.  Row operations leave a unit
-    pivot alone in its column, and column operations would clear the rest
-    of its row, so a unit pivot retires its row and column at once and
-    records 1.
+    Rows are lists or sparse {column: entry} dicts.  A dict row is read in
+    place and never written.  Its zero entries may be left out, as
+    abelianization leaves them; a row that keeps them is still right, but
+    takes the elimination path.  A pre-pass takes the identification rows,
+    those whose two nonzero entries are +1 and -1, as every Wirtinger
+    relator's row is.  The row x_a - x_b is the column operation
+    col_b += col_a followed by a unit pivot on a, so it joins the column
+    classes of a and b and records 1; if they are one class already, the
+    row closes a cycle and is zero.  The other rows are rewritten onto the
+    class roots.  Then the pivot is a +-1 entry whenever there is one, else
+    a least |entry|; Euclidean row and column operations clear its column
+    and row, and then both are dropped.  Row operations leave a unit pivot
+    alone in its column, and column operations would clear the rest of its
+    row, so a unit pivot retires its row and column at once and records 1.
+    The 1s lead the divisibility chain, which is enforced on the rest.
     """
     parent: dict[Hashable, Hashable] = {}   # the roots of classes are absent
 
@@ -370,13 +373,14 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
 
     diag = []
     other = []
-    for r in rows:
-        row = {j: v for j, v in (r.items() if isinstance(r, dict)
-                                 else enumerate(r)) if v}
+    for row in rows:
+        if not isinstance(row, dict):
+            row = {j: v for j, v in enumerate(row) if v}
         if len(row) == 2:
             (a, u), (b, w) = row.items()
             if u * w == -1:   # an identification row
-                a, b = find(a), find(b)
+                a = find(a) if a in parent else a
+                b = find(b) if b in parent else b
                 if a != b:   # else it closes a cycle
                     parent[a] = b
                     diag.append(1)
@@ -388,7 +392,8 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
     for i, r in enumerate(other):
         row = {}
         for j, v in r.items():
-            j = find(j)
+            if j in parent:
+                j = find(j)
             row[j] = row.get(j, 0) + v
         if row := {j: v for j, v in row.items() if v}:
             live[i] = row
@@ -436,17 +441,19 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
             if len(pivot) == 1:
                 del live[r], cols[c]
                 diag.append(abs(p))
-    # enforce the divisibility chain
+    # enforce the divisibility chain; a 1 divides everything, so it needs
+    # no pass and the 1s lead
+    chain = [d for d in diag if d != 1]
     changed = True
     while changed:
         changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
+        for i in range(len(chain) - 1):
+            a, b = chain[i], chain[i + 1]
             if b % a:
                 g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
+                chain[i], chain[i + 1] = g, a * b // g
                 changed = True
-    return diag
+    return [1] * (len(diag) - len(chain)) + chain
 
 
 class AbelianInvariants(namedtuple("AbelianInvariants", "factors free_rank")):
@@ -462,7 +469,10 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     rows: list[dict[str, int]] = [{} for _ in p.relators]
     for row, r in zip(rows, p.relators):
         for g, e in r:
-            row[g] = row.get(g, 0) + e
+            if v := row.get(g, 0) + e:
+                row[g] = v
+            else:   # smith_invariants reads zero-free rows as they are
+                del row[g]
     diag = smith_invariants(rows)
     return AbelianInvariants(tuple(d for d in diag if d != 1),
                              len(p.generators) - len(diag))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from splitcert import groups
 from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
                               Presentation, TietzeError, TietzeMove,
                               _check_declared, abelianization,
@@ -683,6 +685,52 @@ def test_smith_matches_the_dense_reference(m):
     assert smith_invariants(m) == want
     sparse = [{j: v for j, v in enumerate(r) if v} for r in m]
     assert smith_invariants(sparse) == want
+
+
+# an identification row whose third entry is an explicit zero, a two-entry
+# row with a zero, rows of zeros only, and torus links, all zeros kept
+@example([[1, -1, 0], [0, 1, -1]], "all", None)
+@example([[1, 0], [0, 2]], "all", None)
+@example([[0, 0, 0], [2, -2, 0]], "all", None)
+@example(_torus_rows(6), "all", None)
+@example(_torus_rows(7), "all", None)
+@given(st.one_of(matrices(5), joining_matrices()),
+       st.sampled_from(["none", "all", "some"]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_smith_reads_dict_rows_in_place(m, keep, rng):
+    """Dict rows that keep no, all or some of their zero entries give the
+    dense reference's list and are left as they were, down to their
+    order."""
+    rows = [{j: v for j, v in enumerate(r)
+             if v or keep == "all" or (keep == "some" and rng.random() < 0.5)}
+            for r in m]
+    before = copy.deepcopy(rows)
+    assert smith_invariants(rows) == _reference_smith_invariants(m)
+    assert [list(r.items()) for r in rows] == [list(r.items())
+                                              for r in before]
+
+
+def test_abelianization_builds_zero_free_rows(monkeypatch):
+    seen = []
+    real = groups.smith_invariants
+
+    def spy(rows):
+        seen.append(copy.deepcopy(rows))
+        return real(rows)
+
+    monkeypatch.setattr(groups, "smith_invariants", spy)
+    d = trefoil()
+    assert abelianization(wirtinger(d)) == AbelianInvariants((), 1)
+    # every Wirtinger row is x_out - x_in: the over arc's letters cancel
+    assert seen.pop() == [{c.under_out: 1, c.under_in: -1}
+                          for c in d.crossings]
+    p = Presentation(("a", "b", "c"),
+                     (parse_word("a b A B"), parse_word("a a c a B"),
+                      parse_word("c C b"), parse_word("a b b a c")))
+    assert abelianization(p) == _reference_abelianization(p)
+    assert seen.pop() == [{}, {"a": 3, "c": 1, "b": -1}, {"b": 1},
+                          {"a": 2, "b": 2, "c": 1}]
 
 
 @pytest.mark.parametrize("n", [2000, 3001])

@@ -2,17 +2,17 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitcert import mazur
 from splitcert.groups import parse_word
-from splitcert.hyperbolic import (PROBES, Isometry, build_triangle,
+from splitcert.hyperbolic import (PROBES, Isometry, _displacement,
+                                  _translate_to_origin, build_triangle,
                                   certify_nontrivial, certify_relators,
-                                  evaluate, hyp_distance, identity,
-                                  is_identity, max_displacement,
-                                  measure_angle, rotation, same_isometry,
-                                  triangle_defect)
+                                  evaluate, hyp_distance, is_identity,
+                                  max_displacement, measure_angle, rotation,
+                                  same_isometry, triangle_defect)
 
 # points comfortably inside the disk
 disk_points = st.complex_numbers(max_magnitude=0.8, allow_nan=False,
@@ -55,7 +55,7 @@ def test_triangle_inequality(p, q, r):
 # --------------------------------------------------------------- isometries
 
 def test_identity_and_projective_sign():
-    assert is_identity(identity())
+    assert is_identity(Isometry(1, 0))
     assert is_identity(Isometry(-1, 0))  # same Moebius map
     assert not is_identity(Isometry(1j, 0))  # z -> -z
 
@@ -103,7 +103,7 @@ def test_same_isometry_half_turns_coincide():
     assert same_isometry(rotation(b, math.pi), rotation(b, -math.pi))
     assert not same_isometry(rotation(b, 2 * math.pi / 5),
                              rotation(b, -2 * math.pi / 5))
-    assert not same_isometry(rotation(b, math.pi), identity())
+    assert not same_isometry(rotation(b, math.pi), Isometry(1, 0))
 
 
 # ---------------------------------------------------------------- triangles
@@ -194,6 +194,10 @@ def test_evaluate_empty_word_is_identity():
 def test_evaluate_unmapped_generator():
     with pytest.raises(ValueError, match="no assigned isometry"):
         evaluate(_sample_assignment(), parse_word("w"))
+    # the first unassigned letter is named, whatever its sign
+    with pytest.raises(ValueError,
+                       match="^generator 'w' has no assigned isometry$"):
+        evaluate(_sample_assignment(), parse_word("u v W x"))
 
 
 def test_evaluate_is_homomorphic():
@@ -210,6 +214,75 @@ def test_evaluate_long_words_numerically_stable():
     f = evaluate(asn, w)
     g = evaluate(asn, tuple((g_, -e) for g_, e in reversed(w)))
     assert max_displacement(f.compose(g)) < 1e-9
+
+
+def _compose_chain_evaluate(assignment, w):
+    """The compose and inverse chain that evaluate writes out on pairs."""
+    acc = Isometry(1, 0)
+    for g, e in w:
+        acc = acc.compose(assignment[g] if e == 1
+                          else assignment[g].inverse())
+    return acc
+
+
+def _compose_chain_displacement(f, p):
+    t = _translate_to_origin(p)
+    return 2.0 * math.asinh(abs(t.compose(f).compose(t.inverse()).b))
+
+
+def _bits(z):
+    """The exact value, with the signs of zeros, which == does not see."""
+    return repr(complex(z))
+
+
+LONG_WORD = parse_word(" ".join(["u", "v", "U", "V", "v", "U"] * 10
+                                + ["u", "V", "u", "v"]))
+
+
+@pytest.mark.parametrize("w", [(), parse_word("U"), LONG_WORD])
+def test_evaluate_equals_the_compose_chain_on_fixed_words(w):
+    asn = _sample_assignment()
+    f, g = evaluate(asn, w), _compose_chain_evaluate(asn, w)
+    assert type(f) is Isometry
+    assert f.a == g.a and f.b == g.b
+    assert (_bits(f.a), _bits(f.b)) == (_bits(g.a), _bits(g.b))
+
+
+@given(st.lists(random_isometries(), min_size=1, max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_equals_the_compose_chain_exactly(isos, data):
+    asn = {f"g{i}": f for i, f in enumerate(isos)}
+    w = tuple(data.draw(st.lists(st.tuples(st.sampled_from(sorted(asn)),
+                                           st.sampled_from((1, -1))),
+                                 max_size=64)))
+    f, g = evaluate(asn, w), _compose_chain_evaluate(asn, w)
+    assert f.a == g.a and f.b == g.b
+    assert (_bits(f.a), _bits(f.b)) == (_bits(g.a), _bits(g.b))
+
+
+# points within 1e-6 of the rim, where the translation's entries are large
+rim_points = st.builds(lambda r, phi: r * cmath.exp(1j * phi),
+                       st.floats(min_value=1 - 1e-6, max_value=1 - 2e-12),
+                       angles)
+
+
+@example(Isometry(1, 0), 0j)
+@example(rotation(0.2 + 0.1j, 1.2), PROBES[2])
+@given(random_isometries(),
+       st.one_of(st.sampled_from(PROBES), disk_points, rim_points))
+@settings(max_examples=300, deadline=None)
+def test_displacement_equals_the_compose_chain_exactly(f, p):
+    got, want = _displacement(f, p), _compose_chain_displacement(f, p)
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("p", [1.0, 1 - 1e-13, 0.6 + 0.8j, 2j, -1.5])
+def test_displacement_rejects_a_point_outside_the_disk(p):
+    f = _sample_assignment()["u"]
+    with pytest.raises(ValueError, match="is not inside the unit disk"):
+        _displacement(f, p)
+    with pytest.raises(ValueError, match="is not inside the unit disk"):
+        certify_nontrivial({"u": f}, parse_word("u"), witness=p)
 
 
 def test_certify_relators_and_nontrivial():
