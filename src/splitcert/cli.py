@@ -206,7 +206,7 @@ def cmd_mazur(args) -> int:
         print(f"vertex {label}: {z.real:.12f}{z.imag:+.12f}j")
     print(f"relator residual max: {cert.relator_report.max_residual:.3e}")
     print(f"elliptic proper powers: min displacement "
-          f"{min(cert.order_displacements):.3e}")
+          f"{cert.min_order_displacement:.3e}")
     print("beta gamma matches half-turn at B: "
           f"{'yes' if cert.rotation_b_matches else 'no'}")
     for line in chain.lines():

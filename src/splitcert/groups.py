@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Container, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Container, Hashable, Iterable, Mapping
 from math import gcd
 
 Letter = tuple[str, int]
@@ -342,24 +342,21 @@ def linking_number(d: LinkDiagram, comp_a: int, comp_b: int) -> int:
 
 # ---------------------------------------------------------- abelianization
 
-def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
+def smith_invariants(rows: Iterable[Mapping[Hashable, int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, with d1 | d2 | ... .
 
-    Rows are lists or sparse {column: entry} dicts.  A dict row is read in
-    place and never written.  Its zero entries may be left out, as
-    abelianization leaves them; a row that keeps them is still right, but
-    takes the elimination path.  A pre-pass takes the identification rows,
-    those whose two nonzero entries are +1 and -1, as every Wirtinger
-    relator's row is.  The row x_a - x_b is the column operation
-    col_b += col_a followed by a unit pivot on a, so it joins the column
-    classes of a and b and records 1; if they are one class already, the
-    row closes a cycle and is zero.  The other rows are rewritten onto the
-    class roots.  Then the pivot is a +-1 entry whenever there is one, else
-    a least |entry|; Euclidean row and column operations clear its column
-    and row, and then both are dropped.  Row operations leave a unit pivot
-    alone in its column, and column operations would clear the rest of its
-    row, so a unit pivot retires its row and column at once and records 1.
-    The 1s lead the divisibility chain, which is enforced on the rest.
+    Each row is a {column: entry} dict, read in place and never written;
+    its zero entries may be left out, as abelianization leaves them.  A
+    pre-pass takes the identification rows, those whose two nonzero entries
+    are +1 and -1, as every Wirtinger relator's row is.  The row x_a - x_b
+    is the column operation col_b += col_a followed by a unit pivot on a, so
+    it joins the column classes of a and b and records 1; if they are one
+    class already, the row closes a cycle and is zero.  The other rows are
+    rewritten onto the class roots.  Then the pivot is a +-1 entry whenever
+    there is one, else a least |entry|.  Euclidean row operations clear its
+    column; once the pivot is alone there, column operations reduce the rest
+    of its row mod the pivot.  The row and column retire, recording |pivot|,
+    when the pivot is alone in both.
     """
     parent: dict[Hashable, Hashable] = {}   # the roots of classes are absent
 
@@ -374,8 +371,6 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
     diag = []
     other = []
     for row in rows:
-        if not isinstance(row, dict):
-            row = {j: v for j, v in enumerate(row) if v}
         if len(row) == 2:
             (a, u), (b, w) = row.items()
             if u * w == -1:   # an identification row
@@ -385,8 +380,7 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
                     parent[a] = b
                     diag.append(1)
                 continue
-        if row:
-            other.append(row)
+        other.append(row)
     live: dict[int, dict] = {}
     cols: dict[Hashable, set[int]] = {}
     for i, r in enumerate(other):
@@ -426,13 +420,7 @@ def smith_invariants(rows: Sequence[Sequence[int] | dict]) -> list[int]:
             if not row:
                 del live[i]
             todo.append(i)
-        if p == 1 or p == -1:   # column c now holds row r alone
-            for j in pivot:
-                if j != c:
-                    cols[j].discard(r)
-            del live[r], cols[c]
-            diag.append(1)
-        elif len(cols[c]) == 1:   # column ops then touch row r alone
+        if len(cols[c]) == 1:   # column ops then touch row r alone
             for j in [j for j in pivot if j != c]:
                 pivot[j] %= p
                 if not pivot[j]:

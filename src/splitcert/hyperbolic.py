@@ -83,14 +83,21 @@ def _origin_pair(c: complex) -> tuple[complex, complex]:
     return complex(1 / s), -c / s
 
 
-def _translate_to_origin(c: complex) -> Isometry:
-    return Isometry(*_origin_pair(c))
+_PROBE_PAIRS = tuple(map(_origin_pair, PROBES))   # built once
 
 
-def _displacement(f: Isometry, p: complex) -> float:
-    """d(p, f(p)): f seen from p moves the origin by 2 asinh|b|, where b is
-    that of t.compose(f).compose(t.inverse()) and t = (ta, tb) takes p to 0."""
-    ta, tb = _origin_pair(p)
+def keep_nan(pick, values) -> float:
+    """pick (max or min) of the values, 0.0 if there are none, or NaN if any
+    is NaN: the builtins keep a NaN only in first place."""
+    values = list(values)
+    return (math.nan if any(map(math.isnan, values))
+            else pick(values, default=0.0))
+
+
+def _displacement(f: Isometry, t: tuple[complex, complex]) -> float:
+    """d(p, f(p)), where t = (ta, tb) takes p to 0: f seen from p moves the
+    origin by 2 asinh|b|, b that of t.compose(f).compose(t.inverse())."""
+    ta, tb = t
     fa, fb = f.a, f.b
     a = ta * fa + tb * fb.conjugate()
     b = ta * fb + tb * fa.conjugate()
@@ -98,7 +105,7 @@ def _displacement(f: Isometry, p: complex) -> float:
 
 
 def max_displacement(f: Isometry) -> float:
-    return max(_displacement(f, p) for p in PROBES)
+    return keep_nan(max, [_displacement(f, t) for t in _PROBE_PAIRS])
 
 
 def is_identity(f: Isometry) -> bool:
@@ -111,14 +118,14 @@ def same_isometry(f: Isometry, g: Isometry) -> bool:
 
 def rotation(center: complex, angle: float) -> Isometry:
     """Orientation-preserving isometry fixing center, derivative e^{i angle}."""
-    t = _translate_to_origin(center)
+    t = Isometry(*_origin_pair(center))
     spin = Isometry(cmath.exp(0.5j * angle), 0)
     return t.inverse().compose(spin).compose(t)
 
 
 def measure_angle(at: complex, p: complex, q: complex) -> float:
     """Interior angle at `at` between the geodesics toward p and toward q."""
-    t = _translate_to_origin(at)
+    t = Isometry(*_origin_pair(at))
     ang = abs(cmath.phase(t(p)) - cmath.phase(t(q)))
     return min(ang, 2 * math.pi - ang)
 
@@ -190,8 +197,8 @@ class RelatorReport(namedtuple("RelatorReport", "max_residual")):
 def certify_relators(assignment: Mapping[str, Isometry],
                      relators) -> RelatorReport:
     """Evaluate every relator; the residual is its max probe displacement."""
-    return RelatorReport(max((max_displacement(evaluate(assignment, r))
-                              for r in relators), default=0.0))
+    return RelatorReport(keep_nan(max, [
+        max_displacement(evaluate(assignment, r)) for r in relators]))
 
 
 class NontrivialityReport(namedtuple("NontrivialityReport",
@@ -208,4 +215,4 @@ def certify_nontrivial(assignment: Mapping[str, Isometry], w: Word,
     """Certify that w acts nontrivially: it moves the witness point by more
     than NONTRIVIAL_FLOOR."""
     return NontrivialityReport(
-        _displacement(evaluate(assignment, w), witness))
+        _displacement(evaluate(assignment, w), _origin_pair(witness)))

@@ -34,7 +34,7 @@ from .groups import (Presentation, free_reduce, impose_relator, parse_word,
                      substitute, wirtinger, word_str)
 from .hyperbolic import (NONTRIVIAL_FLOOR, build_triangle,
                          certify_nontrivial, certify_relators, evaluate,
-                         max_displacement, rotation, same_isometry)
+                         keep_nan, max_displacement, rotation, same_isometry)
 
 R9 = parse_word("x1 X7 X2 x7")          # x1 = x7^-1 x2 x7
 FILLING_RELATORS = (
@@ -116,10 +116,14 @@ class TriangleCertificate(namedtuple(
     __slots__ = ()
 
     @property
+    def min_order_displacement(self) -> float:
+        return keep_nan(min, self.order_displacements)
+
+    @property
     def representation_ok(self) -> bool:
         """Relators hold and beta/gamma have exact orders 5 and 7."""
         return (self.relator_report.ok
-                and min(self.order_displacements) > NONTRIVIAL_FLOOR
+                and self.min_order_displacement > NONTRIVIAL_FLOOR
                 and self.rotation_b_matches)
 
     @property

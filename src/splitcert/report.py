@@ -335,7 +335,7 @@ def _boundary_h1(ctx):
 
 
 def _elliptic_orders(ctx):
-    low = min(ctx.triangle.order_displacements)
+    low = ctx.triangle.min_order_displacement
     return _verdict(low > NONTRIVIAL_FLOOR,
                     f"proper powers displace probes by >= {low:.3e}")
 

@@ -85,25 +85,15 @@ def test_pure_two_dimensional(name):
 # ------------------------------------------------- homology (SNF oracle)
 
 def _boundary_matrices(K):
-    """Integer boundary maps d2: triangles -> edges, d1: edges -> vertices."""
+    """Integer boundary maps d2: triangles -> edges, d1: edges -> vertices,
+    as {column: entry} rows."""
     verts = K.vertices()
     edges = sorted(s for s in K.simplices if len(s) == 2)
     tris = sorted(s for s in K.simplices if len(s) == 3)
     vi = {v: i for i, v in enumerate(verts)}
     ei = {e: i for i, e in enumerate(edges)}
-    d1 = []
-    for (u, v) in edges:
-        row = [0] * len(verts)
-        row[vi[v]] += 1
-        row[vi[u]] -= 1
-        d1.append(row)
-    d2 = []
-    for (u, v, w) in tris:
-        row = [0] * len(edges)
-        row[ei[(v, w)]] += 1
-        row[ei[(u, w)]] -= 1
-        row[ei[(u, v)]] += 1
-        d2.append(row)
+    d1 = [{vi[v]: 1, vi[u]: -1} for (u, v) in edges]
+    d2 = [{ei[(v, w)]: 1, ei[(u, w)]: -1, ei[(u, v)]: 1} for (u, v, w) in tris]
     return d2, d1
 
 

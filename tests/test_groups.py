@@ -471,11 +471,17 @@ def test_linking_number_needs_two_distinct_components(a, b):
 
 # ---------------------------------------------------------- abelianization
 
+def _dict_rows(m):
+    """Dense rows as zero-free {column: entry} rows, as abelianization
+    builds them."""
+    return [{j: v for j, v in enumerate(r) if v} for r in m]
+
+
 def test_smith_invariants_known_matrices():
-    assert smith_invariants([[2, 4], [6, 8]]) == [2, 4]
-    assert smith_invariants([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_invariants([[0, 0], [0, 0]]) == []
-    assert smith_invariants([[0, 0], [0, 5]]) == [5]
+    assert smith_invariants(_dict_rows([[2, 4], [6, 8]])) == [2, 4]
+    assert smith_invariants(_dict_rows([[1, 0], [0, 1]])) == [1, 1]
+    assert smith_invariants(_dict_rows([[0, 0], [0, 0]])) == []
+    assert smith_invariants(_dict_rows([[0, 0], [0, 5]])) == [5]
     assert smith_invariants([]) == []
     assert smith_invariants([{"a": 2, "b": 4}, {"a": 6, "b": 8}]) == [2, 4]
     assert smith_invariants([{}, {7: 0}]) == []
@@ -610,7 +616,7 @@ def test_bareiss_det_matches_cofactor_expansion():
 @given(matrices(7))
 @settings(max_examples=200, deadline=None)
 def test_smith_matches_determinantal_divisors(m):
-    diag = smith_invariants(m)
+    diag = smith_invariants(_dict_rows(m))
     # divisibility chain
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -681,10 +687,7 @@ def joining_matrices(draw):
 @given(st.one_of(matrices(5), joining_matrices()))
 @settings(max_examples=500, deadline=None)
 def test_smith_matches_the_dense_reference(m):
-    want = _reference_smith_invariants(m)
-    assert smith_invariants(m) == want
-    sparse = [{j: v for j, v in enumerate(r) if v} for r in m]
-    assert smith_invariants(sparse) == want
+    assert smith_invariants(_dict_rows(m)) == _reference_smith_invariants(m)
 
 
 # an identification row whose third entry is an explicit zero, a two-entry
@@ -1232,11 +1235,23 @@ BLOWUP = [[2, -1, -5, -2, 2, 1, 0], [0, 0, -1, 0, 6, -1, 12],
 
 def test_smith_invariants_without_coefficient_blow_up():
     start = time.perf_counter()
-    assert smith_invariants(BLOWUP) == [1, 1, 1, 1, 1, 2, 1956942]
+    assert smith_invariants(_dict_rows(BLOWUP)) == [1, 1, 1, 1, 1, 2, 1956942]
     assert time.perf_counter() - start < 1.0
     # independent checks: |det| is the product, and d_6 = gcd of 6x6 minors
     assert abs(_det(BLOWUP)) == 3_913_884
     assert _minor_gcd(BLOWUP, 6) == 2
+
+
+def test_a_long_same_sign_cycle_finds_its_unit_pivots_fast():
+    # rows x_i + x_{i+1} around a cycle of odd length n, which the pre-pass
+    # leaves alone; |det| = 2.  Each pivot is a unit found among the rows
+    # changed since the last search, where a least-entry scan of all live
+    # entries would take seconds
+    n = 5001
+    rows = [{i: 1, (i + 1) % n: 1} for i in range(n)]
+    start = time.perf_counter()
+    assert smith_invariants(rows) == [1] * (n - 1) + [2]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_abelianization_examples():

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from splitcert import mazur
 from splitcert.groups import parse_word
 from splitcert.hyperbolic import (PROBES, Isometry, _displacement,
-                                  _translate_to_origin, build_triangle,
+                                  _origin_pair, build_triangle,
                                   certify_nontrivial, certify_relators,
                                   evaluate, hyp_distance, is_identity,
-                                  max_displacement, measure_angle, rotation,
-                                  same_isometry, triangle_defect)
+                                  keep_nan, max_displacement, measure_angle,
+                                  rotation, same_isometry, triangle_defect)
 
 # points comfortably inside the disk
 disk_points = st.complex_numbers(max_magnitude=0.8, allow_nan=False,
@@ -226,7 +226,7 @@ def _compose_chain_evaluate(assignment, w):
 
 
 def _compose_chain_displacement(f, p):
-    t = _translate_to_origin(p)
+    t = Isometry(*_origin_pair(p))
     return 2.0 * math.asinh(abs(t.compose(f).compose(t.inverse()).b))
 
 
@@ -272,7 +272,8 @@ rim_points = st.builds(lambda r, phi: r * cmath.exp(1j * phi),
        st.one_of(st.sampled_from(PROBES), disk_points, rim_points))
 @settings(max_examples=300, deadline=None)
 def test_displacement_equals_the_compose_chain_exactly(f, p):
-    got, want = _displacement(f, p), _compose_chain_displacement(f, p)
+    got = _displacement(f, _origin_pair(p))
+    want = _compose_chain_displacement(f, p)
     assert got == want and repr(got) == repr(want)
 
 
@@ -280,7 +281,7 @@ def test_displacement_equals_the_compose_chain_exactly(f, p):
 def test_displacement_rejects_a_point_outside_the_disk(p):
     f = _sample_assignment()["u"]
     with pytest.raises(ValueError, match="is not inside the unit disk"):
-        _displacement(f, p)
+        _origin_pair(p)
     with pytest.raises(ValueError, match="is not inside the unit disk"):
         certify_nontrivial({"u": f}, parse_word("u"), witness=p)
 
@@ -301,6 +302,23 @@ def test_certify_relators_and_nontrivial():
     assert non.ok and non.word_displacement > 1e-3
     triv = certify_nontrivial(asn, parse_word("r r r"), witness=0.5)
     assert not triv.ok
+
+
+@pytest.mark.parametrize("names", ["ab", "ba"])
+def test_a_nan_residual_fails_the_report_wherever_it_falls(names):
+    asn = {"a": Isometry(1, 0), "b": Isometry(math.nan, 0)}
+    rep = certify_relators(asn, [parse_word(g) for g in names])
+    assert math.isnan(rep.max_residual) and not rep.ok
+
+
+def test_keep_nan_keeps_a_nan_in_any_place():
+    for values in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0],
+                   [1.0, 2.0, math.nan]):
+        assert math.isnan(keep_nan(max, values))
+        assert math.isnan(keep_nan(min, values))
+    assert keep_nan(max, [1.0, 3.0, 2.0]) == 3.0
+    assert keep_nan(min, iter([1.0, 3.0, 2.0])) == 1.0
+    assert keep_nan(max, []) == 0.0 and keep_nan(min, ()) == 0.0
 
 
 # ------------------------------------------- the four-entry reference path

@@ -171,6 +171,22 @@ def test_triangle_certificate_passes():
     assert min(cert.order_displacements) > 0.5
 
 
+@pytest.mark.parametrize("at", [0, 4, 9])
+def test_a_nan_order_displacement_fails_wherever_it_falls(monkeypatch, at):
+    cert = mazur.triangle_certificate()
+    d = list(cert.order_displacements)
+    d[at] = math.nan
+    cert = cert._replace(order_displacements=tuple(d))
+    assert math.isnan(cert.min_order_displacement)
+    assert not cert.representation_ok
+    monkeypatch.setattr(mazur, "triangle_certificate", lambda: cert)
+    (result,) = run_checks([c for c in CHECKS
+                            if c.id == "TRIANGLE_ELLIPTIC_ORDERS"],
+                           RunContext())
+    assert result.status == FAIL
+    assert result.detail == "proper powers displace probes by >= nan"
+
+
 def test_generators_have_exact_orders():
     cert = mazur.triangle_certificate()
     asn = cert.assignment
