@@ -22,8 +22,7 @@ import heapq
 from collections import namedtuple
 from itertools import compress
 
-from .complexes import (Simplex, SimplicialComplex, euler_characteristic,
-                        make_simplex, simplex_lines)
+from .complexes import Simplex, SimplicialComplex, make_simplex, simplex_lines
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -126,6 +125,13 @@ def greedy_collapse(
     Deterministic; the residual may be anything from a point to K itself.
     """
     index = K.index()
+    steps, live = _greedy(index)
+    return (CollapseCertificate(tuple(steps)),
+            SimplicialComplex(frozenset(compress(index.order, live)), K.name))
+
+
+def _greedy(index) -> tuple[list[Simplex], bytearray]:
+    """greedy_collapse's walk: its steps and the live flags it leaves."""
     order, facets, cofaces = index.order, index.facets, index.cofaces
     live, count = bytearray(b"\1") * len(order), list(index.counts)
     # candidate free faces (sorted, so a heap), checked when popped: counts
@@ -144,8 +150,7 @@ def greedy_collapse(
                 count[f] -= 1
                 if count[f] == 1:
                     heapq.heappush(heap, f)
-    return (CollapseCertificate(tuple(steps)),
-            SimplicialComplex(frozenset(compress(order, live)), K.name))
+    return steps, live
 
 
 def is_collapsible(K: SimplicialComplex,
@@ -156,34 +161,41 @@ def is_collapsible(K: SimplicialComplex,
     proof that none exists, and "unknown" means the node budget ran out.
     nodes counts the distinct non-point complexes visited.
 
-    Dimension <= 2 is decided by greedy_collapse, without the budget. A
+    chi != 1 is "no" in every dimension, with nodes = 1 (K itself), before
+    any walk: a collapse keeps the homotopy type, and a point has chi = 1.
+
+    Dimension <= 2 is decided by greedy collapse, without the budget. A
     triangle with a free edge keeps it free until the triangle is removed,
     so every maximal collapse sequence removes the same triangles. If one
     is left, no sequence reaches a point; otherwise what is left is a graph
     without leaves, homotopy equivalent to K, which is a point exactly when
     K is contractible. So the greedy residual is a point iff K collapses
     (Tancer, arXiv:1211.6254: the problem is NP-complete from dimension 3).
+    Each step removes two simplices, so greedy reached a point exactly when
+    2 * steps + 1 = |K|, and no residual complex is built.
 
     Dimension >= 3 runs a memoized backtracking search over free faces in
     tie-break order, so its first descent is the greedy path. An exhausted
-    budget stops it at once, with nodes = max_nodes + 1. Greedy runs first
-    (Benedetti-Lutz, arXiv:1303.6422): a point it reaches within the budget
-    is the search's answer and node count; otherwise the search runs.
+    budget stops it at once, with nodes = max_nodes + 1; only a chi = 1
+    complex reaches it. Greedy runs first (Benedetti-Lutz, arXiv:1303.6422):
+    a point it reaches within the budget is the search's answer and node
+    count; otherwise the search runs.
     """
-    cert, residual = greedy_collapse(K)
-    path, nodes = cert.steps, len(cert.steps)
-    if K.dim() <= 2 and len(residual) != 1:
+    index = K.index()
+    if index.chi != 1:
+        return CollapseVerdict("no", None, 1)
+    path, _ = _greedy(index)
+    nodes = len(path)
+    point = 2 * nodes + 1 == len(index.order)
+    if index.dim <= 2 and not point:
         return CollapseVerdict("no", None, nodes + 1)
     max_nodes = (budget or SearchBudget()).max_nodes
-    if K.dim() > 2 and not (len(residual) == 1 and nodes <= max_nodes):
+    if index.dim > 2 and not (point and nodes <= max_nodes):
         path, nodes = _search(K, max_nodes)
         if path is None:
             return CollapseVerdict(
                 "unknown" if nodes > max_nodes else "no", None, nodes)
-    if (chi := euler_characteristic(K)) != 1:   # collapsible implies chi = 1
-        raise AssertionError(
-            f"collapse certificate found for {K.name} but chi = {chi}")
-    return CollapseVerdict("yes", CollapseCertificate(path), nodes)
+    return CollapseVerdict("yes", CollapseCertificate(tuple(path)), nodes)
 
 
 def _search(K: SimplicialComplex, max_nodes: int):

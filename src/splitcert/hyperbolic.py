@@ -42,7 +42,7 @@ PROBES = (0j, 0.4 + 0j, 0.3j)
 
 def check_disk_point(z: complex) -> complex:
     z = complex(z)
-    if abs(z) >= 1 - 1e-12:
+    if not abs(z) < 1 - 1e-12:   # so a NaN point is refused as well
         raise ValueError(f"point {z} is not inside the unit disk")
     return z
 

@@ -287,7 +287,7 @@ def _cone_sweep(ctx):
         K = cone(build(base, name="base"), "apex", name="rcone")
         verdict = is_collapsible(K)
         # a replayed step removes a face and a coface one dimension up, so
-        # chi is conserved; is_collapsible asserts chi = 1 on every yes
+        # chi is conserved; is_collapsible answers no whenever chi != 1
         if verdict.kind != "yes":
             failure = f"verdict {verdict.kind}"
         elif not replay(K, verdict.certificate).collapsed_to_point:

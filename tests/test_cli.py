@@ -96,6 +96,7 @@ def test_complex_search_on_bundled_complexes_matches_golden(name, want,
 
 @pytest.mark.parametrize("name,want", [
     ("tetrahedron_and_point", 1), ("two_tetrahedra", 0),
+    ("dunce_and_tetrahedron", 1),
 ])
 def test_complex_search_from_dimension_three_matches_golden(name, want,
                                                             capsys):

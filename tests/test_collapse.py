@@ -246,6 +246,16 @@ def _final(result):
     return None if result.final is None else result.final.simplices
 
 
+def _refuted(K, reference):
+    """("no", None, 1), the verdict is_collapsible gives when chi(K) != 1,
+    or None when chi(K) = 1. A collapse keeps chi and a point has chi = 1,
+    so there the reference's verdict must not be yes either."""
+    if euler_characteristic(K) == 1:
+        return None
+    assert reference[0] != "yes"
+    return "no", None, 1
+
+
 # --- the tuple-keyed collapse core that the id state replaced, copied
 # verbatim but for its names: the state keyed each simplex by its tuple of
 # vertex names, over a dict from each simplex (and the empty face) to its
@@ -452,8 +462,9 @@ def _assert_core_matches_the_old_one(K, budgets, rng):
         assert _replay_key(replay(K, candidate)) == _replay_key(
             _old_replay(K, candidate))
     for budget in budgets:
-        assert is_collapsible(K, SearchBudget(budget)) == _old_is_collapsible(
-            K, SearchBudget(budget))
+        want = _old_is_collapsible(K, SearchBudget(budget))
+        assert is_collapsible(K, SearchBudget(budget)) == (
+            _refuted(K, want) or want)
         assert collapse._search(K, budget) == _old_search(K, budget)
 
 
@@ -493,8 +504,9 @@ def test_is_collapsible_matches_reference(K, max_nodes):
         verdict = is_collapsible(K, SearchBudget(budget))
         steps = (None if verdict.certificate is None
                  else verdict.certificate.steps)
+        want = _reference_is_collapsible(K, budget)
         assert (verdict.kind, steps, verdict.nodes) == (
-            _reference_is_collapsible(K, budget))
+            _refuted(K, want) or want)
 
 
 @given(two_or_three_complexes, st.data())
@@ -527,7 +539,10 @@ def test_greedy_decides_dimension_two(K):
     verdict = is_collapsible(K, SearchBudget(max_nodes=1))
     path, nodes = _reference_search(K)
     cert, _ = greedy_collapse(K)
-    if path is None:
+    if euler_characteristic(K) != 1:
+        assert path is None
+        assert verdict == ("no", None, 1)
+    elif path is None:
         assert verdict.kind == "no"
         assert verdict.nodes == len(cert.steps) + 1
     else:
@@ -542,7 +557,7 @@ def test_search_matches_reference_from_dimension_three(K):
     verdict = is_collapsible(K)
     path, nodes = _reference_search(K)
     assert verdict.kind == ("no" if path is None else "yes")
-    assert verdict.nodes == nodes
+    assert verdict.nodes == (nodes if euler_characteristic(K) == 1 else 1)
     if path is not None:
         assert verdict.certificate.steps == path
 
@@ -678,7 +693,8 @@ def test_core_matches_the_tuple_keyed_core_on_grids_and_paths(K):
 
 
 def test_core_matches_the_tuple_keyed_core_where_the_search_backtracks():
-    # greedy gets stuck, so every budget runs the search to its end
+    # greedy gets stuck, so each direct call of the search runs to its end
+    # or its budget; is_collapsible answers from chi = 0 before any walk
     _assert_core_matches_the_old_one(cone_plus_loop(), {1, 50, 2_000},
                                      random.Random(5))
 
@@ -736,6 +752,12 @@ def test_cone_plus_loop_search_stops_at_the_budget():
     K = cone_plus_loop()
     assert (len(K), K.dim(), euler_characteristic(K)) == (70, 3, 0)
     assert collapse._search(K, 20_000) == (None, 20_001)
+
+
+def test_cone_plus_loop_is_no_at_the_default_budget():
+    # chi = 0 decides it before the search, which alone would end unknown
+    # after 1,000,001 nodes
+    assert is_collapsible(cone_plus_loop()) == ("no", None, 1)
 
 
 # ----------------------------------------------------------- .cert format

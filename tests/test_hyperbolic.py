@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -284,6 +285,17 @@ def test_displacement_rejects_a_point_outside_the_disk(p):
         _origin_pair(p)
     with pytest.raises(ValueError, match="is not inside the unit disk"):
         certify_nontrivial({"u": f}, parse_word("u"), witness=p)
+
+
+@pytest.mark.parametrize("p", [complex(math.nan, 0), complex(0, math.nan),
+                               complex(math.nan, math.nan)])
+def test_a_nan_point_is_refused_by_name(p):
+    # abs(nan) compares false with any bound, so the check has to be "not <"
+    message = re.escape(f"point {p} is not inside the unit disk")
+    for call in (lambda: hyp_distance(p, 0j), lambda: hyp_distance(0j, p),
+                 lambda: rotation(p, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_certify_relators_and_nontrivial():
