@@ -61,7 +61,7 @@ def cmd_complex(args) -> int:
         sys.stdout.write(dumps_cert(verdict.certificate))
         return 0
     if verdict.kind == "no":
-        print(f"verdict: no ({verdict.nodes} nodes, search exhausted)")
+        print(f"verdict: no ({verdict.nodes} nodes)")
     else:
         print(f"verdict: unknown (budget exhausted at {verdict.nodes} nodes)")
     return 1

@@ -37,6 +37,9 @@ class SearchBudget(namedtuple("SearchBudget", "max_nodes")):
                 f"max_nodes must be an integer >= 1, got {max_nodes!r}")
         return super().__new__(cls, max_nodes)
 
+    def _replace(self, **changes) -> "SearchBudget":   # through __new__
+        return SearchBudget(**{**self._asdict(), **changes})
+
 
 class CollapseCertificate(namedtuple("CollapseCertificate", "steps")):
     """Ordered free faces witnessing a collapse; the coface of each step is

@@ -119,17 +119,6 @@ class Presentation(namedtuple("Presentation", "generators relators")):
         return f"< {gens} | {rels} >"
 
 
-def impose_relator(p: Presentation, w: Word) -> Presentation:
-    """Quotient of the presented group by the normal closure of w.
-
-    This is NOT a Tietze transformation: unless w already holds in the
-    group, the isomorphism type (and in general the abelianization)
-    changes. Use apply_tietze for presentation changes that must preserve
-    the group.
-    """
-    return Presentation(p.generators, p.relators + (w,))
-
-
 class TietzeMove(namedtuple("TietzeMove", "kind word certificate gen index")):
     """One of the four isomorphism-preserving presentation moves.
 
@@ -153,6 +142,9 @@ class TietzeMove(namedtuple("TietzeMove", "kind word certificate gen index")):
         if kind not in cls.KINDS:
             raise ValueError(f"unknown Tietze move kind {kind!r}")
         return tuple.__new__(cls, (kind, word, certificate, gen, index))
+
+    def _replace(self, **changes) -> "TietzeMove":   # through __new__
+        return TietzeMove(**{**self._asdict(), **changes})
 
 
 def certificate_product(relators: tuple[Word, ...],
@@ -429,18 +421,16 @@ def smith_invariants(rows: Iterable[Mapping[Hashable, int]]) -> list[int]:
             if len(pivot) == 1:
                 del live[r], cols[c]
                 diag.append(abs(p))
-    # enforce the divisibility chain; a 1 divides everything, so it needs
-    # no pass and the 1s lead
+    # the divisibility chain in one pass: (c_i, c_j) <- (gcd, lcm) for
+    # i < j leaves c_i dividing every later entry, and later pairs keep it
+    # so; a 1 divides everything, so the 1s lead and take no pass
     chain = [d for d in diag if d != 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(chain) - 1):
-            a, b = chain[i], chain[i + 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
             if b % a:
                 g = gcd(a, b)
-                chain[i], chain[i + 1] = g, a * b // g
-                changed = True
+                chain[i], chain[j] = g, a * b // g
     return [1] * (len(diag) - len(chain)) + chain
 
 

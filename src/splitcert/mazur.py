@@ -5,10 +5,10 @@ step, the boundary group data that the hyperbolic certificate consumes:
 
   1. Wirtinger presentation of the link group (9 generators, 9 relators;
      abelianization Z^2, one Z per component).
-  2. Surgery quotient: impose the two filling relators. These are honest
-     group quotients (they kill the meridian pairing; the abelianization
-     collapses to 0, as it must for a homology-sphere boundary), so they
-     use impose_relator, not Tietze moves.
+  2. Surgery quotient: add the two filling relators. This is a quotient,
+     not a Tietze move: they kill the meridian pairing, and the
+     abelianization collapses to 0, as it must for a homology-sphere
+     boundary.
   3. Renaming: beta = x7, lambda = x2, alpha = beta lambda, gamma =
      alpha^2. The names live in the derivation chain's words only; the
      surgered presentation keeps its 9 arc generators.
@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .groups import (Presentation, free_reduce, impose_relator, parse_word,
-                     substitute, wirtinger, word_str)
+from .groups import (Presentation, free_reduce, parse_word, substitute,
+                     wirtinger, word_str)
 from .hyperbolic import (NONTRIVIAL_FLOOR, build_triangle,
                          certify_nontrivial, certify_relators, evaluate,
                          keep_nan, max_displacement, rotation, same_isometry)
@@ -60,11 +60,9 @@ def link_presentation(assets_dir=None) -> Presentation:
 
 def boundary_presentation(link: Presentation) -> Presentation:
     """The surgered (boundary) group: the link group modulo the two filling
-    relators."""
-    p = link
-    for r in FILLING_RELATORS:
-        p = impose_relator(p, r)
-    return p
+    relators. A quotient, not a Tietze move: unless a relator already holds
+    in the group, the group (and here its abelianization) changes."""
+    return Presentation(link.generators, link.relators + FILLING_RELATORS)
 
 
 def target_presentation() -> Presentation:

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 
 from . import assets, mazur
 from .collapse import free_faces, is_collapsible, replay
-from .complexes import (SimplicialComplex, build, cone, euler_characteristic,
+from .complexes import (SimplicialComplex, cone, euler_characteristic,
                         intersection, union)
 from .groups import (Presentation, TietzeMove, abelianization, apply_tietze,
                      certificate_product, crossing_sum, parse_word,
@@ -271,7 +271,8 @@ def _search_certifies(name):
 
 def cone_bases():
     """The faces of each complex on v0..v(n-1), n = 1..4, with every vertex
-    and no face of more than 3: any edges, then triangles on those edges."""
+    and no face of more than 3: any edges, then triangles on those edges.
+    Each base is a list of sorted simplices, closed under taking faces."""
     for n in range(1, 5):
         names = [f"v{i}" for i in range(n)]
         bases = [[(v,) for v in names]]
@@ -284,7 +285,7 @@ def cone_bases():
 
 def _cone_sweep(ctx):
     for i, base in enumerate(cone_bases()):
-        K = cone(build(base, name="base"), "apex", name="rcone")
+        K = cone(SimplicialComplex(frozenset(base), "base"), "apex", "rcone")
         verdict = is_collapsible(K)
         # a replayed step removes a face and a coface one dimension up, so
         # chi is conserved; is_collapsible answers no whenever chi != 1

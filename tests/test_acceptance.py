@@ -245,14 +245,17 @@ def test_scale_path_5000_is_collapsible_and_replays():
     _stamp("scale path 5000", t0, 5.0)
 
 
-def test_scale_cone_over_grid_8_search_says_yes_and_replays():
+def test_scale_cone_over_grid_8_greedy_says_yes_and_replays():
     K = cone(_grid(8), "apex")
-    assert K.dim() == 3   # decided by the search, not by greedy
+    # dimension 3, but greedy reaches the point, so the search never runs:
+    # a greedy "yes" counts one node per step
+    assert K.dim() == 3
     t0 = time.perf_counter()
     verdict = is_collapsible(K)
     assert verdict.kind == "yes"
+    assert verdict.nodes == len(verdict.certificate) == 417
     assert replay(K, verdict.certificate).collapsed_to_point
-    _stamp("scale cone over grid 8 search", t0, 5.0)
+    _stamp("scale cone over grid 8 greedy", t0, 5.0)
 
 
 def test_scale_torus_link_2_1000_abelianizes_to_z2():

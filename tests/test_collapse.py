@@ -627,6 +627,14 @@ def test_budget_validation():
     assert SearchBudget(max_nodes=1).max_nodes == 1
 
 
+def test_search_budget_replace_builds_through_new():
+    # the namedtuple's own _replace skips __new__ and built max_nodes=0
+    with pytest.raises(ValueError, match="max_nodes must be an integer >= 1"):
+        SearchBudget(5)._replace(max_nodes=0)
+    budget = SearchBudget(5)._replace(max_nodes=7)
+    assert type(budget) is SearchBudget and budget.max_nodes == 7
+
+
 @given(base_complexes)
 @settings(max_examples=40, deadline=None)
 def test_cones_are_collapsible_with_chi_conserved(K):

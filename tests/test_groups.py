@@ -15,7 +15,7 @@ from splitcert.groups import (AbelianInvariants, Crossing, LinkDiagram,
                               _check_declared, abelianization,
                               apply_tietze, certificate_product, check_gen,
                               dumps_fp, free_reduce,
-                              impose_relator, inverse, linking_number,
+                              inverse, linking_number,
                               loads_fp, loads_lnk, parse_word,
                               smith_invariants, substitute,
                               wirtinger, word_str)
@@ -107,7 +107,8 @@ def test_relators_are_stored_freely_reduced():
                                   parse_word("A b")))
     assert p.relators == (parse_word("a a"), (), parse_word("A b"))
     assert str(p) == "< a b | a a, 1, A b >"
-    assert impose_relator(p, parse_word("a A b")).relators[-1] == (("b", 1),)
+    q = Presentation(p.generators, p.relators + (parse_word("a A b"),))
+    assert q.relators[-1] == (("b", 1),)
     # a relator read from a file is printed reduced
     assert dumps_fp(loads_fp("gens: a b\nrel: a b B\n")) == (
         "gens: a b\nrel: a\n")
@@ -161,9 +162,9 @@ def test_a_letter_exponent_must_be_plus_or_minus_one(e):
                                    word=(("a", e),)))
 
 
-def test_impose_relator_changes_the_group():
+def test_a_relator_added_without_a_certificate_changes_the_group():
     p = Presentation(("a",), ())
-    q = impose_relator(p, parse_word("a a a"))
+    q = Presentation(p.generators, p.relators + (parse_word("a a a"),))
     assert abelianization(p).free_rank == 1
     assert abelianization(q).factors == (3,)
 
@@ -269,6 +270,17 @@ def test_tietze_move_make_and_replace_keep_the_field_order():
     assert type(moved) is TietzeMove
     assert moved == ("add-generator", parse_word("a"), (), "c", 2)
     assert move._replace() == move
+
+
+def test_tietze_move_replace_builds_through_new():
+    # the namedtuple's own _replace skips __new__, so it built this move of
+    # no kind, which apply_tietze applied as a remove-generator move
+    move = TietzeMove("add-generator", gen="g", word=parse_word("a"))
+    with pytest.raises(ValueError, match="unknown Tietze move kind"):
+        move._replace(kind="frobnicate", index=0, gen="a")
+    moved = move._replace(kind="remove-generator", index=0, gen="a")
+    assert type(moved) is TietzeMove
+    assert moved == ("remove-generator", parse_word("a"), (), "a", 0)
 
 
 # ---------------------------------------------------------- link diagrams
@@ -543,6 +555,17 @@ def _reference_smith_invariants(rows):
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
     return diag
+
+
+@example([6, 10, 15])   # one pass over adjacent pairs gives 2 | 15 | 30
+@given(st.lists(st.integers(1, 60), max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_the_divisibility_chain_matches_the_repeated_adjacent_passes(diag):
+    # smith_invariants builds the chain in one pass over all pairs; the
+    # reference repeats passes over adjacent pairs until nothing changes
+    m = [[d if i == j else 0 for j in range(len(diag))]
+         for i, d in enumerate(diag)]
+    assert smith_invariants(_dict_rows(m)) == _reference_smith_invariants(m)
 
 
 def _reference_abelianization(p):

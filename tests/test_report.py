@@ -213,6 +213,8 @@ def test_cone_bases_are_every_complex_on_at_most_4_vertices():
     enumerated = [build(base).simplices for base in report.cone_bases()]
     assert len(enumerated) == len(set(enumerated)) == 125
     assert set(enumerated) == complexes
+    # each base is sorted and face-closed already, so the sweep skips build
+    assert enumerated == [frozenset(base) for base in report.cone_bases()]
 
 
 def test_every_seed_91_base_on_at_most_4_vertices_is_enumerated():
@@ -296,7 +298,7 @@ def test_cone_sweep_replays_each_distinct_cone_once(monkeypatch):
 
 def test_verify_all_never_copies_a_complex_per_collapse_step(monkeypatch):
     # elementary_collapse builds a new complex (and coface index) per call;
-    # the cone sweep replays each certificate on one collapse state instead
+    # replay walks its own live and count arrays over one index instead
     def refuse(K, A):
         raise AssertionError("elementary_collapse called")
 
@@ -348,7 +350,7 @@ def test_tietze_invariance_fails_when_a_move_changes_the_group(monkeypatch):
     def imposes_a_on_the_last_move(p, move):
         calls.append(move)
         if len(calls) == 108:
-            p = groups.impose_relator(p, (("a", 1),))
+            p = groups.Presentation(p.generators, p.relators + ((("a", 1),),))
         return original(p, move)
 
     monkeypatch.setattr(report, "apply_tietze", imposes_a_on_the_last_move)
