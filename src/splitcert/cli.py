@@ -11,15 +11,15 @@ import sys
 
 from . import __version__
 
-# every module is imported here on purpose: the benchmark's tracer
-# (perfbench/tracing.py) imports splitcert.cli to load each function it wraps
+# importing splitcert.cli loads every module (some through report): the
+# benchmark's tracer (perfbench/tracing.py) relies on it to wrap them all
 from .collapse import (DEFAULT_BUDGET, SearchBudget, dumps_cert, free_faces,
                        greedy_collapse, is_collapsible, load_cert, replay)
 from .complexes import euler_characteristic, load_scx
 from .groups import (TietzeError, TietzeMove, abelianization, apply_tietze,
                      check_gen, dumps_fp, free_reduce, load_fp, load_lnk,
                      parse_word, substitute, wirtinger, word_str)
-from .report import RunContext, run_group, verify_all
+from .report import PASS, RunContext, run_group, verify_all
 from .splitting import OMEGA, FactorMultiset, distinguishable
 
 
@@ -83,13 +83,14 @@ def cmd_cert_replay(args) -> int:
 
 
 # jester, dunce and mazur are views over one group of report.CHECKS: they
-# run that group and print from the context its checks read
+# print from the context its checks read, then the group's overall verdict
 
 def cmd_jester(args) -> int:
     ctx = RunContext(args.assets)
-    ok, results = run_group("jester", ctx)
-    if not ok:
-        print(f"jester split: FAIL ({results['JESTER_SPLIT_CERT'].detail})")
+    report = run_group("jester", ctx)
+    if report.overall != PASS:
+        print(f"jester split: {report.overall} "
+              f"({report.result('JESTER_SPLIT_CERT').detail})")
         return 1
     cert = ctx.split
     a, b, c = cert.evidence
@@ -98,18 +99,18 @@ def cmd_jester(args) -> int:
           f"{cert.parts[1]} {len(b.steps)} steps, "
           f"intersection {len(c.steps)} steps")
     print(f"conclusion: {cert.conclusion}")
-    print("jester split: PASS")
+    print(f"jester split: {report.overall}")
     return 0
 
 
 def cmd_dunce(args) -> int:
     ctx = RunContext(args.assets)
-    ok, _ = run_group("dunce", ctx)
+    report = run_group("dunce", ctx)
     print(f"free faces: {len(free_faces(ctx.complex('dunce_hat')))}")
     print(f"collapsibility verdict: {ctx.search('dunce_hat').kind}")
     print(f"chi: {euler_characteristic(ctx.complex('dunce_hat'))}")
-    print(f"dunce hat: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    print(f"dunce hat: {report.overall}")
+    return 0 if report.overall == PASS else 1
 
 
 def cmd_wirtinger(args) -> int:
@@ -199,7 +200,7 @@ def _parse_tietze_move(args) -> TietzeMove:
 
 def cmd_mazur(args) -> int:
     ctx = RunContext(args.assets)
-    ok, results = run_group("mazur", ctx)
+    report = run_group("mazur", ctx)
     chain, cert = ctx.chain, ctx.triangle
     print("triangle angles: pi/7 (A), pi/2 (B), pi/5 (C)")
     for label, z in zip("ABC", cert.vertices):
@@ -212,9 +213,10 @@ def cmd_mazur(args) -> int:
     for line in chain.lines():
         print(f"derivation: {line}")
     print(f"meridian displacement: {cert.meridian.word_displacement:.9f}")
-    print(f"PI1_BOUNDARY_NONTRIVIAL: {'PASS' if ok else 'FAIL'}")
-    print(f"MERIDIAN_NONTRIVIAL: {results['MERIDIAN_DISPLACEMENT'].status}")
-    return 0 if ok else 1
+    print(f"PI1_BOUNDARY_NONTRIVIAL: {report.overall}")
+    print("MERIDIAN_NONTRIVIAL: "
+          f"{report.result('MERIDIAN_DISPLACEMENT').status}")
+    return 0 if report.overall == PASS else 1
 
 
 def _parse_multiset(text: str) -> FactorMultiset:
@@ -242,7 +244,7 @@ def cmd_csi(args) -> int:
 def cmd_verify_all(args) -> int:
     report = verify_all(assets_dir=args.assets)
     sys.stdout.write(report.render())
-    return 0 if report.overall == "PASS" else 1
+    return 0 if report.overall == PASS else 1
 
 
 # ------------------------------------------------------------------ parser

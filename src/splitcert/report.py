@@ -2,9 +2,9 @@
 
 CHECKS lists every check the test suite certifies, once. verify_all runs
 them all against the bundled assets (or an override directory) and renders
-a byte-stable report: one line per check id, then an overall verdict. The
+a byte-stable report: one line per check id, then its overall verdict. The
 named commands (`dunce check`, `jester verify-split`, `mazur certify`) run
-only the checks of their group and print from the same RunContext.
+only their group's checks, into the same report, and print its overall.
 The Tietze, cone and multiset checks enumerate their whole range, so two
 runs emit identical bytes.
 """
@@ -42,6 +42,9 @@ class VerificationReport(namedtuple("VerificationReport", "checks")):
         statuses = {c.status for c in self.checks}
         return (FAIL if FAIL in statuses
                 else INCOMPLETE if SKIP in statuses else PASS)
+
+    def result(self, check_id) -> CheckResult:
+        return next(c for c in self.checks if c.check_id == check_id)
 
     def render(self) -> str:
         width = max(len(c.check_id) for c in self.checks)
@@ -161,17 +164,15 @@ Check = namedtuple("Check", "id group fn")
 
 
 def run_checks(checks, ctx: RunContext,
-               strict: bool = False) -> list[CheckResult]:
-    """Run checks in order against one context. A SplitError is a
-    refutation (FAIL); an AssetError is input that could not be read (FAIL,
-    or under strict its cause escapes so a named command exits 2); any
-    other exception is a defect (FAIL naming it; under strict it escapes)."""
+               strict: bool = False) -> VerificationReport:
+    """Run checks in order against one context. No exception is a verdict:
+    an AssetError is input that could not be read (FAIL, or under strict its
+    cause escapes so a named command exits 2), any other is a defect (FAIL
+    naming it; under strict it escapes)."""
     results = []
     for check in checks:
         try:
             status, detail = check.fn(ctx)
-        except SplitError as exc:
-            status, detail = FAIL, str(exc)
         except AssetError as exc:
             if strict:
                 raise exc.__cause__
@@ -181,22 +182,17 @@ def run_checks(checks, ctx: RunContext,
                 raise
             status, detail = FAIL, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(check.id, status, detail))
-    return results
+    return VerificationReport(tuple(results))
 
 
-def run_group(group: str,
-              ctx: RunContext) -> tuple[bool, dict[str, CheckResult]]:
-    """Strictly run the checks a named command's verdict rests on. The
-    verdict passes only when every one of them is PASS."""
-    results = run_checks([c for c in CHECKS if c.group == group], ctx,
-                         strict=True)
-    return (all(r.status == PASS for r in results),
-            {r.check_id: r for r in results})
+def run_group(group: str, ctx: RunContext) -> VerificationReport:
+    """Strictly run the checks a named command's verdict rests on."""
+    return run_checks([c for c in CHECKS if c.group == group], ctx,
+                      strict=True)
 
 
 def verify_all(assets_dir=None) -> VerificationReport:
-    ctx = RunContext(assets_dir)
-    return VerificationReport(tuple(run_checks(CHECKS, ctx)))
+    return run_checks(CHECKS, RunContext(assets_dir))
 
 
 # ------------------------------------------------------------- the checks
@@ -219,13 +215,6 @@ def _chi_one(name):
         chi = euler_characteristic(ctx.complex(name))
         return _verdict(chi == 1, f"chi = {chi}")
     return fn
-
-
-def _dunce_search(ctx):
-    verdict = ctx.search("dunce_hat")
-    if verdict.kind == "unknown":
-        return SKIP, "budget exhausted"
-    return _verdict(verdict.kind == "no", f"verdict {verdict.kind}")
 
 
 def _decomposition(ctx):
@@ -254,19 +243,29 @@ def _cert_replays(name, want_vertex=None):
     return fn
 
 
-def _search_certifies(name):
+def _search(name, want):
+    """The search's verdict on a bundled complex must be want ("no" or
+    "yes"), and a "yes" must replay to a point; out of budget is SKIP."""
     def fn(ctx):
-        K = ctx.complex(name)
         verdict = ctx.search(name)
         if verdict.kind == "unknown":
             return SKIP, f"budget exhausted after {verdict.nodes} nodes"
-        if verdict.kind != "yes":
+        if verdict.kind != want:
             return FAIL, f"verdict {verdict.kind}"
-        if not replay(K, verdict.certificate).collapsed_to_point:
+        if want == "no":
+            return PASS, "verdict no"
+        if not replay(ctx.complex(name), verdict.certificate).point:
             return FAIL, "search certificate does not replay"
         return PASS, (f"certified in {verdict.nodes} nodes, "
                       f"{len(verdict.certificate.steps)} steps")
     return fn
+
+
+def _split(ctx):
+    try:
+        return PASS, f"conclusion {ctx.split.conclusion}"
+    except SplitError as exc:   # a refuted split, naming the part that failed
+        return FAIL, str(exc)
 
 
 def cone_bases():
@@ -402,7 +401,7 @@ def _irreflexive(ctx):
 CHECKS = (
     Check("DUNCE_FREE_FACES", "dunce",
           _no_free_faces("dunce_hat", "no free faces")),
-    Check("DUNCE_SEARCH_VERDICT", "dunce", _dunce_search),
+    Check("DUNCE_SEARCH_VERDICT", "dunce", _search("dunce_hat", "no")),
     Check("DUNCE_EULER", "dunce", _chi_one("dunce_hat")),
     Check("JESTER_FREE_FACES", None, _no_free_faces(
         "jester_hat", "no free faces (no free edge and no free vertex)")),
@@ -411,11 +410,10 @@ CHECKS = (
     Check("JESTER_C_CERT_REPLAY", None, _cert_replays("jester_C", "v")),
     Check("JESTER_A_CERT_REPLAY", None, _cert_replays("jester_A")),
     Check("JESTER_B_CERT_REPLAY", None, _cert_replays("jester_B")),
-    Check("JESTER_SPLIT_CERT", "jester",
-          lambda ctx: (PASS, f"conclusion {ctx.split.conclusion}")),
-    Check("SEARCH_JESTER_C", None, _search_certifies("jester_C")),
-    Check("SEARCH_JESTER_A", None, _search_certifies("jester_A")),
-    Check("SEARCH_JESTER_B", None, _search_certifies("jester_B")),
+    Check("JESTER_SPLIT_CERT", "jester", _split),
+    Check("SEARCH_JESTER_C", None, _search("jester_C", "yes")),
+    Check("SEARCH_JESTER_A", None, _search("jester_A", "yes")),
+    Check("SEARCH_JESTER_B", None, _search("jester_B", "yes")),
     Check("CONE_SWEEP", None, _cone_sweep),
     Check("MAZUR_WIRTINGER_SHAPE", None, _wirtinger_shape),
     Check("MAZUR_ABELIANIZATION", None, _link_h1),

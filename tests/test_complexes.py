@@ -110,6 +110,8 @@ def test_complex_equality_ignores_name():
     L = build([("a", "b")], name="L")
     assert K == L
     assert hash(K) == hash(L)
+    # the name shows only in the repr
+    assert repr(K) == "SimplicialComplex('K', 3 simplices)"
 
 
 # ------------------------------------------------------------ .scx format

@@ -339,12 +339,18 @@ class _ReferenceIsometry:
     """The earlier representation: a 2x2 Moebius matrix normalised to unit
     determinant, plus the orientation flag."""
 
-    def __init__(self, a, b, c, d, rev=False):
-        det = a * d - b * c
-        if abs(det) < 1e-30:
-            raise ValueError("singular matrix is not an isometry")
-        s = cmath.sqrt(det)
-        self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
+    def __init__(self, a, b, c, d, rev=False, unit=False):
+        """With unit=True the entries already have determinant 1 (a product
+        or inverse of unit matrices) and are kept as they are: recomputing
+        a d - b c for a long word cancels two terms near |a|^2 ~ 1e16 and
+        leaves rounding noise, not 1."""
+        if not unit:
+            det = a * d - b * c
+            if abs(det) < 1e-30:
+                raise ValueError("singular matrix is not an isometry")
+            s = cmath.sqrt(det)
+            a, b, c, d = a / s, b / s, c / s, d / s
+        self.a, self.b, self.c, self.d = a, b, c, d
         self.rev = rev
 
     def __call__(self, z):
@@ -360,14 +366,14 @@ class _ReferenceIsometry:
                                   self.a * ob + self.b * od,
                                   self.c * oa + self.d * oc,
                                   self.c * ob + self.d * od,
-                                  rev=self.rev != other.rev)
+                                  rev=self.rev != other.rev, unit=True)
 
     def inverse(self):
         a, b, c, d = self.d, -self.b, -self.c, self.a
         if self.rev:
             a, b, c, d = (a.conjugate(), b.conjugate(),
                           c.conjugate(), d.conjugate())
-        return _ReferenceIsometry(a, b, c, d, rev=self.rev)
+        return _ReferenceIsometry(a, b, c, d, rev=self.rev, unit=True)
 
 
 def _reference_translation(c):
@@ -408,6 +414,20 @@ def test_evaluate_agrees_with_the_four_entry_reference(specs, data):
                                      st.sampled_from((1, -1))),
                            max_size=30))
     f, g = evaluate(new, w), _reference_evaluate(old, w)
+    for p in PROBES:
+        assert abs(f(p) - g(p)) < 1e-9
+
+
+def test_the_reference_survives_a_long_hyperbolic_word():
+    """This word's product has entries near 1e8, where a d - b c rounds to
+    0: the reference must keep the unit determinant it was built with."""
+    specs = [(0.78125j, 1.0), (-0.75j, 2.0)]
+    new = {f"g{i}": rotation(*spec) for i, spec in enumerate(specs)}
+    old = {f"g{i}": _reference_rotation(*spec)
+           for i, spec in enumerate(specs)}
+    w = parse_word("g0 g0 g0 g1 g0 g1 g0 g0 g0 g1 g0 g0 G1 g0 g1 G0")
+    f, g = evaluate(new, w), _reference_evaluate(old, w)
+    assert abs(f.a) > 1e7
     for p in PROBES:
         assert abs(f(p) - g(p)) < 1e-9
 

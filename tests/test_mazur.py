@@ -87,7 +87,7 @@ def test_an_odd_crossing_sum_fails_mazur_linking_as_a_verdict(asset_copy):
         "MAZUR_LINKING", FAIL, "odd inter-component crossing sum -1")
     # run strictly, the check returns its verdict and raises nothing
     (result,) = run_checks([c for c in CHECKS if c.id == "MAZUR_LINKING"],
-                           RunContext(asset_copy), strict=True)
+                           RunContext(asset_copy), strict=True).checks
     assert result == lines["MAZUR_LINKING"]
 
 
@@ -101,7 +101,7 @@ def test_a_one_component_link_fails_mazur_linking_as_a_verdict(asset_copy):
         "comp: a b c\n")
 
     (result,) = run_checks([c for c in CHECKS if c.id == "MAZUR_LINKING"],
-                           RunContext(asset_copy), strict=True)
+                           RunContext(asset_copy), strict=True).checks
     assert result == ("MAZUR_LINKING", FAIL, "component count 1, not 2")
 
 
@@ -146,7 +146,7 @@ def test_a_link_without_relator_9_fails_mazur_r9(asset_copy, capsys):
     assert "PI1_BOUNDARY_NONTRIVIAL: FAIL\n" in captured.out
     assert captured.err == ""
     (r9,) = run_checks([c for c in CHECKS if c.id == "MAZUR_R9"],
-                       RunContext(asset_copy))
+                       RunContext(asset_copy)).checks
     assert r9.status == FAIL
     assert r9.detail == "3 relators, no relator 9"
 
@@ -181,7 +181,7 @@ def test_a_nan_order_displacement_fails_wherever_it_falls(monkeypatch, at):
     monkeypatch.setattr(mazur, "triangle_certificate", lambda: cert)
     (result,) = run_checks([c for c in CHECKS
                             if c.id == "TRIANGLE_ELLIPTIC_ORDERS"],
-                           RunContext())
+                           RunContext()).checks
     assert result.status == FAIL
     assert result.detail == "proper powers displace probes by >= nan"
 

@@ -92,7 +92,7 @@ def test_budget_exhaustion_in_a_check_is_skip(monkeypatch, capsys):
         return PASS, f"verdict {verdict.kind}"
 
     check = Check("SEARCH", None, search)
-    (result,) = run_checks([check], RunContext())
+    (result,) = run_checks([check], RunContext()).checks
     assert result.status == SKIP
     assert result.detail == "budget exhausted after 2 nodes"
 
@@ -106,22 +106,42 @@ def test_budget_exhaustion_in_a_check_is_skip(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("\noverall INCOMPLETE\n")
     monkeypatch.setattr(report, "CHECKS", (check._replace(group="dunce"),))
     assert main(["dunce", "check"]) == 1
-    assert capsys.readouterr().out.endswith("\ndunce hat: FAIL\n")
+    assert capsys.readouterr().out.endswith("\ndunce hat: INCOMPLETE\n")
 
 
-def test_refuted_part_named_unknown_is_fail():
+@pytest.mark.parametrize("argv,check_id,label", [
+    (["dunce", "check"], "DUNCE_SEARCH_VERDICT", "dunce hat"),
+    (["jester", "verify-split"], "JESTER_SPLIT_CERT", "jester split"),
+    (["mazur", "certify"], "MERIDIAN_DISPLACEMENT",
+     "PI1_BOUNDARY_NONTRIVIAL"),
+], ids=["dunce", "jester", "mazur"])
+@pytest.mark.parametrize("status,overall", [
+    (PASS, PASS), (FAIL, FAIL), (SKIP, INCOMPLETE)])
+def test_a_named_command_prints_and_exits_on_its_overall(
+        argv, check_id, label, status, overall, monkeypatch, capsys):
+    group = argv[0]
+    monkeypatch.setattr(report, "CHECKS", (
+        Check(check_id, group, lambda ctx: (status, "stubbed")),))
+    code = main(argv)
+    out = capsys.readouterr().out.splitlines()
+    (verdict,) = [line for line in out if line.startswith(f"{label}: ")]
+    # a jester split that is not PASS names the detail of its check
+    named = group == "jester" and overall != PASS
+    assert verdict == f"{label}: {overall}" + (" (stubbed)" if named else "")
+    assert code == (0 if overall == PASS else 1)
+
+
+def test_refuted_part_named_unknown_is_fail(monkeypatch):
     # the dunce hat has no free face, so any certificate fails at step 0
     ctx = RunContext()
     part = SimplicialComplex(ctx.complex("dunce_hat").simplices,
                              name="unknown_part")
     bad = CollapseCertificate((("1", "2"),))
+    monkeypatch.setattr(report, "verify_spine_split", lambda *args: (
+        verify_spine_split(union(part, part), part, part, (bad, bad, bad))))
 
-    def split(ctx):
-        cert = verify_spine_split(union(part, part), part, part,
-                                  (bad, bad, bad))
-        return PASS, cert.conclusion
-
-    (result,) = run_checks([Check("SPLIT", None, split)], ctx)
+    (result,) = run_checks([c for c in CHECKS if c.id == "JESTER_SPLIT_CERT"],
+                           ctx).checks
     assert result.status == FAIL
     assert result.detail == ("unknown_part: replay failed at step 0 (1 2): "
                              "not free (3 cofaces)")
@@ -515,32 +535,54 @@ def test_a_defect_in_a_check_is_fail_and_escapes_under_strict():
         return 1 // 0
 
     check = Check("BROKEN", None, broken)
-    assert run_checks([check], RunContext()) == [CheckResult(
-        "BROKEN", FAIL, "ZeroDivisionError: integer division or modulo by "
-                        "zero")]
+    assert run_checks([check], RunContext()) == VerificationReport((
+        CheckResult("BROKEN", FAIL, "ZeroDivisionError: integer division or "
+                                    "modulo by zero"),))
     with pytest.raises(ZeroDivisionError):
         run_checks([check], RunContext(), strict=True)
 
-
-def test_a_split_error_is_a_verdict_even_under_strict():
+    # no exception is a verdict: a SplitError a check lets out is a defect
     def refuted(ctx):
         raise SplitError("jester_A: no certificate")
 
-    assert run_checks([Check("SPLIT", None, refuted)], RunContext(),
-                      strict=True) == [
-        CheckResult("SPLIT", FAIL, "jester_A: no certificate")]
+    check = Check("SPLIT", None, refuted)
+    assert run_checks([check], RunContext()) == VerificationReport((
+        CheckResult("SPLIT", FAIL, "SplitError: jester_A: no certificate"),))
+    with pytest.raises(SplitError):
+        run_checks([check], RunContext(), strict=True)
+
+
+def test_the_split_check_reads_a_split_error_as_fail_even_under_strict(
+        monkeypatch, capsys):
+    def refuted(*args):
+        raise SplitError("jester_A: no certificate")
+
+    monkeypatch.setattr(report, "verify_spine_split", refuted)
+    split = [c for c in CHECKS if c.id == "JESTER_SPLIT_CERT"]
+    for strict in (False, True):
+        assert run_checks(split, RunContext(), strict=strict) == (
+            VerificationReport((CheckResult(
+                "JESTER_SPLIT_CERT", FAIL, "jester_A: no certificate"),)))
+    assert main(["jester", "verify-split"]) == 1
+    assert capsys.readouterr().out == (
+        "jester split: FAIL (jester_A: no certificate)\n")
 
 
 def _run(check_id, ctx):
-    (result,) = run_checks([c for c in CHECKS if c.id == check_id], ctx)
+    (result,) = run_checks([c for c in CHECKS if c.id == check_id],
+                           ctx).checks
     return result.status, result.detail
 
 
-def test_dunce_search_out_of_budget_is_skip(monkeypatch):
+def test_dunce_search_out_of_budget_is_skip(monkeypatch, capsys):
     monkeypatch.setattr(report, "is_collapsible",
                         lambda K: CollapseVerdict("unknown", None, 7))
     assert _run("DUNCE_SEARCH_VERDICT", RunContext()) == (
-        SKIP, "budget exhausted")
+        SKIP, "budget exhausted after 7 nodes")
+    # an unverified claim is not a refutation: the command says INCOMPLETE
+    assert main(["dunce", "check"]) == 1
+    assert capsys.readouterr().out.endswith(
+        "\ncollapsibility verdict: unknown\nchi: 1\ndunce hat: INCOMPLETE\n")
 
 
 @pytest.mark.parametrize("verdict,want", [
