@@ -7,20 +7,35 @@ Output is deterministic for fixed inputs; no timestamps.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 
 from . import __version__
 
-# importing splitcert.cli loads every module (some through report): the
-# benchmark's tracer (perfbench/tracing.py) relies on it to wrap them all
-from .collapse import (DEFAULT_BUDGET, SearchBudget, dumps_cert, free_faces,
-                       greedy_collapse, is_collapsible, load_cert, replay)
-from .complexes import euler_characteristic, load_scx
-from .groups import (TietzeError, TietzeMove, abelianization, apply_tietze,
-                     check_gen, dumps_fp, free_reduce, load_fp, load_lnk,
-                     parse_word, substitute, wirtinger, word_str)
-from .report import PASS, RunContext, run_group, verify_all
-from .splitting import OMEGA, FactorMultiset, distinguishable
+
+def _lazy(name: str):
+    """splitcert.NAME, registered as an import would register it (in
+    sys.modules and on the package) but run only when first read from."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# importing splitcert.cli registers every module and runs none: the
+# benchmark's tracer (perfbench/tracing.py) relies on the registration to
+# find each module it wraps. The library is called through these handles,
+# so a command runs only the modules it reads: complex, cert, wirtinger,
+# group and csi run theirs alone, and verify-all, jester, dunce and mazur
+# run report and what it imports (mazur only where a check reads it)
+(assets, collapse, complexes, groups, hyperbolic, mazur, report,
+ splitting) = map(_lazy, ("assets", "collapse", "complexes", "groups",
+                          "hyperbolic", "mazur", "report", "splitting"))
 
 
 # ------------------------------------------------------------- subcommands
@@ -28,37 +43,39 @@ from .splitting import OMEGA, FactorMultiset, distinguishable
 def cmd_complex(args) -> int:
     if args.action == "validate":
         try:
-            K = load_scx(args.file)
+            K = complexes.load_scx(args.file)
         except ValueError as exc:
             print(f"invalid: {exc}", file=sys.stderr)
             return 1
         print(f"{K.name}: {len(K)} simplices, dim {K.dim()}, "
-              f"chi {euler_characteristic(K)}, "
+              f"chi {complexes.euler_characteristic(K)}, "
               f"{len(K.maximal_simplices())} maximal")
         return 0
-    K = load_scx(args.file)
+    K = complexes.load_scx(args.file)
     if args.action == "chi":
-        print(f"chi: {euler_characteristic(K)}")
+        print(f"chi: {complexes.euler_characteristic(K)}")
         return 0
     if args.action == "free-faces":
-        ff = free_faces(K)
+        ff = collapse.free_faces(K)
         print(f"free faces: {len(ff)}")
         for f in ff:
             print(" ".join(f))
         return 0
     if args.action == "collapse":
-        cert, residual = greedy_collapse(K)
+        cert, residual = collapse.greedy_collapse(K)
         point = len(residual) == 1
         print(f"greedy steps: {len(cert.steps)}")
         print(f"residual: {len(residual)} simplices")
         print(f"collapsed to point: {'yes' if point else 'no'}")
         return 0 if point else 1
-    # search
-    verdict = is_collapsible(K, SearchBudget(max_nodes=args.budget))
+    # search; a budget of None is the default (a truth test would take 0)
+    budget = (None if args.budget is None
+              else collapse.SearchBudget(args.budget))
+    verdict = collapse.is_collapsible(K, budget)
     if verdict.kind == "yes":
         print(f"verdict: yes ({verdict.nodes} nodes, "
               f"{len(verdict.certificate.steps)} steps)")
-        sys.stdout.write(dumps_cert(verdict.certificate))
+        sys.stdout.write(collapse.dumps_cert(verdict.certificate))
         return 0
     if verdict.kind == "no":
         print(f"verdict: no ({verdict.nodes} nodes)")
@@ -68,9 +85,9 @@ def cmd_complex(args) -> int:
 
 
 def cmd_cert_replay(args) -> int:
-    K = load_scx(args.complex)
-    cert = load_cert(args.cert)
-    result = replay(K, cert)
+    K = complexes.load_scx(args.complex)
+    cert = collapse.load_cert(args.cert)
+    result = collapse.replay(K, cert)
     if result.failure:
         print(f"replay failed at {result.failure}")
         return 1
@@ -83,14 +100,15 @@ def cmd_cert_replay(args) -> int:
 
 
 # jester, dunce and mazur are views over one group of report.CHECKS: they
-# print from the context its checks read, then the group's overall verdict
+# print from the context its checks read, then the overall verdict of the
+# group's VerificationReport (`outcome`, as `report` is the module)
 
 def cmd_jester(args) -> int:
-    ctx = RunContext(args.assets)
-    report = run_group("jester", ctx)
-    if report.overall != PASS:
-        print(f"jester split: {report.overall} "
-              f"({report.result('JESTER_SPLIT_CERT').detail})")
+    ctx = report.RunContext(args.assets)
+    outcome = report.run_group("jester", ctx)
+    if outcome.overall != report.PASS:
+        print(f"jester split: {outcome.overall} "
+              f"({outcome.result('JESTER_SPLIT_CERT').detail})")
         return 1
     cert = ctx.split
     a, b, c = cert.evidence
@@ -99,48 +117,51 @@ def cmd_jester(args) -> int:
           f"{cert.parts[1]} {len(b.steps)} steps, "
           f"intersection {len(c.steps)} steps")
     print(f"conclusion: {cert.conclusion}")
-    print(f"jester split: {report.overall}")
+    print(f"jester split: {outcome.overall}")
     return 0
 
 
 def cmd_dunce(args) -> int:
-    ctx = RunContext(args.assets)
-    report = run_group("dunce", ctx)
-    print(f"free faces: {len(free_faces(ctx.complex('dunce_hat')))}")
+    ctx = report.RunContext(args.assets)
+    outcome = report.run_group("dunce", ctx)
+    print(f"free faces: {len(collapse.free_faces(ctx.complex('dunce_hat')))}")
     print(f"collapsibility verdict: {ctx.search('dunce_hat').kind}")
-    print(f"chi: {euler_characteristic(ctx.complex('dunce_hat'))}")
-    print(f"dunce hat: {report.overall}")
-    return 0 if report.overall == PASS else 1
+    print(f"chi: {complexes.euler_characteristic(ctx.complex('dunce_hat'))}")
+    print(f"dunce hat: {outcome.overall}")
+    return 0 if outcome.overall == report.PASS else 1
 
 
 def cmd_wirtinger(args) -> int:
-    sys.stdout.write(dumps_fp(wirtinger(load_lnk(args.file))))
+    link = groups.load_lnk(args.file)
+    sys.stdout.write(groups.dumps_fp(groups.wirtinger(link)))
     return 0
 
 
 def cmd_group(args) -> int:
     if args.action == "reduce":
-        print(word_str(free_reduce(parse_word(args.word))))
+        word = groups.parse_word(args.word)
+        print(groups.word_str(groups.free_reduce(word)))
         return 0
     if args.action == "subst":
         pairs = [_parse_gen_word(item) for item in args.map]
         mapping = dict(pairs)
         if len(mapping) != len(pairs):
             raise ValueError(f"a generator is mapped twice in {args.map!r}")
-        print(word_str(substitute(parse_word(args.word), mapping)))
+        word = groups.parse_word(args.word)
+        print(groups.word_str(groups.substitute(word, mapping)))
         return 0
     if args.action == "abelianize":
-        print(str(abelianization(load_fp(args.file))))
+        print(str(groups.abelianization(groups.load_fp(args.file))))
         return 0
     # tietze
-    p = load_fp(args.file)
+    p = groups.load_fp(args.file)
     move = _parse_tietze_move(args)
     try:
-        q = apply_tietze(p, move)
-    except TietzeError as exc:
+        q = groups.apply_tietze(p, move)
+    except groups.TietzeError as exc:
         print(f"tietze move rejected: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(dumps_fp(q))
+    sys.stdout.write(groups.dumps_fp(q))
     return 0
 
 
@@ -148,7 +169,7 @@ def _parse_gen_word(text: str):
     gen, sep, word = text.partition("=")
     if not sep:
         raise ValueError(f"{text!r} is not GEN=WORD")
-    return check_gen(gen), parse_word(word)
+    return groups.check_gen(gen), groups.parse_word(word)
 
 
 def _parse_certificate(text: str):
@@ -165,11 +186,11 @@ def _parse_certificate(text: str):
         sign = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}.get(parts[1])
         if sign is None:
             raise ValueError(f"bad certificate sign {parts[1]!r}")
-        terms.append((index, sign, parse_word(parts[2])))
+        terms.append((index, sign, groups.parse_word(parts[2])))
     return tuple(terms)
 
 
-def _parse_tietze_move(args) -> TietzeMove:
+def _parse_tietze_move(args) -> groups.TietzeMove:
     # each move reads at most one of --by and --using; the other is an error
     if (args.by is not None and args.add_rel is None
             and args.remove_rel is None):
@@ -178,29 +199,30 @@ def _parse_tietze_move(args) -> TietzeMove:
         raise ValueError("--using goes only with --remove-gen")
     if args.add_gen is not None:
         name, word = _parse_gen_word(args.add_gen)
-        return TietzeMove("add-generator", gen=name, word=word)
+        return groups.TietzeMove("add-generator", gen=name, word=word)
     if args.add_rel is not None:
         if args.by is None:
             raise ValueError("--add-rel needs --by INDEX:SIGN:CONJ,...")
-        return TietzeMove("add-relator", word=parse_word(args.add_rel),
-                          certificate=_parse_certificate(args.by))
+        return groups.TietzeMove("add-relator",
+                                 word=groups.parse_word(args.add_rel),
+                                 certificate=_parse_certificate(args.by))
     if args.remove_rel is not None:
         if args.by is None:
             raise ValueError("--remove-rel needs --by INDEX:SIGN:CONJ,...")
-        return TietzeMove("remove-relator", index=args.remove_rel,
-                          certificate=_parse_certificate(args.by))
+        return groups.TietzeMove("remove-relator", index=args.remove_rel,
+                                 certificate=_parse_certificate(args.by))
     if args.remove_gen is not None:
         if args.using is None:
             raise ValueError("--remove-gen needs --using RELATOR_INDEX")
-        return TietzeMove("remove-generator", gen=args.remove_gen,
-                          index=args.using)
+        return groups.TietzeMove("remove-generator", gen=args.remove_gen,
+                                 index=args.using)
     raise ValueError("choose one of --add-gen/--add-rel/"
                      "--remove-rel/--remove-gen")
 
 
 def cmd_mazur(args) -> int:
-    ctx = RunContext(args.assets)
-    report = run_group("mazur", ctx)
+    ctx = report.RunContext(args.assets)
+    outcome = report.run_group("mazur", ctx)
     chain, cert = ctx.chain, ctx.triangle
     print("triangle angles: pi/7 (A), pi/2 (B), pi/5 (C)")
     for label, z in zip("ABC", cert.vertices):
@@ -213,38 +235,39 @@ def cmd_mazur(args) -> int:
     for line in chain.lines():
         print(f"derivation: {line}")
     print(f"meridian displacement: {cert.meridian.word_displacement:.9f}")
-    print(f"PI1_BOUNDARY_NONTRIVIAL: {report.overall}")
+    print(f"PI1_BOUNDARY_NONTRIVIAL: {outcome.overall}")
     print("MERIDIAN_NONTRIVIAL: "
-          f"{report.result('MERIDIAN_DISPLACEMENT').status}")
-    return 0 if report.overall == PASS else 1
+          f"{outcome.result('MERIDIAN_DISPLACEMENT').status}")
+    return 0 if outcome.overall == report.PASS else 1
 
 
-def _parse_multiset(text: str) -> FactorMultiset:
+def _parse_multiset(text: str) -> splitting.FactorMultiset:
     text = text.strip()
     if text in ("-", "empty"):
-        return FactorMultiset(())
+        return splitting.FactorMultiset(())
     pairs = []
     for chunk in text.split(","):
         label, sep, num = (part.strip() for part in chunk.partition(":"))
         if not sep or not label:
             raise ValueError(f"multiset term {chunk!r} is not LABEL:COUNT")
-        pairs.append(
-            (label, OMEGA if num in ("w", "omega", "inf") else int(num)))
-    return FactorMultiset(pairs)
+        count = (splitting.OMEGA if num in ("w", "omega", "inf")
+                 else int(num))
+        pairs.append((label, count))
+    return splitting.FactorMultiset(pairs)
 
 
 def cmd_csi(args) -> int:
     m1 = _parse_multiset(args.first)
     m2 = _parse_multiset(args.second)
-    verdict = distinguishable(m1, m2)
+    verdict = splitting.distinguishable(m1, m2)
     print(f"distinguishable: {'yes' if verdict else 'no'}")
     return 0 if verdict else 1
 
 
 def cmd_verify_all(args) -> int:
-    report = verify_all(assets_dir=args.assets)
-    sys.stdout.write(report.render())
-    return 0 if report.overall == PASS else 1
+    outcome = report.verify_all(assets_dir=args.assets)
+    sys.stdout.write(outcome.render())
+    return 0 if outcome.overall == report.PASS else 1
 
 
 # ------------------------------------------------------------------ parser
@@ -268,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         a = actions.add_parser(action)
         a.add_argument("file")
         if action == "search":   # the other actions reject --budget
-            a.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+            a.add_argument("--budget", type=int, default=None,
                            help="node budget of the dim >= 3 search "
                                 "(default 10^6)")
         a.set_defaults(fn=cmd_complex)

@@ -46,8 +46,15 @@ class SimplexIndex:
     def __init__(self, simplices: Iterable[Simplex]):
         self.order = order = tuple(sorted(simplices))
         self.ids = ids = dict(zip(order, range(len(order))))
-        self.facets = facets = [tuple(map(ids.__getitem__, combinations(
-            s, len(s) - 1))) if len(s) > 1 else () for s in order]
+        try:
+            self.facets = facets = [tuple(map(ids.__getitem__, combinations(
+                s, len(s) - 1))) if len(s) > 1 else () for s in order]
+        except KeyError as exc:   # the set is not face-closed
+            missing = exc.args[0]
+            needs = next(s for s in order
+                         if missing in combinations(s, len(s) - 1))
+            raise ValueError(f"simplex {needs} needs its facet {missing}, "
+                             "which is not in the set") from None
         self.cofaces = cofaces = [[] for _ in order]
         for i, fs in enumerate(facets):
             for f in fs:

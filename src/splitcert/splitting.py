@@ -53,11 +53,14 @@ def verify_spine_split(spine: SimplicialComplex, A: SimplicialComplex,
     certificates take them from is_collapsible."""
     from .collapse import replay
     from .complexes import intersection, union
+    if len(certs) != 3:
+        raise SplitError("expected 3 certificates (A, B, A n B), "
+                         f"got {len(certs)}")
     if union(A, B).simplices != spine.simplices:
         raise SplitError(
             f"{A.name} union {B.name} is not {spine.name}")
     C = intersection(A, B)
-    for part, cert in zip((A, B, C), certs, strict=True):
+    for part, cert in zip((A, B, C), certs):
         if cert is None:   # is_collapsible's certificate on "no"
             raise SplitError(f"{part.name}: no certificate")
         result = replay(part, cert)

@@ -643,10 +643,12 @@ def test_import_does_not_load_dataclasses():
     # never evaluated (PEP 563), so start-up imports neither dataclasses
     # (and its inspect, ast and dis) nor typing; the bundled assets are
     # plain files next to the package, read without importlib.resources,
-    # and every check enumerates its range, so nothing imports random; -S
-    # keeps site hooks out of the count
+    # and every check enumerates its range, so nothing imports random. The
+    # CLI only registers the modules, so report is imported first: it runs
+    # every other module. -S keeps site hooks out of the count
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import splitcert.cli; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import splitcert.report, splitcert.cli; "
             "print('dataclasses' in sys.modules, "
             "'importlib.resources' in sys.modules, 'random' in sys.modules, "
             "'typing' in sys.modules)")

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitcert.collapse import is_collapsible
 from splitcert.complexes import (SimplicialComplex, build, cone,
                                  euler_characteristic, faces, intersection,
                                  loads_scx, make_simplex, union)
@@ -103,6 +104,19 @@ def test_cofaces():
     assert K.cofaces(("b", "a", "a")) == [("a", "b", "c"), ("a", "b", "d")]
     assert K.cofaces(("x",)) == []
     assert K.cofaces(("a", "b", "c")) == []
+
+
+@pytest.mark.parametrize("simplices, message", [
+    ({("a", "b")}, r"simplex \('a', 'b'\) needs its facet \('a',\)"),
+    ({("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("a", "b", "c")},
+     r"simplex \('a', 'b', 'c'\) needs its facet \('b', 'c'\)"),
+])
+def test_a_set_that_is_not_face_closed_names_the_missing_facet(simplices,
+                                                               message):
+    K = SimplicialComplex(frozenset(simplices))
+    for query in (K.dim, K.maximal_simplices, lambda: is_collapsible(K)):
+        with pytest.raises(ValueError, match=message):
+            query()
 
 
 def test_complex_equality_ignores_name():

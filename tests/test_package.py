@@ -28,10 +28,10 @@ LOADED = ("print(*sorted(m for m in sys.modules "
 
 
 def _fresh(*statements: str) -> list[list[str]]:
-    """Run the statements in a fresh interpreter (-S keeps site hooks out
-    of sys.modules); one list per printed line, such as the loaded
-    splitcert modules that LOADED prints."""
-    code = "; ".join((f"import sys; sys.path.insert(0, {SRC!r})", *statements))
+    """Run the statements, one line each, in a fresh interpreter (-S keeps
+    site hooks out of sys.modules); one list per printed line, such as the
+    loaded splitcert modules that LOADED prints."""
+    code = "\n".join((f"import sys; sys.path.insert(0, {SRC!r})", *statements))
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -58,7 +58,8 @@ def test_the_package_defines_no_name_but_its_version():
     # the collapse certificates need no group, hyperbolic or report code
     ("from splitcert import assets, collapse, complexes",
      ("assets", "collapse", "complexes")),
-    # the benchmark's tracer relies on the CLI loading every module
+    # the CLI registers every module without running it; the benchmark's
+    # tracer relies on finding each module it wraps in sys.modules
     ("import splitcert.cli", MODULES),
     # the group side needs no asset, collapse, complex or report code
     ("from splitcert import groups, hyperbolic, mazur, splitting",
@@ -85,6 +86,39 @@ def test_a_function_imports_what_it_calls(statement, call, loaded):
     before, after = _fresh(statement, LOADED, call, LOADED)
     assert before == list(loaded)
     assert {"assets", "collapse", "complexes"} <= set(after)
+
+
+# the modules that have run: a module the CLI registers is a lazy module
+# until its first attribute read, and type() reads none
+RAN = ("print(*sorted(m for m, v in sys.modules.items() "
+       "if m.startswith('splitcert.') and type(v) is types.ModuleType), "
+       "sep=',')")
+
+
+def test_the_cli_registers_every_module_and_runs_none_for_version():
+    version, registered, ran = _fresh(
+        "import types, splitcert.cli",
+        "try: splitcert.cli.main(['--version'])\nexcept SystemExit: pass",
+        LOADED, RAN)
+    assert version == [splitcert.__version__]
+    assert registered == list(MODULES)
+    assert ran == ["cli"]
+
+
+def test_a_tool_command_runs_only_the_modules_it_reads():
+    # complex chi reads complexes alone, and complexes imports no module
+    scx = str(Path(SRC, "splitcert", "assets", "dunce_hat.scx"))
+    out = _fresh("import types, splitcert.cli",
+                 f"splitcert.cli.main(['complex', 'chi', {scx!r}])", RAN)
+    assert out == [["chi: 1"], ["cli", "complexes"]]
+
+
+def test_a_module_the_cli_registered_imports_as_an_attribute():
+    # import finds the registered module in sys.modules and sets no
+    # package attribute itself, so the registration must have set it
+    [[name]] = _fresh("import splitcert.cli", "import splitcert.groups",
+                      "print(splitcert.groups.wirtinger.__name__)")
+    assert name == "wirtinger"
 
 
 # every record of the package: its fields, and what it holds when built

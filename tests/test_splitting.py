@@ -274,5 +274,13 @@ def test_verify_spine_split_replays_each_certificate_against_its_part():
     with pytest.raises(SplitError, match=r"^B: certificate leaves 3 "
                                          r"simplices$"):
         verify_spine_split(spine, A, B, (cert_A, short, cert_AB))
-    with pytest.raises(ValueError):   # the intersection's is missing
-        verify_spine_split(spine, A, B, (cert_A, cert_B))
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_verify_spine_split_names_the_evidence_it_expects(count):
+    A = build([("a", "b", "c")], name="A")
+    B = build([("b", "c", "d")], name="B")
+    certs = (_search_certs(A, B) * 2)[:count]
+    with pytest.raises(SplitError, match=r"^expected 3 certificates "
+                                         rf"\(A, B, A n B\), got {count}$"):
+        verify_spine_split(union(A, B, name="S"), A, B, certs)
