@@ -31,8 +31,9 @@ def _lazy(name: str):
 # benchmark's tracer (perfbench/tracing.py) relies on the registration to
 # find each module it wraps. The library is called through these handles,
 # so a command runs only the modules it reads: complex, cert, wirtinger,
-# group and csi run theirs alone, and verify-all, jester, dunce and mazur
-# run report and what it imports (mazur only where a check reads it)
+# group and csi run theirs alone. report and assets reach the producers
+# through the same handles, so jester, dunce and mazur run report and
+# only what their group's checks read; verify-all reads every module
 (assets, collapse, complexes, groups, hyperbolic, mazur, report,
  splitting) = map(_lazy, ("assets", "collapse", "complexes", "groups",
                           "hyperbolic", "mazur", "report", "splitting"))

@@ -7,24 +7,20 @@ named commands (`dunce check`, `jester verify-split`, `mazur certify`) run
 only their group's checks, into the same report, and print its overall.
 The Tietze, cone and multiset checks enumerate their whole range, so two
 runs emit identical bytes.
+
+Every producer is called through its module handle (`collapse.replay`)
+and none is read at import, so under the CLI's lazy registration a named
+command runs only the modules its group's checks read.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from itertools import combinations, permutations, product
 
-from . import assets, mazur
-from .collapse import free_faces, is_collapsible, replay
-from .complexes import (SimplicialComplex, cone, euler_characteristic,
-                        intersection, union)
-from .groups import (Presentation, TietzeMove, abelianization, apply_tietze,
-                     certificate_product, crossing_sum, parse_word,
-                     wirtinger, word_str)
-from .hyperbolic import (DEFAULT_TOL, NONTRIVIAL_FLOOR, build_triangle,
-                         triangle_defect)
-from .splitting import (OMEGA, FactorMultiset, SplitError, distinguishable,
-                        family_demo, multiset_of, verify_spine_split)
+from . import (assets, collapse, complexes, groups, hyperbolic, mazur,
+               splitting)
 
 PASS, FAIL, SKIP, INCOMPLETE = "PASS", "FAIL", "SKIP", "INCOMPLETE"
 
@@ -56,35 +52,40 @@ class VerificationReport(namedtuple("VerificationReport", "checks")):
 
 # ------------------------------------------------------------ Tietze moves
 
-TIETZE_WALK_START = Presentation(
-    ("a", "b"), (parse_word("a b A B"), parse_word("a a a")))
+@functools.cache
+def tietze_walk_start() -> groups.Presentation:
+    """< a, b | a b A B, a a a >, where each Tietze walk starts; built on
+    first use, once per process."""
+    return groups.Presentation(("a", "b"), (groups.parse_word("a b A B"),
+                                            groups.parse_word("a a a")))
 
 
 def tietze_round_trips():
     """(label, moves) for each round trip of certified moves from
-    TIETZE_WALK_START back to it: each relator, to either sign, conjugated
+    tietze_walk_start() back to it: each relator, to either sign, conjugated
     by each reduced word of length <= 1, added and removed; and for each
     reduced word w of length <= 2, g = w added and removed around relator
     1 conjugated by g, which removing g turns into relator 1 by w."""
-    letters = [(g, e) for g in TIETZE_WALK_START.generators for e in (1, -1)]
+    start, move = tietze_walk_start(), groups.TietzeMove
+    letters = [(g, e) for g in start.generators for e in (1, -1)]
     short = [(), *((x,) for x in letters)]
     words = short + [(x, y) for x, y in product(letters, repeat=2)
                      if x != (y[0], -y[1])]
 
     def conjugate(index, sign, conj):   # add it, then remove it
         cert = ((index, sign, conj),)
-        word = certificate_product(TIETZE_WALK_START.relators, cert)
-        return (TietzeMove("add-relator", word=word, certificate=cert),
-                TietzeMove("remove-relator", index=2, certificate=cert))
+        word = groups.certificate_product(start.relators, cert)
+        return (move("add-relator", word=word, certificate=cert),
+                move("remove-relator", index=2, certificate=cert))
 
     for index, sign, conj in product((0, 1), (1, -1), short):
-        yield (f"relator {index}^{sign:+d} by {word_str(conj)}",
+        yield (f"relator {index}^{sign:+d} by {groups.word_str(conj)}",
                conjugate(index, sign, conj))
     for w in words:
-        yield (f"g = {word_str(w)}",
-               (TietzeMove("add-generator", gen="g", word=w),
+        yield (f"g = {groups.word_str(w)}",
+               (move("add-generator", gen="g", word=w),
                 conjugate(1, 1, (("g", 1),))[0],
-                TietzeMove("remove-generator", gen="g", index=2),
+                move("remove-generator", gen="g", index=2),
                 conjugate(1, 1, w)[1]))
 
 
@@ -121,7 +122,7 @@ class RunContext:
         except Exception as exc:
             raise AssetError(f"asset unavailable: {exc}") from exc
 
-    def complex(self, name) -> SimplicialComplex:
+    def complex(self, name) -> complexes.SimplicialComplex:
         return self._asset(assets.load_complex, name)
 
     def certificate(self, name):
@@ -132,21 +133,21 @@ class RunContext:
 
     def search(self, name):
         return self._once(("search", name),
-                          lambda: is_collapsible(self.complex(name)))
+                          lambda: collapse.is_collapsible(self.complex(name)))
 
     @property
     def split(self):
         """The jester hat's split of the bundled certificates (SplitError)."""
-        return self._once("split", lambda: verify_spine_split(
+        return self._once("split", lambda: splitting.verify_spine_split(
             self.complex("jester_hat"), self.complex("jester_A"),
             self.complex("jester_B"),
             (self.certificate("jester_A"), self.certificate("jester_B"),
              self.certificate("jester_C"))))
 
     @property
-    def link(self) -> Presentation:
+    def link(self) -> groups.Presentation:
         return self._once("link",
-                          lambda: wirtinger(self.diagram("mazur_link")))
+                          lambda: groups.wirtinger(self.diagram("mazur_link")))
 
     @property
     def chain(self):
@@ -203,7 +204,7 @@ def _verdict(ok: bool, detail: str) -> tuple[str, str]:
 
 def _no_free_faces(name, detail):
     def fn(ctx):
-        ff = free_faces(ctx.complex(name))
+        ff = collapse.free_faces(ctx.complex(name))
         if ff:
             return FAIL, f"{len(ff)} free faces, first {' '.join(ff[0])}"
         return PASS, detail
@@ -212,7 +213,7 @@ def _no_free_faces(name, detail):
 
 def _chi_one(name):
     def fn(ctx):
-        chi = euler_characteristic(ctx.complex(name))
+        chi = complexes.euler_characteristic(ctx.complex(name))
         return _verdict(chi == 1, f"chi = {chi}")
     return fn
 
@@ -220,9 +221,9 @@ def _chi_one(name):
 def _decomposition(ctx):
     J, A, B, C = (ctx.complex(name) for name in
                   ("jester_hat", "jester_A", "jester_B", "jester_C"))
-    if union(A, B).simplices != J.simplices:
+    if complexes.union(A, B).simplices != J.simplices:
         return FAIL, "A union B differs from J"
-    if intersection(A, B).simplices != C.simplices:
+    if complexes.intersection(A, B).simplices != C.simplices:
         return FAIL, "A intersect B differs from C"
     return PASS, "A u B = J and A n B = C"
 
@@ -231,7 +232,7 @@ def _cert_replays(name, want_vertex=None):
     def fn(ctx):
         K = ctx.complex(name)
         cert = ctx.certificate(name)
-        result = replay(K, cert)
+        result = collapse.replay(K, cert)
         if result.failure:
             return FAIL, result.failure
         final = result.point
@@ -254,7 +255,7 @@ def _search(name, want):
             return FAIL, f"verdict {verdict.kind}"
         if want == "no":
             return PASS, "verdict no"
-        if not replay(ctx.complex(name), verdict.certificate).point:
+        if not collapse.replay(ctx.complex(name), verdict.certificate).point:
             return FAIL, "search certificate does not replay"
         return PASS, (f"certified in {verdict.nodes} nodes, "
                       f"{len(verdict.certificate.steps)} steps")
@@ -264,7 +265,7 @@ def _search(name, want):
 def _split(ctx):
     try:
         return PASS, f"conclusion {ctx.split.conclusion}"
-    except SplitError as exc:   # a refuted split, naming the part that failed
+    except splitting.SplitError as exc:   # refuted, naming the failed part
         return FAIL, str(exc)
 
 
@@ -283,14 +284,15 @@ def cone_bases():
 
 
 def _cone_sweep(ctx):
-    for i, base in enumerate(cone_bases()):
-        K = cone(SimplicialComplex(frozenset(base), "base"), "apex", "rcone")
-        verdict = is_collapsible(K)
+    for i, simplices in enumerate(cone_bases()):
+        base = complexes.SimplicialComplex(frozenset(simplices), "base")
+        K = complexes.cone(base, "apex", "rcone")
+        verdict = collapse.is_collapsible(K)
         # a replayed step removes a face and a coface one dimension up, so
         # chi is conserved; is_collapsible answers no whenever chi != 1
         if verdict.kind != "yes":
             failure = f"verdict {verdict.kind}"
-        elif not replay(K, verdict.certificate).collapsed_to_point:
+        elif not collapse.replay(K, verdict.certificate).collapsed_to_point:
             failure = "certificate does not replay"
         else:
             continue
@@ -307,7 +309,7 @@ def _wirtinger_shape(ctx):
 
 
 def _link_h1(ctx):
-    inv = abelianization(ctx.link)
+    inv = groups.abelianization(ctx.link)
     return _verdict(inv.free_rank == 2 and not inv.factors, f"H1 = {inv}")
 
 
@@ -315,36 +317,37 @@ def _r9(ctx):
     rels = ctx.link.relators
     if len(rels) < 9:
         return FAIL, f"{len(rels)} relators, no relator 9"
-    return _verdict(rels[8] == mazur.R9, f"relator 9 is {word_str(rels[8])}")
+    return _verdict(rels[8] == mazur.R9,
+                    f"relator 9 is {groups.word_str(rels[8])}")
 
 
 def _linking(ctx):
     d = ctx.diagram("mazur_link")
     if len(d.components) != 2:
         return FAIL, f"component count {len(d.components)}, not 2"
-    total = crossing_sum(d, 0, 1)
+    total = groups.crossing_sum(d, 0, 1)
     if total % 2:
         return FAIL, f"odd inter-component crossing sum {total}"
     return _verdict(abs(total) == 2, f"lk = {total // 2}")
 
 
 def _boundary_h1(ctx):
-    inv = abelianization(mazur.boundary_presentation(ctx.link))
+    inv = groups.abelianization(mazur.boundary_presentation(ctx.link))
     return _verdict(inv.free_rank == 0 and not inv.factors,
                     f"H1 of surgered group = {inv}")
 
 
 def _elliptic_orders(ctx):
     low = ctx.triangle.min_order_displacement
-    return _verdict(low > NONTRIVIAL_FLOOR,
+    return _verdict(low > hyperbolic.NONTRIVIAL_FLOOR,
                     f"proper powers displace probes by >= {low:.3e}")
 
 
 def _gauss_bonnet(ctx):
-    a, b, c = build_triangle(mazur.TRIANGLE_ANGLES)
-    defect = triangle_defect(a, b, c)
+    a, b, c = hyperbolic.build_triangle(mazur.TRIANGLE_ANGLES)
+    defect = hyperbolic.triangle_defect(a, b, c)
     err = abs(defect - 11 * math.pi / 70)
-    return _verdict(err < DEFAULT_TOL,
+    return _verdict(err < hyperbolic.DEFAULT_TOL,
                     f"defect {defect:.12f}, |err| = {err:.3e}")
 
 
@@ -355,8 +358,9 @@ def _meridian(ctx):
 
 
 def _abelian_oracles(ctx):
-    free2 = abelianization(Presentation(("a", "b"), (parse_word("a b A B"),)))
-    triv = abelianization(mazur.target_presentation())
+    free2 = groups.abelianization(groups.Presentation(
+        ("a", "b"), (groups.parse_word("a b A B"),)))
+    triv = groups.abelianization(mazur.target_presentation())
     ok = (free2.free_rank == 2 and not free2.factors
           and triv.free_rank == 0 and not triv.factors)
     return _verdict(ok, f"commutator -> {free2}; "
@@ -364,22 +368,23 @@ def _abelian_oracles(ctx):
 
 
 def _tietze_invariance(ctx):
-    want, moves = abelianization(TIETZE_WALK_START), 0
+    start = tietze_walk_start()
+    want, moves = groups.abelianization(start), 0
     for trips, (label, trip) in enumerate(tietze_round_trips(), 1):
-        p = TIETZE_WALK_START
+        p = start
         for moves, move in enumerate(trip, moves + 1):
-            p = apply_tietze(p, move)
-            if (got := abelianization(p)) != want:
+            p = groups.apply_tietze(p, move)
+            if (got := groups.abelianization(p)) != want:
                 return FAIL, (f"move {moves} ({label}, {move.kind}): "
                               f"invariants changed: {want} -> {got}")
-        if p != TIETZE_WALK_START:
+        if p != start:
             return FAIL, f"round trip {label} ends at {p}"
     return PASS, (f"{moves} certified moves in {trips} round trips, "
                   "invariants stable")
 
 
 def _family(ctx):
-    n = family_demo(10)
+    n = splitting.family_demo(10)
     return _verdict(n == 1024, "1024 pairwise-distinguishable" if n == 1024
                     else f"{n} of 1024 descriptions distinct")
 
@@ -388,10 +393,12 @@ def _irreflexive(ctx):
     # multiset_of must build what from_map builds, whatever the order
     orderings = sorted(set(permutations(("J1", "J2", "J2", "J3", "J3", "J3"))))
     for cycle in ((), ("J4", "J5"), ("J5", "J4")):
-        want = FactorMultiset.from_map(
-            {"J1": 1, "J2": 2, "J3": 3, **dict.fromkeys(cycle, OMEGA)})
+        want = splitting.FactorMultiset.from_map({
+            "J1": 1, "J2": 2, "J3": 3,
+            **dict.fromkeys(cycle, splitting.OMEGA)})
         for prefix in orderings:
-            if distinguishable(multiset_of(prefix, cycle), want):
+            built = splitting.multiset_of(prefix, cycle)
+            if splitting.distinguishable(built, want):
                 return FAIL, (f"{' '.join(prefix)} then ({' '.join(cycle)})"
                               f" repeated: {want} separated from itself")
     return PASS, (f"{3 * len(orderings)} orderings of J1 J2^2 J3^3, "

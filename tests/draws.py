@@ -9,7 +9,7 @@ import random
 
 from splitcert.groups import (Presentation, TietzeMove, apply_tietze,
                               certificate_product)
-from splitcert.report import TIETZE_WALK_START
+from splitcert.report import tietze_walk_start
 from splitcert.splitting import OMEGA, FactorMultiset
 
 
@@ -37,9 +37,9 @@ def _random_word(rng: random.Random, gens):
 
 def random_tietze_walk(rng: random.Random, steps: int) -> Presentation:
     """Run a LIFO walk of `steps` certified Tietze moves from
-    TIETZE_WALK_START; apply_tietze checks each move's certificate against
+    tietze_walk_start(); apply_tietze checks each move's certificate against
     the presentation it is applied to. Returns the last presentation."""
-    p = TIETZE_WALK_START
+    p = tietze_walk_start()
     stack: list[tuple] = []   # ("rel", certificate) | ("gen", name)
     fresh = 0
     for _ in range(steps):

@@ -65,6 +65,10 @@ def test_the_package_defines_no_name_but_its_version():
     ("from splitcert import groups, hyperbolic, mazur, splitting",
      ("groups", "hyperbolic", "mazur", "splitting")),
     ("import splitcert.hyperbolic", ("hyperbolic",)),
+    # a plain library import of the report runs every producer it calls
+    ("import splitcert.report",
+     ("assets", "collapse", "complexes", "groups", "hyperbolic", "mazur",
+      "report", "splitting")),
 ])
 def test_import_loads_only_what_it_uses(statement, loaded):
     assert _fresh(statement, LOADED) == [list(loaded)]
@@ -111,6 +115,26 @@ def test_a_tool_command_runs_only_the_modules_it_reads():
     out = _fresh("import types, splitcert.cli",
                  f"splitcert.cli.main(['complex', 'chi', {scx!r}])", RAN)
     assert out == [["chi: 1"], ["cli", "complexes"]]
+
+
+# the modules each report-backed command runs: report and assets reach
+# the producers through the CLI's lazy handles, so a command runs only what
+# its group's checks read (groups.loads_lnk imports complexes)
+DUNCE_RUNS = ("assets", "cli", "collapse", "complexes", "report")
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["dunce", "check"], DUNCE_RUNS),
+    (["jester", "verify-split"], (*DUNCE_RUNS, "splitting")),
+    (["mazur", "certify"], ("assets", "cli", "complexes", "groups",
+                            "hyperbolic", "mazur", "report")),
+    (["verify-all"], MODULES),
+], ids=["dunce", "jester", "mazur", "verify-all"])
+def test_a_report_command_runs_only_what_its_checks_read(argv, ran):
+    assert _fresh("import contextlib, io, types, splitcert.cli",
+                  "with contextlib.redirect_stdout(io.StringIO()):",
+                  f"    assert splitcert.cli.main({argv!r}) == 0",
+                  RAN) == [sorted(ran)]
 
 
 def test_a_module_the_cli_registered_imports_as_an_attribute():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitcert import assets, groups, mazur, report
+from splitcert import assets, collapse, groups, mazur, report, splitting
 from splitcert.cli import main
 from splitcert.collapse import (CollapseCertificate, CollapseVerdict,
                                 SearchBudget, greedy_collapse, is_collapsible)
@@ -137,7 +137,7 @@ def test_refuted_part_named_unknown_is_fail(monkeypatch):
     part = SimplicialComplex(ctx.complex("dunce_hat").simplices,
                              name="unknown_part")
     bad = CollapseCertificate((("1", "2"),))
-    monkeypatch.setattr(report, "verify_spine_split", lambda *args: (
+    monkeypatch.setattr(splitting, "verify_spine_split", lambda *args: (
         verify_spine_split(union(part, part), part, part, (bad, bad, bad))))
 
     (result,) = run_checks([c for c in CHECKS if c.id == "JESTER_SPLIT_CERT"],
@@ -249,7 +249,7 @@ def test_every_seed_91_base_on_at_most_4_vertices_is_enumerated():
 
 
 def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
-    original = report.is_collapsible
+    original = collapse.is_collapsible
     enumerated = _enumerated_cones()
     for index in (0, 60, 124):
         cones = []
@@ -263,7 +263,7 @@ def test_cone_sweep_fails_on_a_certificate_that_stops_short(monkeypatch):
                     certificate=CollapseCertificate(steps))
             return verdict
 
-        monkeypatch.setattr(report, "is_collapsible",
+        monkeypatch.setattr(collapse, "is_collapsible",
                             last_step_dropped_on_one_cone)
         status, detail = report._cone_sweep(RunContext())
         # the sweep stops at the corrupted cone and names it
@@ -303,13 +303,13 @@ def test_cone_sweep_replays_each_distinct_cone_once(monkeypatch):
     want = [K.simplices for K in _enumerated_cones()]
     assert len(set(want)) == len(want) == 125
     replayed = []
-    original = report.replay
+    original = collapse.replay
 
     def spy(K, cert):
         replayed.append(K.simplices)
         return original(K, cert)
 
-    monkeypatch.setattr(report, "replay", spy)
+    monkeypatch.setattr(collapse, "replay", spy)
     assert report._cone_sweep(RunContext()) == (
         PASS, "125 cones over every complex on <= 4 vertices: chi "
               "conserved, all certificates replay")
@@ -330,7 +330,7 @@ def test_verify_all_never_copies_a_complex_per_collapse_step(monkeypatch):
 
 
 def test_cone_sweep_fails_on_a_verdict_other_than_yes(monkeypatch):
-    monkeypatch.setattr(report, "is_collapsible",
+    monkeypatch.setattr(collapse, "is_collapsible",
                         lambda K: CollapseVerdict("no", None, 1))
     assert report._cone_sweep(RunContext()) == (
         FAIL, "cone 0 (apex v0): verdict no")
@@ -340,7 +340,7 @@ def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
     # the sweep replays the very certificate is_collapsible returned; on
     # these cones it is the greedy one
     certified, replayed = [], []
-    original_search, original_replay = report.is_collapsible, report.replay
+    original_search, original_replay = collapse.is_collapsible, collapse.replay
 
     def search_spy(K):
         verdict = original_search(K)
@@ -351,8 +351,8 @@ def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
         replayed.append((K, cert))
         return original_replay(K, cert)
 
-    monkeypatch.setattr(report, "is_collapsible", search_spy)
-    monkeypatch.setattr(report, "replay", replay_spy)
+    monkeypatch.setattr(collapse, "is_collapsible", search_spy)
+    monkeypatch.setattr(collapse, "replay", replay_spy)
     assert report._cone_sweep(RunContext())[0] == PASS
     assert len(replayed) == len(certified) == 125
     assert all(cert is mine for (_, cert), mine in zip(replayed, certified))
@@ -363,8 +363,15 @@ def test_cone_sweep_checks_the_greedy_certificates(monkeypatch):
 
 # ------------------------------------------------------- TIETZE_INVARIANCE
 
+def test_the_tietze_walk_start_is_built_once():
+    start = report.tietze_walk_start()
+    assert start is report.tietze_walk_start()
+    assert start == groups.Presentation(
+        ("a", "b"), (groups.parse_word("a b A B"), groups.parse_word("a a a")))
+
+
 def test_tietze_invariance_fails_when_a_move_changes_the_group(monkeypatch):
-    original = report.apply_tietze
+    original = groups.apply_tietze
     calls = []
 
     def imposes_a_on_the_last_move(p, move):
@@ -373,7 +380,7 @@ def test_tietze_invariance_fails_when_a_move_changes_the_group(monkeypatch):
             p = groups.Presentation(p.generators, p.relators + ((("a", 1),),))
         return original(p, move)
 
-    monkeypatch.setattr(report, "apply_tietze", imposes_a_on_the_last_move)
+    monkeypatch.setattr(groups, "apply_tietze", imposes_a_on_the_last_move)
     assert report._tietze_invariance(RunContext()) == (
         FAIL, "move 108 (g = B B, remove-relator): "
               "invariants changed: Z/3 + Z -> Z")
@@ -384,7 +391,7 @@ def test_tietze_invariance_fails_when_a_round_trip_does_not_return(
         monkeypatch):
     # a remove-relator that does nothing leaves a second copy of relator
     # 0, which the abelianization cannot see; only the end check can
-    original = report.apply_tietze
+    original = groups.apply_tietze
     calls = []
 
     def keeps_the_first_relator(p, move):
@@ -393,7 +400,7 @@ def test_tietze_invariance_fails_when_a_round_trip_does_not_return(
             return p
         return original(p, move)
 
-    monkeypatch.setattr(report, "apply_tietze", keeps_the_first_relator)
+    monkeypatch.setattr(groups, "apply_tietze", keeps_the_first_relator)
     assert report._tietze_invariance(RunContext()) == (
         FAIL, "round trip relator 0^+1 by 1 ends at "
               "< a b | a b A B, a a a, a b A B >")
@@ -401,7 +408,7 @@ def test_tietze_invariance_fails_when_a_round_trip_does_not_return(
 
 def test_tietze_invariance_runs_every_move_kind(monkeypatch):
     # the substitute branch: removing a generator that another relator uses
-    original = report.apply_tietze
+    original = groups.apply_tietze
     kinds, defined, substituted = Counter(), [], []
 
     def spy(p, move):
@@ -414,7 +421,7 @@ def test_tietze_invariance_runs_every_move_kind(monkeypatch):
                 substituted.append(move)
         return original(p, move)
 
-    monkeypatch.setattr(report, "apply_tietze", spy)
+    monkeypatch.setattr(groups, "apply_tietze", spy)
     assert report._tietze_invariance(RunContext())[0] == PASS
     assert kinds == {"add-relator": 37, "remove-relator": 37,
                      "add-generator": 17, "remove-generator": 17}
@@ -441,14 +448,14 @@ def test_tietze_invariance_catches_an_uninverted_negative_image(monkeypatch):
                 for i, r in enumerate(p.relators)))
         return original(p, move)
 
-    monkeypatch.setattr(report, "apply_tietze", faulty)
+    monkeypatch.setattr(groups, "apply_tietze", faulty)
     monkeypatch.setattr(draws, "apply_tietze", faulty)
     assert report._tietze_invariance(RunContext()) == (
         FAIL, "move 47 (g = a, remove-generator): "
               "invariants changed: Z/3 + Z -> Z")
     end = draws.random_tietze_walk(random.Random(4711), 500)
     assert (groups.abelianization(end)
-            == groups.abelianization(report.TIETZE_WALK_START))
+            == groups.abelianization(report.tietze_walk_start()))
 
 
 # ------------------------------------------------- DISTINGUISH_IRREFLEXIVE
@@ -461,7 +468,7 @@ def test_irreflexive_check_passes_on_shuffled_sequences(monkeypatch):
         built.append((tuple(prefix), tuple(cycle)))
         return multiset_of(prefix, cycle)
 
-    monkeypatch.setattr(report, "multiset_of", spy)
+    monkeypatch.setattr(splitting, "multiset_of", spy)
     assert report._irreflexive(RunContext()) == (
         PASS, "180 orderings of J1 J2^2 J3^3, omega J4 J5: never "
               "self-separated")
@@ -485,8 +492,8 @@ def test_irreflexive_check_compares_with_an_independent_build(monkeypatch):
         compared.append((m1, m2))
         return distinguishable(m1, m2)
 
-    monkeypatch.setattr(report, "multiset_of", build_spy)
-    monkeypatch.setattr(report, "distinguishable", compare_spy)
+    monkeypatch.setattr(splitting, "multiset_of", build_spy)
+    monkeypatch.setattr(splitting, "distinguishable", compare_spy)
     assert report._irreflexive(RunContext())[0] == PASS
     assert len(compared) == len(built) == 180
     assert all(m1 is m for (m1, _), m in zip(compared, built))
@@ -506,7 +513,7 @@ def test_irreflexive_check_fails_on_a_non_canonical_build(monkeypatch):
         counts.update(dict.fromkeys(cycle, OMEGA))
         return tuple.__new__(FactorMultiset, (tuple(counts.items()),))
 
-    monkeypatch.setattr(report, "multiset_of", in_sequence_order)
+    monkeypatch.setattr(splitting, "multiset_of", in_sequence_order)
     # the orderings run in sorted order, so J1 J3 ... is the first whose
     # labels come unsorted
     assert report._irreflexive(RunContext()) == (
@@ -522,7 +529,7 @@ def test_irreflexive_check_fails_on_a_cycle_read_in_order(monkeypatch):
         return tuple.__new__(FactorMultiset, (m.counts + tuple(
             (label, OMEGA) for label in cycle),))
 
-    monkeypatch.setattr(report, "multiset_of", cycle_unsorted)
+    monkeypatch.setattr(splitting, "multiset_of", cycle_unsorted)
     assert report._irreflexive(RunContext()) == (
         FAIL, "J1 J2 J2 J3 J3 J3 then (J5 J4) repeated: J1:1, J2:2, J3:3, "
               "J4:w, J5:w separated from itself")
@@ -557,7 +564,7 @@ def test_the_split_check_reads_a_split_error_as_fail_even_under_strict(
     def refuted(*args):
         raise SplitError("jester_A: no certificate")
 
-    monkeypatch.setattr(report, "verify_spine_split", refuted)
+    monkeypatch.setattr(splitting, "verify_spine_split", refuted)
     split = [c for c in CHECKS if c.id == "JESTER_SPLIT_CERT"]
     for strict in (False, True):
         assert run_checks(split, RunContext(), strict=strict) == (
@@ -575,7 +582,7 @@ def _run(check_id, ctx):
 
 
 def test_dunce_search_out_of_budget_is_skip(monkeypatch, capsys):
-    monkeypatch.setattr(report, "is_collapsible",
+    monkeypatch.setattr(collapse, "is_collapsible",
                         lambda K: CollapseVerdict("unknown", None, 7))
     assert _run("DUNCE_SEARCH_VERDICT", RunContext()) == (
         SKIP, "budget exhausted after 7 nodes")
@@ -594,7 +601,7 @@ def test_dunce_search_out_of_budget_is_skip(monkeypatch, capsys):
      (FAIL, "search certificate does not replay")),
 ])
 def test_search_check_reads_the_verdict_it_gets(verdict, want, monkeypatch):
-    monkeypatch.setattr(report, "is_collapsible", lambda K: verdict)
+    monkeypatch.setattr(collapse, "is_collapsible", lambda K: verdict)
     assert _run("SEARCH_JESTER_C", RunContext()) == want
 
 

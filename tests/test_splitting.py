@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from splitcert import report, splitting
+from splitcert import splitting
 from splitcert.collapse import CollapseCertificate, is_collapsible
 from splitcert.complexes import build, intersection, union
 from splitcert.report import CHECKS, FAIL, RunContext, run_checks
@@ -243,7 +243,7 @@ def test_verify_spine_split_rejects_a_missing_certificate(monkeypatch):
     with pytest.raises(SplitError, match=r"^B: no certificate$"):
         verify_spine_split(spine, A, B, certs)
 
-    monkeypatch.setattr(report, "verify_spine_split",
+    monkeypatch.setattr(splitting, "verify_spine_split",
                         lambda *args: verify_spine_split(spine, A, B, certs))
     (result,) = run_checks([c for c in CHECKS if c.id == "JESTER_SPLIT_CERT"],
                            RunContext()).checks
