@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: _parse reads argv against the COMMANDS table
+(argparse would load gettext, locale and shutil into every run).
 
 Exit codes: 0 = the requested check passed (or pure output commands
 succeeded), 1 = a verification-style check failed, 2 = usage or I/O error.
@@ -6,9 +7,9 @@ Output is deterministic for fixed inputs; no timestamps.
 """
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import sys
+import types
 
 from . import __version__
 
@@ -27,13 +28,10 @@ def _lazy(name: str):
     return module
 
 
-# importing splitcert.cli registers every module and runs none: the
-# benchmark's tracer (perfbench/tracing.py) relies on the registration to
-# find each module it wraps. The library is called through these handles,
-# so a command runs only the modules it reads: complex, cert, wirtinger,
-# group and csi run theirs alone. report and assets reach the producers
-# through the same handles, so jester, dunce and mazur run report and
-# only what their group's checks read; verify-all reads every module
+# importing splitcert.cli registers every module and runs none, so the
+# benchmark's tracer (perfbench/tracing.py) finds what it wraps. Commands,
+# report and assets call the library through these handles: a command runs
+# only what it reads, and --help, --version and usage errors run none
 (assets, collapse, complexes, groups, hyperbolic, mazur, report,
  splitting) = map(_lazy, ("assets", "collapse", "complexes", "groups",
                           "hyperbolic", "mazur", "report", "splitting"))
@@ -175,10 +173,7 @@ def _parse_gen_word(text: str):
 
 def _parse_certificate(text: str):
     terms = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, text.split(","))):
         parts = chunk.split(":")
         if len(parts) != 3:
             raise ValueError(
@@ -273,97 +268,101 @@ def cmd_verify_all(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_assets(p):
-    p.add_argument("--assets", default=None, metavar="DIR",
-                   help="override the bundled asset directory")
+# "COMMAND [ACTION]": (function, grammar), which --help prints. An upper-
+# case word is a positional, read into the attribute of its lower-case
+# name. "[-f/--flag METAVAR]" sets the attribute flag: to an int for the
+# metavar N, to a list of each value if "..." follows, else to the value
+# (None if not given). A bracket's options, "|" between, exclude each other.
+COMMANDS = {
+    **{f"complex {action}": (cmd_complex, "FILE")
+       for action in ("validate", "chi", "free-faces", "collapse")},
+    "complex search": (cmd_complex, "FILE [--budget N]"),
+    "cert replay": (cmd_cert_replay, "COMPLEX CERT"),
+    "jester verify-split": (cmd_jester, "[--assets DIR]"),
+    "dunce check": (cmd_dunce, "[--assets DIR]"),
+    "wirtinger": (cmd_wirtinger, "FILE"),
+    "group reduce": (cmd_group, "WORD"),
+    "group subst": (cmd_group, "WORD [-m/--map GEN=WORD]..."),
+    "group abelianize": (cmd_group, "FILE"),
+    "group tietze": (cmd_group, "FILE [--add-gen NAME=WORD | --add-rel WORD "
+                                "| --remove-rel N | --remove-gen NAME] "
+                                "[--by INDEX:SIGN:CONJ,...] [--using N]"),
+    "mazur certify": (cmd_mazur, "[--assets DIR]"),
+    "csi distinguish": (cmd_csi, "FIRST SECOND"),
+    "verify-all": (cmd_verify_all, "[--assets DIR]"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="splitcert",
-        description="Certificate checker for collapsibility splittings, "
-                    "link-group derivations, and the sum invariant.")
-    top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="command", required=True)
+def _fail(message: str):
+    print(f"error: {message}; see splitcert --help", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("complex", help="simplicial complex utilities")
-    actions = p.add_subparsers(dest="action", required=True)
-    for action in ("validate", "chi", "free-faces", "collapse", "search"):
-        a = actions.add_parser(action)
-        a.add_argument("file")
-        if action == "search":   # the other actions reject --budget
-            a.add_argument("--budget", type=int, default=None,
-                           help="node budget of the dim >= 3 search "
-                                "(default 10^6)")
-        a.set_defaults(fn=cmd_complex)
 
-    p = sub.add_parser("cert", help="collapse certificate replay")
-    p.add_argument("action", choices=("replay",))
-    p.add_argument("complex")
-    p.add_argument("cert")
-    p.set_defaults(fn=cmd_cert_replay)
-
-    p = sub.add_parser("jester", help="verify the bundled spine splitting")
-    p.add_argument("action", choices=("verify-split",))
-    _add_assets(p)
-    p.set_defaults(fn=cmd_jester)
-
-    p = sub.add_parser("dunce", help="check the bundled dunce hat")
-    p.add_argument("action", choices=("check",))
-    _add_assets(p)
-    p.set_defaults(fn=cmd_dunce)
-
-    p = sub.add_parser("wirtinger",
-                       help="presentation of a link diagram's group")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_wirtinger)
-
-    p = sub.add_parser("group", help="word and presentation operations")
-    actions = p.add_subparsers(dest="action", required=True)
-    for action, operand in (("reduce", "WORD"), ("subst", "WORD"),
-                            ("abelianize", "FILE"), ("tietze", "FILE")):
-        a = actions.add_parser(action)
-        a.add_argument(operand.lower(), metavar=operand)
-        a.set_defaults(fn=cmd_group)
-        if action == "subst":   # only subst takes -m
-            a.add_argument("-m", "--map", action="append", default=[],
-                           metavar="GEN=WORD",
-                           help="substitution image (repeatable)")
-        if action == "tietze":  # only tietze takes a move, --by and --using
-            move = a.add_mutually_exclusive_group()
-            move.add_argument("--add-gen", metavar="NAME=WORD")
-            move.add_argument("--add-rel", metavar="WORD")
-            move.add_argument("--remove-rel", type=int, metavar="INDEX")
-            move.add_argument("--remove-gen", metavar="NAME")
-            a.add_argument("--by", metavar="INDEX:SIGN:CONJ,...",
-                           help="consequence certificate for "
-                                "add-rel/remove-rel")
-            a.add_argument("--using", type=int, metavar="INDEX",
-                           help="defining relator index for remove-gen")
-
-    p = sub.add_parser("mazur", help="boundary-group triangle certificate")
-    p.add_argument("action", choices=("certify",))
-    _add_assets(p)
-    p.set_defaults(fn=cmd_mazur)
-
-    p = sub.add_parser("csi", help="factor-multiset comparison")
-    p.add_argument("action", choices=("distinguish",))
-    p.add_argument("first", metavar="MULTISET",
-                   help="e.g. 'J1:2,J5:w' ('-' for empty)")
-    p.add_argument("second", metavar="MULTISET")
-    p.set_defaults(fn=cmd_csi)
-
-    p = sub.add_parser("verify-all", help="run every bundled check")
-    _add_assets(p)
-    p.set_defaults(fn=cmd_verify_all)
-
-    return top
+def _parse(argv):
+    """The function that argv names in COMMANDS, and its arguments as a
+    namespace. --help and --version exit 0; a usage error exits 2. An
+    option's value is the next word, or follows "=" if it starts with "-"."""
+    words = list(argv)
+    exact = [k for k in COMMANDS if k.split() == words[:k.count(" ") + 1]]
+    rows = (exact or [k for k in COMMANDS if k.split()[0] in words[:1]]
+            or list(COMMANDS))   # the rows that words name, for --help
+    if words[:1] == ["--version"] or "-h" in words or "--help" in words:
+        print(__version__ if words[0] == "--version" else "usage: "
+              + "\n       ".join(f"splitcert {k} {COMMANDS[k][1]}".rstrip()
+                                  for k in rows)
+              + "\n\nCertificate checker for collapsibility splittings,\n"
+              "link-group derivations, and the sum invariant.\n"
+              "--version prints the version; COMMAND --help, its usage.")
+        raise SystemExit(0)
+    if not exact:
+        _fail(f"no such command: {' '.join(words[:2])!r}")
+    [row] = exact
+    fn, grammar = COMMANDS[row]
+    head, *brackets = grammar.split("[")
+    names, options, values = head.lower().split(), {}, {}
+    for bracket, text in enumerate(brackets):   # flag: its attribute,
+        text, _, after = text.partition("]")    # metavar and bracket
+        for flags, metavar in map(str.split, text.split(" | ")):
+            attribute = flags.split("/")[-1].lstrip("-").replace("-", "_")
+            values[attribute] = [] if after[:3] == "..." else None
+            options.update(dict.fromkeys(flags.split("/"),
+                                         (attribute, metavar, bracket)))
+    first, given = {}, []
+    del words[:row.count(" ") + 1]
+    while words:
+        word = words.pop(0)
+        flag, eq, value = word.partition("=")
+        if flag not in options:   # "-" is a positional, as in argparse
+            if len(given) == len(names) or word[:1] == "-" and word != "-":
+                _fail(f"unrecognized arguments: {word}")
+            given.append(word)
+            continue
+        if not eq:
+            if not words or words[0][:1] == "-":
+                _fail(f"argument {flag}: expected one argument")
+            value = words.pop(0)
+        attribute, metavar, bracket = options[flag]
+        other = first.setdefault(bracket, flag)
+        if options[other][0] != attribute:
+            _fail(f"argument {flag}: not allowed with argument {other}")
+        try:
+            value = int(value) if metavar == "N" else value
+        except ValueError:
+            _fail(f"argument {flag}: invalid int value: {value!r}")
+        if isinstance(values[attribute], list):
+            value = values[attribute] + [value]
+        values[attribute] = value
+    if len(given) < len(names):
+        _fail("the following arguments are required: "
+              + ", ".join(names[len(given):]).upper())
+    return fn, types.SimpleNamespace(action=row.partition(" ")[2],
+                                     **dict(zip(names, given)), **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    fn, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -656,3 +656,99 @@ def test_import_does_not_load_dataclasses():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False False False False\n"
+
+
+# ------------------------------------------------------------------ parser
+
+@pytest.mark.parametrize("argv, message", [
+    (["complex", "search", "F", "--budget", "x"],
+     "argument --budget: invalid int value: 'x'"),
+    (["group", "tietze", "F", "--remove-rel", "x", "--by", "0:+:"],
+     "argument --remove-rel: invalid int value: 'x'"),
+    (["group", "tietze", "F", "--remove-gen", "a", "--using", "x"],
+     "argument --using: invalid int value: 'x'"),
+    # a value that starts with "-" follows "=", so a forgotten value is
+    # never filled with the next option
+    (["verify-all", "--assets"], "argument --assets: expected one argument"),
+    (["verify-all", "--assets", "--budget", "5"],
+     "argument --assets: expected one argument"),
+    (["group", "tietze", "F", "--remove-rel", "-1", "--by", "0:+:"],
+     "argument --remove-rel: expected one argument"),
+])
+def test_a_bad_option_value_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_an_option_takes_its_value_after_a_blank_or_an_equals_sign(
+        capsys, asset_copy):
+    # the tampered copy fails where the bundled assets pass, so both runs
+    # read the directory the option names
+    _tamper_cert(asset_copy / "jester_B.cert", lambda s: s[:-1])
+    joined = run(capsys, "jester", "verify-split", f"--assets={asset_copy}")
+    apart = run(capsys, "jester", "verify-split", "--assets", str(asset_copy))
+    assert joined == apart
+    assert joined[0] == 1
+    assert (run(capsys, "group", "subst", "a b", "--map=a=x y", "-m", "b=y")
+            == run(capsys, "group", "subst", "a b", "-m", "a=x y",
+                   "--map", "b=y")
+            == (0, "x y y\n", ""))
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["complex"],
+                                  ["complex", "frobnicate", "F"],
+                                  ["jester", "--assets", "."]])
+def test_an_unknown_or_incomplete_command_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no such command: ")
+
+
+def _usage(out: str) -> list[list[str]]:
+    """The words of each usage line that --help printed."""
+    usage = out.split("\n\n")[0].removeprefix("usage: ")
+    return [line.split() for line in usage.splitlines()]
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "help.txt").read_text()
+    assert {words[1] for words in _usage(out)} == {
+        "complex", "cert", "jester", "dunce", "wirtinger", "group", "mazur",
+        "csi", "verify-all"}
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["complex", "search"], ["--budget N"]),
+    (["group", "tietze"], ["--add-gen", "--add-rel", "--remove-rel",
+                           "--remove-gen", "--by", "--using"]),
+    (["group", "subst"], ["-m/--map"]),
+])
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_the_help_of_an_action_names_its_options(argv, options, flag,
+                                                 capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag])
+    assert exc.value.code == 0
+    [words] = _usage(capsys.readouterr().out)
+    assert words[1:3] == argv
+    assert all(option in " ".join(words) for option in options)
+
+
+def test_the_help_of_a_command_names_its_actions(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "--help"])
+    assert exc.value.code == 0
+    assert [words[1:3] for words in _usage(capsys.readouterr().out)] == [
+        ["group", action] for action in ("reduce", "subst", "abelianize",
+                                         "tietze")]

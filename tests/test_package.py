@@ -109,6 +109,22 @@ def test_the_cli_registers_every_module_and_runs_none_for_version():
     assert ran == ["cli"]
 
 
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["verify-all"],
+                                  ["frobnicate"]])
+def test_the_cli_loads_no_argument_parser(argv):
+    # the command table reads argv itself: argparse would bring gettext,
+    # locale and shutil (and shutil its compression modules) to every child
+    [loaded] = _fresh(
+        "import contextlib, io, splitcert.cli",
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):",
+        f"    try: splitcert.cli.main({argv!r})",
+        "    except SystemExit: pass",
+        "print(*(m for m in ('argparse', 'gettext', 'locale', 'shutil') "
+        "if m in sys.modules), sep=',')")
+    assert loaded == []
+
+
 def test_a_tool_command_runs_only_the_modules_it_reads():
     # complex chi reads complexes alone, and complexes imports no module
     scx = str(Path(SRC, "splitcert", "assets", "dunce_hat.scx"))
